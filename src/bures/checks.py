@@ -201,6 +201,16 @@ def check_coset_density_2state_closed_form() -> CheckResult:
     return _result("coset_density_2state_closed_form", dev, 1e-10)
 
 
+def check_coset_density_3state_closed_form() -> CheckResult:
+    """The production closed form against |det C| from first principles."""
+    rng = np.random.default_rng(109)
+    pts = _random_point_arrays(3, 100, rng)[:, 2:]
+    fast = coset_measure_factor(3, pts)
+    dev = max(abs(f - haar_coset_density(CosetAngles(3, tuple(row))))
+              for row, f in zip(pts, fast))
+    return _result("coset_density_3state_closed_form", dev, 1e-12)
+
+
 def _coset_rows_fd(n: int, angles: np.ndarray, h: float = 1e-6) -> float:
     """|det C| with the factor derivatives replaced by central differences."""
     gset = generators.generator_set(n)
@@ -253,7 +263,8 @@ def check_jacobian_fd_3state() -> CheckResult:
 def check_joint_density_2state_analytic() -> CheckResult:
     rng = np.random.default_rng(108)
     pts = _random_point_arrays(2, 50, rng)
-    dens = (eigen_measure_factor(2, pts[:, :1]) * coset_measure_factor(2, pts[:, 1:]))
+    coset = [haar_coset_density(CosetAngles(2, tuple(row))) for row in pts[:, 1:]]
+    dens = eigen_measure_factor(2, pts[:, :1]) * np.array(coset)
     want = 8 * np.cos(2 * pts[:, 0]) ** 2 * np.sin(2 * pts[:, 2])
     return _result("joint_density_2state_analytic",
                    float(np.abs(dens - want).max()), 1e-10)
@@ -333,6 +344,7 @@ FAST_CHECKS = (
     check_dropped_angle_invariance,
     check_inverse_roundtrip_2state,
     check_coset_density_2state_closed_form,
+    check_coset_density_3state_closed_form,
     check_coset_density_fd_3state,
     check_jacobian_fd_3state,
     check_joint_density_2state_analytic,

@@ -4,12 +4,14 @@ Subcommands: density, sample, integrate, volume, check.  Output is a single
 JSON record (or a CSV stream for ``sample --format csv``) with schema_version
 "1"; every float is printed with 17 significant digits so serialized output
 round-trips byte-for-byte.  Angles are radians only.  The environment
-variable BURES_THREADS sets the worker count and never changes numbers.
+variable BURES_THREADS sets the sampler's worker count and never changes
+numbers.  A reader that closes stdout early ends the command quietly.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -310,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="entropy | purity | moment:k (moment:0 is the constant 1)")
     p.add_argument("--method", choices=("quadrature", "mc"), default="quadrature")
     p.add_argument("--points", type=int, default=None,
-                   help="quadrature points per axis (default 32 for n=2, 8 for n=3)")
+                   help="quadrature points per axis of the eigenvalue box "
+                        "(default 32 for n=2, 64 for n=3)")
     p.add_argument("--rule", choices=("gauss-legendre", "simpson"),
                    default="gauss-legendre")
     p.add_argument("--samples", type=int, default=1_000_000,
@@ -345,6 +348,11 @@ def main(argv: list[str] | None = None) -> int:
     except EnvelopeViolationError as exc:
         print(f"envelope violation: {exc}", file=sys.stderr)
         return CHECK_FAILURE
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. `| head`); send what is still
+        # buffered to devnull so the interpreter's exit flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

@@ -5,9 +5,10 @@ The coordinate density is a product of three factors:
   * the eigenvalue-simplex density
     (lam_1..lam_n)^(-1/2) * prod_{j<k} 4 (lam_j - lam_k)^2 / (lam_j + lam_k),
   * the Jacobian |d(lam_1..lam_{n-1}) / d(eigenvalue angles)|,
-  * the invariant coset density of the truncated Euler product, computed
-    numerically as |det C| where C_{k,a} = Tr(-i U^dag dU/dx_k T_a)/2 with
-    columns over the non-diagonal (coset) generators.
+  * the invariant coset density of the truncated Euler product, in closed
+    form (``coset_measure_factor``); ``haar_coset_density`` computes it from
+    first principles as |det C| with C_{k,a} = Tr(-i U^dag dU/dx_k T_a)/2,
+    columns over the non-diagonal (coset) generators, and is its check.
 
 The first two factors have an integrable 1/sqrt(lam) singularity against a
 vanishing Jacobian at spectrum boundaries; ``*_measure_factor`` composes them
@@ -26,8 +27,7 @@ import numpy as np
 
 from . import generators
 from .euler import (COSET_NAMES, COSET_RANGES, EIGEN_NAMES, EIGEN_RANGES,
-                    CosetAngles, DensityMatrixParams, EigenvalueAngles,
-                    coset_factor_stack, _COSET_KINDS)
+                    CosetAngles, DensityMatrixParams, EigenvalueAngles)
 from .linalg import dagger, expm_i_generator, matmul
 from .tensorgrid import QuadratureRule, QuadratureSpec, tensor_quadrature
 
@@ -179,54 +179,19 @@ def haar_coset_density(coset: CosetAngles) -> float:
     return abs(float(np.linalg.det(np.array(rows))))
 
 
-def _left_mult_generator(n: int, kind: str, v: np.ndarray) -> np.ndarray:
-    """g @ v for the sparse factor generators, batched over the first axis."""
-    out = np.zeros_like(v)
-    if kind == "phase":              # diag(1, -1[, 0])
-        out[:, 0, :] = v[:, 0, :]
-        out[:, 1, :] = -v[:, 1, :]
-    elif kind == "rot01":            # (0,1) antisymmetric pair, entries -i/i
-        out[:, 0, :] = -1j * v[:, 1, :]
-        out[:, 1, :] = 1j * v[:, 0, :]
-    else:                            # rot02
-        out[:, 0, :] = -1j * v[:, 2, :]
-        out[:, 2, :] = 1j * v[:, 0, :]
-    return out
-
-
 def coset_measure_factor(n: int, angles: np.ndarray) -> np.ndarray:
-    """Vectorized ``haar_coset_density``; ``angles`` has shape (N, 2|6).
+    """Invariant coset density in closed form; ``angles`` has shape (N, 2|6).
 
-    Uses suffix products V_k = F_k..F_m, for which
-    -i U^dag dU/dx_k = V_k^dag g_k V_k, and reads the coefficient columns
-    off the three independent upper-triangle entries of that Hermitian
-    matrix (the coset generators pair (real, -imag) parts of each entry).
+    n=2: |sin 2beta|.  n=3: |sin 2beta sin 2b sin^3(theta) cos(theta)|, the
+    Haar measure of SU(3) in Euler angles (Byrd, J. Math. Phys. 39 (1998)
+    6125) on the coset.  Equal to ``haar_coset_density`` to roundoff.
     """
     angles = np.atleast_2d(np.asarray(angles, dtype=np.float64))
-    kinds = _COSET_KINDS[n]
-    factors = coset_factor_stack(n, angles)
-    m = len(kinds)
-    suffix = [None] * m
-    suffix[m - 1] = factors[m - 1]
-    for k in range(m - 2, -1, -1):
-        suffix[k] = factors[k] @ suffix[k + 1]
-    cnt = angles.shape[0]
-    rows = np.empty((cnt, m, m))
-    for k in range(m):
-        v = suffix[k]
-        gv = _left_mult_generator(n, kinds[k], v)
-        vc = v.conj()
-        x01 = (vc[:, :, 0] * gv[:, :, 1]).sum(axis=1)
-        rows[:, k, 0] = x01.real
-        rows[:, k, 1] = -x01.imag
-        if n == 3:
-            x02 = (vc[:, :, 0] * gv[:, :, 2]).sum(axis=1)
-            x12 = (vc[:, :, 1] * gv[:, :, 2]).sum(axis=1)
-            rows[:, k, 2] = x02.real
-            rows[:, k, 3] = -x02.imag
-            rows[:, k, 4] = x12.real
-            rows[:, k, 5] = -x12.imag
-    return np.abs(np.linalg.det(rows))
+    dens = np.abs(np.sin(2 * angles[:, 1]))
+    if n == 3:
+        th = angles[:, 3]
+        dens *= np.abs(np.sin(2 * angles[:, 5]) * np.sin(th) ** 3 * np.cos(th))
+    return dens
 
 
 # ---------------------------------------------------------------------------
@@ -247,62 +212,55 @@ def joint_density_batch(n: int, points: np.ndarray, normalized: bool = False) ->
 def bures_joint_density(p: DensityMatrixParams,
                         mode: NormalizationMode = NormalizationMode.RAW) -> MeasureValue:
     """Joint coordinate density at one parameter point."""
-    raw = (float(eigen_measure_factor(p.n, np.asarray(p.eigen.angles)))
-           * haar_coset_density(p.coset))
+    raw = float(eigen_measure_factor(p.n, np.asarray(p.eigen.angles))
+                * coset_measure_factor(p.n, np.asarray(p.coset.angles))[0])
     if mode is NormalizationMode.NORMALIZED:
         return MeasureValue(raw / normalization_constant(p.n), mode, p.n)
     return MeasureValue(raw, NormalizationMode.RAW, p.n)
 
 
-# reference resolutions for the cached constants (Gauss-Legendre per factor);
+# reference resolutions of the eigenvalue-box quadrature (Gauss-Legendre);
 # convergence is geometric, so these are already stable to ~1e-12
 REFERENCE_POINTS = {2: 64, 3: 10}
 
+# exact integral of the coset factor over the coset box: pi from alpha, and
+# for n=3 pi^3 from the three free diagonal angles times 1/4 from the rest
+_COSET_VOLUME = {2: math.pi, 3: math.pi ** 3 / 4}
+
 _norm_lock = threading.Lock()
-_factor_cache: dict[tuple, float] = {}
-
-_FACTOR_FNS = {"eigen": (eigen_box, eigen_measure_factor),
-               "coset": (coset_box, coset_measure_factor)}
+_eigen_cache: dict[tuple, float] = {}
 
 
-def _factor_integral(which: str, n: int, pts: int, rule: QuadratureRule,
-                     threads: int | None) -> float:
-    """Cached tensor quadrature of one density factor over its sub-box."""
-    key = (which, n, rule.value, pts)
+def _eigen_integral(n: int, pts: int, rule: QuadratureRule) -> float:
+    """Cached tensor quadrature of the eigenvalue factor over its box."""
+    key = (n, rule.value, pts)
     with _norm_lock:
-        if key in _factor_cache:
-            return _factor_cache[key]
-    box_fn, fn = _FACTOR_FNS[which]
-    box = box_fn(n)
-    val = tensor_quadrature(lambda p: fn(n, p), box.lower, box.upper,
-                            QuadratureSpec(pts, rule), threads=threads)
+        if key in _eigen_cache:
+            return _eigen_cache[key]
+    box = eigen_box(n)
+    val = tensor_quadrature(lambda p: eigen_measure_factor(n, p), box.lower,
+                            box.upper, QuadratureSpec(pts, rule))
     with _norm_lock:
-        _factor_cache.setdefault(key, val)
-        return _factor_cache[key]
+        _eigen_cache.setdefault(key, val)
+        return _eigen_cache[key]
 
 
 def normalization_constant(n: int, points_per_axis: int | None = None,
-                           rule: QuadratureRule = QuadratureRule.GAUSS_LEGENDRE,
-                           threads: int | None = None) -> float:
+                           rule: QuadratureRule = QuadratureRule.GAUSS_LEGENDRE) -> float:
     """Integral of the RAW joint density over the angle box (cached).
 
-    The RAW density is by construction a product of an eigenvalue-angle
-    factor and a coset-angle factor, so the tensor-product rule over the full
-    box factorizes exactly into the product of the two sub-box quadratures;
-    they are evaluated separately (identical value, far fewer nodes).
+    The RAW density is an eigenvalue-angle factor times the coset factor, so
+    the integral is the eigenvalue-box quadrature times the exact coset
+    integral ``coset_normalization_constant(n)``.
     """
     if n not in (2, 3):
         raise ValueError(f"only n in {{2, 3}} is supported, got {n}")
     pts = REFERENCE_POINTS[n] if points_per_axis is None else int(points_per_axis)
-    return (_factor_integral("eigen", n, pts, rule, threads)
-            * _factor_integral("coset", n, pts, rule, threads))
+    return _eigen_integral(n, pts, rule) * coset_normalization_constant(n)
 
 
-def coset_normalization_constant(n: int, points_per_axis: int | None = None,
-                                 rule: QuadratureRule = QuadratureRule.GAUSS_LEGENDRE,
-                                 threads: int | None = None) -> float:
-    """Integral of the coset density alone over the coset box (cached)."""
+def coset_normalization_constant(n: int) -> float:
+    """Integral of the coset density over the coset box: pi (n=2), pi^3/4 (n=3)."""
     if n not in (2, 3):
         raise ValueError(f"only n in {{2, 3}} is supported, got {n}")
-    pts = REFERENCE_POINTS[n] if points_per_axis is None else int(points_per_axis)
-    return _factor_integral("coset", n, pts, rule, threads)
+    return _COSET_VOLUME[n]

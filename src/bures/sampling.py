@@ -11,6 +11,7 @@ worker count, any proposal block size and any requested count prefix.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -22,12 +23,24 @@ from .measure import (AngleBox, angle_box, coset_box, coset_measure_factor,
                       coset_normalization_constant, eigen_box,
                       eigen_measure_factor, joint_density_batch,
                       normalization_constant)
-from .tensorgrid import thread_count
 
 _INDEX_CHUNK = 16384          # samples per worker task (fixed: determinism)
 _GRID_DEFAULT = {2: 32, 3: 8}  # envelope grid points per axis
 _BLOCK_DEFAULT = 16           # proposals per round per pending sample
 _EVAL_CHUNK = 65536           # density evaluations per vector call
+
+
+def thread_count(threads: int | None = None) -> int:
+    """Worker count: explicit argument, else BURES_THREADS, else 1."""
+    if threads is None:
+        raw = os.environ.get("BURES_THREADS", "1")
+        try:
+            threads = int(raw)
+        except ValueError as exc:
+            raise ValueError(f"BURES_THREADS must be an integer, got {raw!r}") from exc
+    if threads < 1:
+        raise ValueError(f"thread count must be >= 1, got {threads}")
+    return threads
 
 
 class EnvelopeViolationError(RuntimeError):

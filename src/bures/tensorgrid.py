@@ -1,23 +1,18 @@
-"""Streamed tensor-product quadrature over rectangular boxes.
+"""Tensor-product quadrature over rectangular boxes.
 
-The node grid is never materialized: flat node indices are processed in
-fixed-size chunks, each chunk contributing one partial sum, and the partials
-are combined by an index-ordered pairwise reduction.  Because the chunk
-boundaries and the reduction order are independent of the worker count, the
-result is bit-stable under BURES_THREADS.
+The package's integrals run over the 1-D (n=2) or 2-D (n=3) eigenvalue box,
+so the node grid is small and is built densely in one array; its memory
+grows as points_per_axis ** d.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
-
-CHUNK = 32768
 
 
 class QuadratureRule(Enum):
@@ -33,19 +28,6 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.points_per_axis < 2:
             raise ValueError("points_per_axis must be >= 2")
-
-
-def thread_count(threads: int | None = None) -> int:
-    """Worker count: explicit argument, else BURES_THREADS, else 1."""
-    if threads is None:
-        raw = os.environ.get("BURES_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"BURES_THREADS must be an integer, got {raw!r}") from exc
-    if threads < 1:
-        raise ValueError(f"thread count must be >= 1, got {threads}")
-    return threads
 
 
 def axis_rule(rule: QuadratureRule, points: int, lo: float, hi: float):
@@ -74,56 +56,21 @@ def axis_rule(rule: QuadratureRule, points: int, lo: float, hi: float):
     return x, w
 
 
-def _pairwise_sum(values: Sequence[float]) -> float:
-    vals = list(values)
-    if not vals:
-        return 0.0
-    while len(vals) > 1:
-        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2 == 1:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
-
-
 def tensor_quadrature(fn: Callable[[np.ndarray], np.ndarray],
                       lower: Sequence[float], upper: Sequence[float],
-                      spec: QuadratureSpec,
-                      threads: int | None = None) -> float:
+                      spec: QuadratureSpec) -> float:
     """Integrate ``fn`` over the box [lower, upper] with a tensor-product rule.
 
-    ``fn`` receives an (N, d) array of points and returns (N,) values; it must
-    be pure and thread-safe.
+    ``fn`` receives all points_per_axis ** d nodes at once as an (N, d) array
+    and returns (N,) values.
     """
     lower = np.asarray(lower, dtype=np.float64)
     upper = np.asarray(upper, dtype=np.float64)
     if lower.shape != upper.shape or lower.ndim != 1:
         raise ValueError("lower/upper must be 1-D and of equal length")
-    d = lower.size
-    nodes, weights = [], []
-    for k in range(d):
-        x, w = axis_rule(spec.rule, spec.points_per_axis, lower[k], upper[k])
-        nodes.append(x)
-        weights.append(w)
-    shape = tuple(spec.points_per_axis for _ in range(d))
-    total = spec.points_per_axis ** d
-
-    def chunk_sum(start: int) -> float:
-        stop = min(start + CHUNK, total)
-        flat = np.arange(start, stop, dtype=np.int64)
-        idx = np.unravel_index(flat, shape)
-        pts = np.empty((stop - start, d))
-        wgt = np.ones(stop - start)
-        for k in range(d):
-            pts[:, k] = nodes[k][idx[k]]
-            wgt *= weights[k][idx[k]]
-        return float(np.dot(wgt, fn(pts)))
-
-    starts = range(0, total, CHUNK)
-    workers = thread_count(threads)
-    if workers == 1 or len(starts) == 1:
-        partials = [chunk_sum(s) for s in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(chunk_sum, starts))
-    return _pairwise_sum(partials)
+    rules = [axis_rule(spec.rule, spec.points_per_axis, lo, hi)
+             for lo, hi in zip(lower, upper)]
+    grids = np.meshgrid(*(x for x, _ in rules), indexing="ij")
+    pts = np.column_stack([g.ravel() for g in grids])
+    wgt = reduce(np.multiply.outer, (w for _, w in rules)).ravel()
+    return float(np.dot(wgt, fn(pts)))

@@ -248,6 +248,19 @@ class TestSubprocessEntry:
         assert r1.returncode == 0
         assert r1.stdout == r2.stdout
 
+    def test_closed_pipe_ends_quietly(self):
+        # the output (~4 MB) outgrows the pipe buffer, so the CLI is still
+        # writing when the reader goes away
+        proc = subprocess.Popen([sys.executable, "-m", "bures", "sample", "--n", "2",
+                                 "--count", "20000", "--seed", "1", "--format", "csv"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        header = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert header.startswith(b"theta,alpha,beta,")
+        assert b"Traceback" not in err
+        assert proc.returncode == 0
+
     def test_usage_error_exit_code(self):
         r = subprocess.run([sys.executable, "-m", "bures", "density", "--n", "2",
                             "--params", "theta=0"], capture_output=True, text=True)

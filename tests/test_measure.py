@@ -13,6 +13,7 @@ from bures.measure import (AngleBox, MeasureValue, NormalizationMode,
                            eigenvalue_jacobian, haar_coset_density,
                            hall_density, joint_density_batch,
                            normalization_constant)
+from bures.tensorgrid import QuadratureSpec, tensor_quadrature
 from conftest import random_box_points
 
 # independent high-resolution evaluations (frozen; see also pi^2 and pi^3/4)
@@ -135,21 +136,12 @@ class TestCosetDensity:
             assert abs(exact - fd) <= 1e-7
 
     def test_batch_matches_scalar(self, rng):
+        # the closed-form batch kernel against |det C| from first principles
         for n in (2, 3):
-            pts = random_box_points(n, 40, rng)[:, n - 1:]
+            pts = random_box_points(n, 200, rng)[:, n - 1:]
             batch = coset_measure_factor(n, pts)
             for row, val in zip(pts, batch):
                 assert abs(val - haar_coset_density(CosetAngles(n, tuple(row)))) <= 1e-13
-
-    def test_three_state_derived_closed_form(self, rng):
-        # regression against an independently verified factorized form:
-        # 0.5 sin(2 beta) sin(2 b) sin(2 theta) sin^2(theta)
-        pts = random_box_points(3, 200, rng)[:, 2:]
-        got = coset_measure_factor(3, pts)
-        be, th, b = pts[:, 1], pts[:, 3], pts[:, 5]
-        want = 0.5 * np.abs(np.sin(2 * be) * np.sin(2 * b)
-                            * np.sin(2 * th) * np.sin(th) ** 2)
-        assert np.abs(got - want).max() <= 1e-12
 
 
 class TestJointDensity:
@@ -202,12 +194,22 @@ class TestNormalization:
     def test_three_state_pinned(self):
         assert abs(normalization_constant(3) - Z3_PINNED) <= 1e-6 * Z3_PINNED
 
+    @staticmethod
+    def _coset_quadrature(n: int) -> float:
+        box = coset_box(n)
+        return tensor_quadrature(lambda p: coset_measure_factor(n, p),
+                                 box.lower, box.upper, QuadratureSpec(10))
+
     def test_coset_constant_3state(self):
         # pi^3 from the three free diagonal angles, 1/4 from the rest
-        assert abs(coset_normalization_constant(3) - math.pi ** 3 / 4) <= 1e-9
+        quad = self._coset_quadrature(3)
+        assert abs(quad - math.pi ** 3 / 4) <= 1e-9
+        assert abs(coset_normalization_constant(3) - quad) <= 1e-9
 
     def test_coset_constant_2state(self):
-        assert abs(coset_normalization_constant(2) - math.pi) <= 1e-12
+        quad = self._coset_quadrature(2)
+        assert abs(quad - math.pi) <= 1e-12
+        assert abs(coset_normalization_constant(2) - quad) <= 1e-12
 
     def test_cached(self):
         assert normalization_constant(2) == normalization_constant(2)

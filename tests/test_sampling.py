@@ -7,7 +7,7 @@ from bures.euler import DensityMatrixParams
 from bures.measure import angle_box
 from bures.sampling import (EnvelopeViolationError, SamplerSpec,
                             estimate_coset_envelope, estimate_envelope, sample,
-                            sample_coset)
+                            sample_coset, thread_count)
 from bures.checks import ks_statistic
 
 KS_CRIT_1PCT = 1.6276
@@ -162,3 +162,24 @@ class TestValidation:
     def test_coset_envelope_grid_minimum(self):
         with pytest.raises(ValueError):
             estimate_coset_envelope(2, grid_points=7)
+
+
+class TestThreadCount:
+    def test_default(self, monkeypatch):
+        monkeypatch.delenv("BURES_THREADS", raising=False)
+        assert thread_count() == 1
+
+    def test_env(self, monkeypatch):
+        monkeypatch.setenv("BURES_THREADS", "6")
+        assert thread_count() == 6
+
+    def test_argument_overrides_env(self, monkeypatch):
+        monkeypatch.setenv("BURES_THREADS", "6")
+        assert thread_count(2) == 2
+
+    def test_invalid(self, monkeypatch):
+        monkeypatch.setenv("BURES_THREADS", "zero")
+        with pytest.raises(ValueError):
+            thread_count()
+        with pytest.raises(ValueError):
+            thread_count(0)

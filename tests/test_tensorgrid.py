@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bures.tensorgrid import (QuadratureRule, QuadratureSpec, axis_rule,
-                              tensor_quadrature, thread_count)
+                              tensor_quadrature)
 
 GL = QuadratureRule.GAUSS_LEGENDRE
 SIMPSON = QuadratureRule.COMPOSITE_SIMPSON
@@ -62,43 +62,6 @@ class TestTensorQuadrature:
         ref = (np.outer(w0, w1).ravel() * fn(pts)).sum()
         assert abs(got - ref) <= 1e-14
 
-    def test_thread_invariance(self):
-        fn = lambda p: np.cos(p).sum(axis=1) ** 2
-        spec = QuadratureSpec(9)
-        a = tensor_quadrature(fn, [0] * 5, [1] * 5, spec, threads=1)
-        b = tensor_quadrature(fn, [0] * 5, [1] * 5, spec, threads=4)
-        assert a == b
-
-    def test_env_thread_invariance(self, monkeypatch):
-        fn = lambda p: (p ** 2).sum(axis=1)
-        spec = QuadratureSpec(7)
-        monkeypatch.setenv("BURES_THREADS", "1")
-        a = tensor_quadrature(fn, [0] * 6, [1] * 6, spec)
-        monkeypatch.setenv("BURES_THREADS", "4")
-        b = tensor_quadrature(fn, [0] * 6, [1] * 6, spec)
-        assert a == b
-
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             tensor_quadrature(lambda p: p[:, 0], [0, 0], [1], QuadratureSpec(3))
-
-
-class TestThreadCount:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("BURES_THREADS", raising=False)
-        assert thread_count() == 1
-
-    def test_env(self, monkeypatch):
-        monkeypatch.setenv("BURES_THREADS", "6")
-        assert thread_count() == 6
-
-    def test_argument_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("BURES_THREADS", "6")
-        assert thread_count(2) == 2
-
-    def test_invalid(self, monkeypatch):
-        monkeypatch.setenv("BURES_THREADS", "zero")
-        with pytest.raises(ValueError):
-            thread_count()
-        with pytest.raises(ValueError):
-            thread_count(0)
