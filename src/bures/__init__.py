@@ -3,8 +3,9 @@
 The package maps (n^2 - 1)-dimensional rectangular angle coordinates onto
 density matrices, evaluates the Bures coordinate density (eigenvalue-simplex
 factor times the invariant coset density of the truncated Euler product),
-integrates functionals against the normalized measure, and draws
-Bures-distributed samples with reproducible counter-based streams.
+integrates functionals against the normalized measure, and draws samples
+from it with reproducible counter-based streams (Bures-distributed for n=2;
+for n=3 the paper's coordinate box counts some spectra twice).
 """
 
 from .generators import GeneratorSet, gell_mann, generator_set, pauli
@@ -23,8 +24,8 @@ from .functionals import (FunctionalId, FunctionalKind, eigenvalue_moment,
                           purity, von_neumann_entropy)
 from .tensorgrid import QuadratureRule, QuadratureSpec, tensor_quadrature
 from .integrate import IntegrationResult, integrate, integrate_mc
-from .sampling import (EnvelopeViolationError, SampleBatch, SamplerSpec,
-                       estimate_envelope, sample, sample_coset)
+from .sampling import (EnvelopeViolationError, SampleBatch, SamplerSpec, sample,
+                       sample_coset)
 
 __version__ = "0.1.0"
 
@@ -38,7 +39,7 @@ __all__ = [
     "THETA2_MAX", "angle_box", "bures_joint_density",
     "coset_normalization_constant", "coset_unitary", "dagger",
     "density_from_params", "diag_eigenvalues", "eig_hermitian",
-    "eigenvalue_jacobian", "eigenvalue_moment", "estimate_envelope",
+    "eigenvalue_jacobian", "eigenvalue_moment",
     "euler_unitary", "expm_i_generator", "gell_mann", "generator_set",
     "haar_coset_density", "hall_density", "integrate", "integrate_mc",
     "matmul", "normalization_constant", "params_from_density_2",

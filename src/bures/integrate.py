@@ -78,7 +78,6 @@ def integrate(n: int, functional, spec: QuadratureSpec | None = None) -> Integra
 
 
 def integrate_mc(n: int, functional: FunctionalId, samples: int, seed: int,
-                 threads: int | None = None,
                  sampler: SamplerSpec | None = None) -> IntegrationResult:
     """Monte Carlo mean of f(rho) over Bures samples, with standard error.
 
@@ -93,7 +92,7 @@ def integrate_mc(n: int, functional: FunctionalId, samples: int, seed: int,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     spec = sampler if sampler is not None else SamplerSpec(seed=seed)
-    batch = sample(n, samples, spec, threads=threads)
+    batch = sample(n, samples, spec)
     k = n - 1
     vals = np.empty(samples)
     for start in range(0, samples, _MATRIX_CHUNK):

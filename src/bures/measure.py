@@ -139,6 +139,19 @@ def eigen_measure_factor(n: int, angles: np.ndarray) -> np.ndarray:
             * (l1 - l3) ** 2 * (l2 - l3) ** 2 / ((l1 + l3) * (l2 + l3)))
 
 
+def _eigen_sup_3() -> float:
+    # on the edge t1 = 0 the factor is 256 x^{3/2} (1-x) (1-2x)^2 with
+    # x = sin^2 t2; its derivative vanishes at the root of 18x^2 - 19x + 3
+    # inside the box (x <= 2/3), and the maximum over the box lies on that edge
+    x = (19.0 - math.sqrt(145.0)) / 36.0
+    return 256.0 * x ** 1.5 * (1.0 - x) * (1.0 - 2.0 * x) ** 2
+
+
+# exact sup of ``eigen_measure_factor`` over the eigenvalue box: 8 at t = 0
+# for n=2, 6.6037001945013625 for n=3; the sampler's rejection bound M
+EIGEN_FACTOR_SUP = {2: 8.0, 3: _eigen_sup_3()}
+
+
 # ---------------------------------------------------------------------------
 # coset factor
 # ---------------------------------------------------------------------------
@@ -192,6 +205,23 @@ def coset_measure_factor(n: int, angles: np.ndarray) -> np.ndarray:
         th = angles[:, 3]
         dens *= np.abs(np.sin(2 * angles[:, 5]) * np.sin(th) ** 3 * np.cos(th))
     return dens
+
+
+def coset_angles_from_uniforms(n: int, u: np.ndarray) -> np.ndarray:
+    """Map uniforms on [0, 1) to coset angles with density proportional to
+    ``coset_measure_factor``; ``u`` has shape (..., 2|6).
+
+    The closed form is a product of one-angle factors, so each angle is its
+    own inverse CDF: alpha, gamma and a are uniform on [0, pi); beta and b
+    have cdf (1 - cos 2x)/2; theta_big has cdf sin^4.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    out = math.pi * u
+    out[..., 1] = 0.5 * np.arccos(1.0 - 2.0 * u[..., 1])
+    if n == 3:
+        out[..., 3] = np.arcsin(u[..., 3] ** 0.25)
+        out[..., 5] = 0.5 * np.arccos(1.0 - 2.0 * u[..., 5])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -176,25 +176,28 @@ def test_criterion_8_inverse_roundtrip():
             f"max reconstruction dev = {dev:.2e}; gap flag at 1e-10 boundary ok")
 
 
-def test_criterion_9_determinism(capsys, monkeypatch):
+def test_criterion_9_determinism(capsys):
     ok = True
     details = []
-    for n, count in ((2, 20_000), (3, 200)):
-        spec = SamplerSpec(seed=1010 + n)
-        monkeypatch.setenv("BURES_THREADS", "1")
-        a = sample(n, count, spec)
-        monkeypatch.setenv("BURES_THREADS", "4")
-        b = sample(n, count, spec)
-        same = a.params.tobytes() == b.params.tobytes()
+    # 40 000 samples span three index chunks; the 20 000 prefix ends inside
+    # the second
+    for n, count, prefix in ((2, 40_000, 20_000), (3, 200, 150)):
+        a = sample(n, count, SamplerSpec(seed=1010 + n, batch_size=8))
+        b = sample(n, count, SamplerSpec(seed=1010 + n, batch_size=64))
+        c = sample(n, prefix, SamplerSpec(seed=1010 + n))
+        same = (a.params.tobytes() == b.params.tobytes()
+                and a.params[:prefix].tobytes() == c.params.tobytes())
         ok = ok and same
-        details.append(f"n={n} threads 1 vs 4: {'identical' if same else 'DIFFER'}")
-    monkeypatch.setenv("BURES_THREADS", "1")
-    assert cli.main(["sample", "--n", "2", "--count", "20", "--seed", "99"]) == 0
-    out1 = capsys.readouterr().out
-    monkeypatch.setenv("BURES_THREADS", "4")
-    assert cli.main(["sample", "--n", "2", "--count", "20", "--seed", "99"]) == 0
-    out4 = capsys.readouterr().out
-    same_cli = out1 == out4
+        details.append(f"n={n} batch 8 vs 64, {prefix} of {count}: "
+                       f"{'identical' if same else 'DIFFER'}")
+    # csv carries only the samples; the json record also reports the batch
+    # size and the proposal count, which depend on the batch size
+    outs = []
+    for batch in ("8", "64"):
+        assert cli.main(["sample", "--n", "2", "--count", "20", "--seed", "99",
+                         "--format", "csv", "--batch-size", batch]) == 0
+        outs.append(capsys.readouterr().out)
+    same_cli = outs[0] == outs[1]
     ok = ok and same_cli
     details.append(f"CLI bytes: {'identical' if same_cli else 'DIFFER'}")
-    verdict("9 determinism under BURES_THREADS", ok, "; ".join(details))
+    verdict("9 determinism under batch size and count prefix", ok, "; ".join(details))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -231,12 +232,25 @@ class TestOutputContract:
                             "theta=0.7853981633974483,alpha=0,beta=0")
         assert "7.8539816339744828e-01" in out
 
-    def test_env_threads_do_not_change_bytes(self, capsys, monkeypatch):
-        monkeypatch.setenv("BURES_THREADS", "1")
-        _, out1, _ = run_cli(capsys, "sample", "--n", "2", "--count", "50", "--seed", "4")
-        monkeypatch.setenv("BURES_THREADS", "4")
-        _, out4, _ = run_cli(capsys, "sample", "--n", "2", "--count", "50", "--seed", "4")
-        assert out1 == out4
+    def test_batch_size_does_not_change_bytes(self, capsys):
+        outs = [run_cli(capsys, "sample", "--n", "2", "--count", "50", "--seed", "4",
+                        "--format", "csv", "--batch-size", b)[1] for b in ("8", "64")]
+        assert outs[0] == outs[1]
+        _, prefix, _ = run_cli(capsys, "sample", "--n", "2", "--count", "20",
+                               "--seed", "4", "--format", "csv")
+        assert outs[0].split("\n")[:21] == prefix.split("\n")[:21]
+
+    @pytest.mark.parametrize("argv,digest", [
+        (("--n", "2", "--count", "20", "--seed", "99"),
+         "cdee89b7f3e3c161832473a015708d23c5536a0dec57f825d8df816d7f80ae0f"),
+        (("--n", "3", "--count", "5", "--seed", "7", "--format", "csv"),
+         "d1ae5f0d1bd9d613abd87050dc4effd18b8576654b8a798acc6840ae7c5f0018"),
+    ], ids=["n2-json", "n3-csv"])
+    def test_sampler_stream_version_2(self, capsys, argv, digest):
+        # golden SHA-256 of the output: a change to the seed-to-sample
+        # mapping must show here and carry a new stream version
+        _, out, _ = run_cli(capsys, "sample", *argv)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSubprocessEntry:
@@ -260,6 +274,27 @@ class TestSubprocessEntry:
         assert header.startswith(b"theta,alpha,beta,")
         assert b"Traceback" not in err
         assert proc.returncode == 0
+
+    @pytest.mark.parametrize("command", [
+        ["integrate", "--n", "2", "--functional", "purity"],
+        ["volume", "--n", "2"],
+    ])
+    def test_zero_points_usage_error(self, command):
+        r = subprocess.run([sys.executable, "-m", "bures", *command, "--points", "0"],
+                           capture_output=True, text=True)
+        assert r.returncode == 2
+        assert "points" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_envelope_violation_exits_1(self, capsys, monkeypatch):
+        from bures import measure
+        monkeypatch.setitem(measure.EIGEN_FACTOR_SUP, 3, 1.0)
+        code, out, err = run_cli(capsys, "sample", "--n", "3", "--count", "10",
+                                 "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("envelope violation:")
+        assert "Traceback" not in err
 
     def test_usage_error_exit_code(self):
         r = subprocess.run([sys.executable, "-m", "bures", "density", "--n", "2",

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from bures import measure
 from bures.euler import DensityMatrixParams
-from bures.measure import angle_box
-from bures.sampling import (EnvelopeViolationError, SamplerSpec,
-                            estimate_coset_envelope, estimate_envelope, sample,
-                            sample_coset, thread_count)
+from bures.measure import (EIGEN_FACTOR_SUP, angle_box, coset_angles_from_uniforms,
+                           eigen_box, eigen_measure_factor)
+from bures.sampling import EnvelopeViolationError, SamplerSpec, sample, sample_coset
 from bures.checks import ks_statistic
 
 KS_CRIT_1PCT = 1.6276
@@ -36,45 +36,76 @@ class TestDeterminism:
         assert np.array_equal(large.params[:100], small.params)
 
     def test_thread_invariance(self):
-        spec = SamplerSpec(seed=11)
-        # force multiple index chunks so threads actually split the work
-        a = sample(2, 40_000, spec, threads=1)
-        b = sample(2, 40_000, spec, threads=4)
+        # 40 000 samples span three index chunks; the 20 000 prefix ends
+        # inside the second
+        a = sample(2, 40_000, SamplerSpec(seed=11, batch_size=8))
+        b = sample(2, 40_000, SamplerSpec(seed=11, batch_size=64))
+        c = sample(2, 20_000, SamplerSpec(seed=11))
         assert a.params.tobytes() == b.params.tobytes()
+        assert a.params[:20_000].tobytes() == c.params.tobytes()
 
     def test_three_state_determinism(self):
-        spec = SamplerSpec(seed=13)
-        a = sample(3, 128, spec, threads=1)
-        b = sample(3, 128, spec, threads=4)
+        a = sample(3, 128, SamplerSpec(seed=13, batch_size=8))
+        b = sample(3, 128, SamplerSpec(seed=13, batch_size=64))
+        c = sample(3, 100, SamplerSpec(seed=13))
         assert a.params.tobytes() == b.params.tobytes()
+        assert a.params[:100].tobytes() == c.params.tobytes()
+
+
+def _grid(n: int, per_axis: int) -> np.ndarray:
+    """eigen_measure_factor on the inclusive uniform grid of the eigenvalue box."""
+    box = eigen_box(n)
+    axes = np.meshgrid(*[np.linspace(lo, hi, per_axis)
+                         for lo, hi in zip(box.lower, box.upper)], indexing="ij")
+    return eigen_measure_factor(n, np.stack(axes, axis=-1))
 
 
 class TestEnvelope:
     def test_two_state_grid_close_to_analytic_sup(self):
-        # sup of the normalized density is 8/pi^2 at theta=0, beta=pi/4
-        est = estimate_envelope(2, grid_points=32)
-        sup = 8 / math.pi ** 2
-        assert abs(est / 1.5 - sup) <= 0.02 * sup
+        grid = _grid(2, 2001).max()
+        assert EIGEN_FACTOR_SUP[2] >= grid
+        assert EIGEN_FACTOR_SUP[2] - grid <= 1e-6 * grid
+
+    def test_three_state_grid_close_to_analytic_sup(self):
+        grid = _grid(3, 2001).max()
+        assert EIGEN_FACTOR_SUP[3] >= grid
+        assert EIGEN_FACTOR_SUP[3] - grid <= 1e-6 * grid
 
     def test_refinement_stability(self):
-        e16 = estimate_envelope(2, grid_points=16)
-        e32 = estimate_envelope(2, grid_points=32)
-        assert abs(e16 - e32) / e32 < 0.05
+        # the closed form takes the n=3 maximum on the edge t1 = 0; on nested
+        # grids the argmax stays there and the maximum rises toward the sup
+        maxima = []
+        for per_axis in (101, 1001):
+            vals = _grid(3, per_axis)
+            assert np.unravel_index(np.argmax(vals), vals.shape)[0] == 0
+            maxima.append(vals.max())
+        assert maxima[0] <= maxima[1] <= EIGEN_FACTOR_SUP[3]
 
-    def test_grid_minimum(self):
-        with pytest.raises(ValueError):
-            estimate_envelope(2, grid_points=4)
-
-    def test_violation_aborts(self):
+    def test_violation_aborts(self, monkeypatch):
+        monkeypatch.setitem(measure.EIGEN_FACTOR_SUP, 2, 4.0)
         with pytest.raises(EnvelopeViolationError):
-            sample(2, 100, SamplerSpec(seed=1, envelope_constant=0.05))
+            sample(2, 100, SamplerSpec(seed=1))
 
     def test_envelope_dominates_proposals(self):
         batch = sample(2, 5000, SamplerSpec(seed=2))
         # completing without EnvelopeViolationError is the contract; spot-check too
-        from bures.measure import joint_density_batch
-        dens = joint_density_batch(2, batch.params, normalized=True)
-        assert dens.max() <= batch.envelope
+        assert batch.envelope == EIGEN_FACTOR_SUP[2]
+        assert eigen_measure_factor(2, batch.params[:, :1]).max() <= batch.envelope
+
+
+class TestCosetMap:
+    # inverse-CDF coset draws against the marginals of the closed-form factor
+    def test_beta_marginal(self):
+        u = np.random.default_rng(61).random((30_000, 2))
+        beta = coset_angles_from_uniforms(2, u)[:, 1]
+        d = ks_statistic(beta, lambda x: (1 - np.cos(2 * x)) / 2)
+        assert d <= KS_CRIT_1PCT / math.sqrt(beta.size)
+
+    def test_theta_big_marginal(self):
+        u = np.random.default_rng(62).random((30_000, 6))
+        theta = coset_angles_from_uniforms(3, u)[:, 3]
+        d = ks_statistic(theta, lambda x: np.sin(x) ** 4)
+        assert d <= KS_CRIT_1PCT / math.sqrt(theta.size)
 
 
 class TestStatistics:
@@ -151,35 +182,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             sample(2, -1, SamplerSpec(seed=1))
 
-    def test_bad_envelope(self):
-        with pytest.raises(ValueError):
-            SamplerSpec(seed=1, envelope_constant=0.0)
-
     def test_bad_batch_size(self):
         with pytest.raises(ValueError):
             SamplerSpec(seed=1, batch_size=0)
-
-    def test_coset_envelope_grid_minimum(self):
-        with pytest.raises(ValueError):
-            estimate_coset_envelope(2, grid_points=7)
-
-
-class TestThreadCount:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("BURES_THREADS", raising=False)
-        assert thread_count() == 1
-
-    def test_env(self, monkeypatch):
-        monkeypatch.setenv("BURES_THREADS", "6")
-        assert thread_count() == 6
-
-    def test_argument_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("BURES_THREADS", "6")
-        assert thread_count(2) == 2
-
-    def test_invalid(self, monkeypatch):
-        monkeypatch.setenv("BURES_THREADS", "zero")
-        with pytest.raises(ValueError):
-            thread_count()
-        with pytest.raises(ValueError):
-            thread_count(0)
