@@ -5,8 +5,11 @@ JSON record (or a CSV stream for ``sample --format csv``) with schema_version
 "1"; every float is printed with 17 significant digits so serialized output
 round-trips byte-for-byte.  Angles are radians only.  ``sample`` draws the
 coset angles exactly and rejects on the eigenvalue box against the exact
-sup of the eigenvalue factor, which the record reports as ``envelope``.  A
-reader that closes stdout early ends the command quietly.
+sup of the eigenvalue factor, which the record reports as ``envelope``; its
+random stream (sampler stream version 3) is keyed by ``(seed, round)``, so
+every count prefix of a seed's output is the same.  ``--points`` is capped
+at 1024 per axis, which bounds the quadrature grid's memory.  A reader that
+closes stdout early ends the command quietly.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ SCHEMA_VERSION = "1"
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
+MAX_POINTS = 1024       # the n=3 grid holds about 120 * P**2 bytes: 126 MB here
 
 
 def _fmt_float(x: float) -> str:
@@ -113,6 +117,13 @@ def parse_params(n: int, tokens: list[str]) -> DensityMatrixParams:
     return params_from_values(n, [got[nm] for nm in expected])
 
 
+def _points(args, default: int, least: int) -> int:
+    points = default if args.points is None else args.points
+    if not least <= points <= MAX_POINTS:
+        raise ValueError(f"--points must be in [{least}, {MAX_POINTS}], got {points}")
+    return points
+
+
 def _rule(text: str) -> QuadratureRule:
     return (QuadratureRule.COMPOSITE_SIMPSON if text == "simpson"
             else QuadratureRule.GAUSS_LEGENDRE)
@@ -154,7 +165,7 @@ def _csv_header(n: int) -> str:
 def cmd_sample(args) -> int:
     if args.count < 0:
         raise ValueError("--count must be >= 0")
-    spec = SamplerSpec(seed=args.seed, batch_size=args.batch_size)
+    spec = SamplerSpec(seed=args.seed)
     batch = sample(args.n, args.count, spec)
     mats = (batch.matrices() if args.count
             else np.empty((0, args.n, args.n), dtype=np.complex128))
@@ -202,8 +213,7 @@ def cmd_integrate(args) -> int:
         "method": args.method,
     }
     if args.method == "quadrature":
-        points = DEFAULT_POINTS[args.n] if args.points is None else args.points
-        spec = QuadratureSpec(points, _rule(args.rule))
+        spec = QuadratureSpec(_points(args, DEFAULT_POINTS[args.n], 2), _rule(args.rule))
         res = integrate(args.n, fid, spec)
         record.update({
             "value": res.value,
@@ -225,9 +235,7 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_volume(args) -> int:
-    points = REFERENCE_POINTS[args.n] if args.points is None else args.points
-    if points < 4:
-        raise ValueError("--points must be >= 4")
+    points = _points(args, REFERENCE_POINTS[args.n], 4)
     rule = _rule(args.rule)
     value = normalization_constant(args.n, points_per_axis=points, rule=rule)
     compare = normalization_constant(args.n, points_per_axis=points - 2, rule=rule)
@@ -298,18 +306,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Draw density matrices from the normalized Bures density on "
                     "the angle box: coset angles exactly by inverse CDF, "
                     "eigenvalue angles by rejection against the exact sup of "
-                    "the eigenvalue factor (reported as 'envelope'). For n=3 "
-                    "the paper's box counts some spectra twice, so the samples "
-                    "differ from the Bures ensemble (mean purity 0.68444, not "
-                    "46/66).")
+                    "the eigenvalue factor (reported as 'envelope'). The "
+                    "random stream (sampler stream version 3) is keyed by "
+                    "(seed, round), so every count prefix of a seed's output "
+                    "is the same. For n=3 the paper's box counts some spectra "
+                    "twice, so the samples differ from the Bures ensemble "
+                    "(mean purity 0.68444, not 46/66).")
     add_n(p)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="csv columns: the angles by name, then 2n^2 matrix "
                         "columns m{i}{j}_re, m{i}{j}_im in row-major order")
-    p.add_argument("--batch-size", type=int, default=None,
-                   help="proposals per round per pending sample (output-invariant)")
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("integrate",
@@ -320,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("quadrature", "mc"), default="quadrature")
     p.add_argument("--points", type=int, default=None,
                    help="quadrature points per axis of the eigenvalue box "
-                        "(default 32 for n=2, 64 for n=3)")
+                        "(default 32 for n=2, 64 for n=3; at most 1024)")
     p.add_argument("--rule", choices=("gauss-legendre", "simpson"),
                    default="gauss-legendre")
     p.add_argument("--samples", type=int, default=1_000_000,
@@ -332,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="RAW normalization constant of the Bures density")
     add_n(p)
     p.add_argument("--points", type=int, default=None,
-                   help="quadrature points per axis (default 64 for n=2, 10 for n=3)")
+                   help="quadrature points per axis (default 64 for n=2, 10 for n=3; "
+                        "at most 1024)")
     p.add_argument("--rule", choices=("gauss-legendre", "simpson"),
                    default="gauss-legendre")
     p.set_defaults(fn=cmd_volume)

@@ -77,8 +77,8 @@ def integrate(n: int, functional, spec: QuadratureSpec | None = None) -> Integra
                              rule=spec.rule.value)
 
 
-def integrate_mc(n: int, functional: FunctionalId, samples: int, seed: int,
-                 sampler: SamplerSpec | None = None) -> IntegrationResult:
+def integrate_mc(n: int, functional: FunctionalId, samples: int,
+                 seed: int) -> IntegrationResult:
     """Monte Carlo mean of f(rho) over Bures samples, with standard error.
 
     The functional is evaluated from the sampled density matrices themselves
@@ -91,8 +91,7 @@ def integrate_mc(n: int, functional: FunctionalId, samples: int, seed: int,
         raise TypeError("Monte Carlo integration needs a FunctionalId")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    spec = sampler if sampler is not None else SamplerSpec(seed=seed)
-    batch = sample(n, samples, spec)
+    batch = sample(n, samples, SamplerSpec(seed=seed))
     k = n - 1
     vals = np.empty(samples)
     for start in range(0, samples, _MATRIX_CHUNK):

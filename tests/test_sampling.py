@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from bures import measure
-from bures.euler import DensityMatrixParams
+from bures import measure, sampling
+from bures.euler import THETA2_MAX, DensityMatrixParams
 from bures.measure import (EIGEN_FACTOR_SUP, angle_box, coset_angles_from_uniforms,
-                           eigen_box, eigen_measure_factor)
+                           eigen_box, eigen_measure_factor, normalization_constant)
 from bures.sampling import EnvelopeViolationError, SamplerSpec, sample, sample_coset
 from bures.checks import ks_statistic
 
@@ -25,31 +25,62 @@ class TestDeterminism:
         b = sample(2, 64, SamplerSpec(seed=8))
         assert not np.array_equal(a.params, b.params)
 
-    def test_batch_size_invariance(self):
-        a = sample(2, 2048, SamplerSpec(seed=3, batch_size=8))
-        b = sample(2, 2048, SamplerSpec(seed=3, batch_size=64))
-        assert a.params.tobytes() == b.params.tobytes()
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_seed_edges_differ(self, n):
+        # the Philox key is built as uint64, so the largest seed is not cast to 0
+        rows = [sample(n, 8, SamplerSpec(seed=s)).params for s in (0, 2 ** 63, 2 ** 64 - 1)]
+        for i in range(3):
+            for j in range(i):
+                assert not np.array_equal(rows[i], rows[j])
 
     def test_count_prefix_stability(self):
         small = sample(2, 100, SamplerSpec(seed=5))
         large = sample(2, 1000, SamplerSpec(seed=5))
         assert np.array_equal(large.params[:100], small.params)
 
-    def test_thread_invariance(self):
+    def test_prefix_across_chunk_boundary(self):
         # 40 000 samples span three index chunks; the 20 000 prefix ends
         # inside the second
-        a = sample(2, 40_000, SamplerSpec(seed=11, batch_size=8))
-        b = sample(2, 40_000, SamplerSpec(seed=11, batch_size=64))
+        a = sample(2, 40_000, SamplerSpec(seed=11))
         c = sample(2, 20_000, SamplerSpec(seed=11))
-        assert a.params.tobytes() == b.params.tobytes()
         assert a.params[:20_000].tobytes() == c.params.tobytes()
 
     def test_three_state_determinism(self):
-        a = sample(3, 128, SamplerSpec(seed=13, batch_size=8))
-        b = sample(3, 128, SamplerSpec(seed=13, batch_size=64))
+        a = sample(3, 128, SamplerSpec(seed=13))
         c = sample(3, 100, SamplerSpec(seed=13))
-        assert a.params.tobytes() == b.params.tobytes()
         assert a.params[:100].tobytes() == c.params.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_row_by_row_reference(self, n, monkeypatch):
+        # stream version 3 read literally, one attempt at a time; small index
+        # chunks put several chunks and rounds into a short run
+        monkeypatch.setattr(sampling, "_INDEX_CHUNK", 16)
+        count, seed, block = 50, 2 ** 64 - 5, 4
+        box = eigen_box(n)
+        lower = np.asarray(box.lower)
+        span = np.asarray(box.upper) - lower
+        want = np.full((count, n * n - 1), np.nan)
+        for c, start in enumerate(range(0, count, 16)):
+            pending = list(range(start, min(start + 16, count)))
+            for rnd in range(1000):
+                if not pending:
+                    break
+                key = np.array([seed, rnd], dtype=np.uint64)
+                u = np.random.Generator(np.random.Philox(key=key, counter=[0, c, 0, 0])
+                                        ).random((len(pending), block, n * n))
+                left = []
+                for j, i in enumerate(pending):
+                    for t in range(block):
+                        eig = lower + u[j, t, :n - 1] * span
+                        if u[j, t, -1] * EIGEN_FACTOR_SUP[n] < eigen_measure_factor(n, eig):
+                            want[i, :n - 1] = eig
+                            want[i, n - 1:] = coset_angles_from_uniforms(n, u[j, t, n - 1:-1])
+                            break
+                    else:
+                        left.append(i)
+                pending = left
+        got = sample(n, count, SamplerSpec(seed=seed)).params
+        assert np.abs(got - want).max() <= 1e-15
 
 
 def _grid(n: int, per_axis: int) -> np.ndarray:
@@ -109,9 +140,21 @@ class TestCosetMap:
 
 
 class TestStatistics:
+    # per attempt, P(accept) = (integral of the eigenvalue factor over the
+    # box) / (M * box area), within 4 binomial SE over the attempts examined
     def test_acceptance_rate_two_state(self):
         batch = sample(2, 20_000, SamplerSpec(seed=21))
-        assert batch.acceptance_rate > 0.01
+        se = math.sqrt(0.25 / batch.total_proposals)
+        assert abs(batch.acceptance_rate - 0.5) <= 4 * se
+
+    def test_acceptance_rate_three_state(self):
+        # the eigenvalue integral is Z3 over the exact coset integral pi^3/4,
+        # so this also ties the sampler to the quadrature constant
+        want = (normalization_constant(3) / (math.pi ** 3 / 4)
+                / (EIGEN_FACTOR_SUP[3] * (math.pi / 4) * THETA2_MAX))
+        batch = sample(3, 20_000, SamplerSpec(seed=22))
+        se = math.sqrt(want * (1 - want) / batch.total_proposals)
+        assert abs(batch.acceptance_rate - want) <= 4 * se
 
     def test_theta_marginal(self):
         # theta-marginal density (8/pi) cos^2(2t): cdf = (4t + sin 4t)/pi
@@ -181,7 +224,3 @@ class TestValidation:
     def test_negative_count(self):
         with pytest.raises(ValueError):
             sample(2, -1, SamplerSpec(seed=1))
-
-    def test_bad_batch_size(self):
-        with pytest.raises(ValueError):
-            SamplerSpec(seed=1, batch_size=0)
