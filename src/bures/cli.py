@@ -7,9 +7,13 @@ round-trips byte-for-byte.  Angles are radians only.  ``sample`` draws the
 coset angles exactly and rejects on the eigenvalue box against the exact
 sup of the eigenvalue factor, which the record reports as ``envelope``; its
 random stream (sampler stream version 3) is keyed by ``(seed, round)``, so
-every count prefix of a seed's output is the same.  ``--points`` is capped
-at 1024 per axis, which bounds the quadrature grid's memory.  A reader that
-closes stdout early ends the command quietly.
+every count prefix of a seed's output is the same.  A sample row is its
+angles, then re and im of each matrix cell; both formats print rows from one
+float table through one ``%`` template (for JSON, the JSON writer's own
+output with its floats made fields), 1024 rows per write.  ``--points`` is in
+[4, 1024] per axis: from 4 up the error estimate's coarser rerun is another
+rule, and the cap bounds the quadrature grid's memory.  A reader that closes
+stdout early ends the command quietly.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ import sys
 import numpy as np
 
 from .euler import (AngleRangeError, COSET_NAMES, EIGEN_NAMES, DensityMatrixParams,
-                    density_from_params, params_from_values)
+                    density_batch, density_from_params, params_from_values)
 from .functionals import FunctionalId
-from .integrate import DEFAULT_POINTS, integrate, integrate_mc
+from .integrate import DEFAULT_POINTS, MIN_POINTS, integrate, integrate_mc
 from .linalg import eig_hermitian
 from .measure import (NormalizationMode, REFERENCE_POINTS, bures_joint_density,
                       normalization_constant)
@@ -38,9 +42,8 @@ CHECK_FAILURE = 1
 MAX_POINTS = 1024       # the n=3 grid holds about 120 * P**2 bytes: 126 MB here
 
 
-def _fmt_float(x: float) -> str:
-    # 17 significant digits: lossless round-trip for binary64
-    return f"{float(x):.16e}"
+_FLOAT = "%.16e"        # 17 significant digits: lossless round-trip for binary64
+_WRITE_ROWS = 1024      # sample rows per write; keeps each block's string under 1 MB
 
 
 def dumps_record(obj) -> str:
@@ -71,19 +74,13 @@ def _write_json(obj, parts: list[str]) -> None:
     elif isinstance(obj, (int, np.integer)):
         parts.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        parts.append(_fmt_float(obj))
+        parts.append(_FLOAT % obj)
     elif isinstance(obj, str):
         parts.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
     elif obj is None:
         parts.append("null")
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def matrix_payload(m: np.ndarray) -> list[list[float]]:
-    """Row-major list of [re, im] pairs."""
-    flat = np.asarray(m, dtype=np.complex128).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
 
 
 def _param_names(n: int) -> tuple[str, ...]:
@@ -117,10 +114,10 @@ def parse_params(n: int, tokens: list[str]) -> DensityMatrixParams:
     return params_from_values(n, [got[nm] for nm in expected])
 
 
-def _points(args, default: int, least: int) -> int:
+def _points(args, default: int) -> int:
     points = default if args.points is None else args.points
-    if not least <= points <= MAX_POINTS:
-        raise ValueError(f"--points must be in [{least}, {MAX_POINTS}], got {points}")
+    if not MIN_POINTS <= points <= MAX_POINTS:
+        raise ValueError(f"--points must be in [{MIN_POINTS}, {MAX_POINTS}], got {points}")
     return points
 
 
@@ -146,7 +143,7 @@ def cmd_density(args) -> int:
         "n": args.n,
         "mode": mode.value,
         "params": {k: float(v) for k, v in params.as_dict().items()},
-        "matrix": matrix_payload(rho),
+        "matrix": rho.view(np.float64).reshape(-1, 2).tolist(),   # [re, im] pairs
         "eigenvalues": [float(w) for w in eigvals],
         "bures_density": float(dens.value),
     }
@@ -154,51 +151,46 @@ def cmd_density(args) -> int:
     return 0
 
 
-def _csv_header(n: int) -> str:
-    cols = list(_param_names(n))
-    for i in range(n):
-        for j in range(n):
-            cols += [f"m{i}{j}_re", f"m{i}{j}_im"]
-    return ",".join(cols)
-
-
 def cmd_sample(args) -> int:
     if args.count < 0:
         raise ValueError("--count must be >= 0")
-    spec = SamplerSpec(seed=args.seed)
-    batch = sample(args.n, args.count, spec)
-    mats = (batch.matrices() if args.count
-            else np.empty((0, args.n, args.n), dtype=np.complex128))
+    n, k = args.n, args.n - 1
+    batch = sample(n, args.count, SamplerSpec(seed=args.seed))
+    names = _param_names(n)
+    # a row is the angles, then re and im of each matrix cell in row-major
+    # order; both formats print it through one template of _FLOAT fields
     if args.format == "csv":
-        lines = [_csv_header(args.n)]
-        for row, m in zip(batch.params, mats):
-            vals = [_fmt_float(v) for v in row]
-            flat = m.reshape(-1)
-            for z in flat:
-                vals += [_fmt_float(z.real), _fmt_float(z.imag)]
-            lines.append(",".join(vals))
-        print("\n".join(lines))
-        return 0
-    names = _param_names(args.n)
-    samples = []
-    for row, m in zip(batch.params, mats):
-        samples.append({
-            "params": {nm: float(v) for nm, v in zip(names, row)},
-            "matrix": matrix_payload(m),
-        })
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "samples",
-        "n": args.n,
-        "seed": int(args.seed),
-        "count": int(args.count),
-        "envelope": float(batch.envelope),
-        "batch_size": int(batch.batch_size),
-        "total_proposals": int(batch.total_proposals),
-        "params_order": list(names),
-        "samples": samples,
-    }
-    print(dumps_record(record))
+        cells = [f"m{i}{j}_{part}" for i in range(n) for j in range(n)
+                 for part in ("re", "im")]
+        head = ",".join(names + tuple(cells)) + "\n"
+        row = ",".join([_FLOAT] * (len(names) + len(cells))) + "\n"
+        sep, tail = "", ""
+    else:
+        head = dumps_record({
+            "schema_version": SCHEMA_VERSION,
+            "kind": "samples",
+            "n": n,
+            "seed": int(args.seed),
+            "count": int(args.count),
+            "envelope": float(batch.envelope),
+            "batch_size": int(batch.batch_size),
+            "total_proposals": int(batch.total_proposals),
+            "params_order": list(names),
+            "samples": [],
+        })[:-2]                                      # open at "samples": [
+        row = dumps_record({"params": dict.fromkeys(names, 0.0),
+                            "matrix": [[0.0, 0.0]] * (n * n)}).replace(_FLOAT % 0.0, _FLOAT)
+        sep, tail = ", ", "]}\n"
+    out = sys.stdout
+    out.write(head)
+    for start in range(0, args.count, _WRITE_ROWS):
+        params = batch.params[start:start + _WRITE_ROWS]
+        mats = density_batch(n, params[:, :k], params[:, k:])
+        table = np.concatenate([params, mats.view(np.float64).reshape(len(params), -1)],
+                               axis=1)
+        out.write((sep if start else "")
+                  + sep.join([row] * len(table)) % tuple(table.ravel().tolist()))
+    out.write(tail)
     return 0
 
 
@@ -213,7 +205,7 @@ def cmd_integrate(args) -> int:
         "method": args.method,
     }
     if args.method == "quadrature":
-        spec = QuadratureSpec(_points(args, DEFAULT_POINTS[args.n], 2), _rule(args.rule))
+        spec = QuadratureSpec(_points(args, DEFAULT_POINTS[args.n]), _rule(args.rule))
         res = integrate(args.n, fid, spec)
         record.update({
             "value": res.value,
@@ -235,7 +227,7 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_volume(args) -> int:
-    points = _points(args, REFERENCE_POINTS[args.n], 4)
+    points = _points(args, REFERENCE_POINTS[args.n])
     rule = _rule(args.rule)
     value = normalization_constant(args.n, points_per_axis=points, rule=rule)
     compare = normalization_constant(args.n, points_per_axis=points - 2, rule=rule)
@@ -328,11 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("quadrature", "mc"), default="quadrature")
     p.add_argument("--points", type=int, default=None,
                    help="quadrature points per axis of the eigenvalue box "
-                        "(default 32 for n=2, 64 for n=3; at most 1024)")
+                        "(default 32 for n=2, 64 for n=3; 4 to 1024)")
     p.add_argument("--rule", choices=("gauss-legendre", "simpson"),
                    default="gauss-legendre")
     p.add_argument("--samples", type=int, default=1_000_000,
-                   help="Monte Carlo sample count (method=mc)")
+                   help="Monte Carlo sample count (method=mc; at least 2)")
     p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
     p.set_defaults(fn=cmd_integrate)
 
@@ -341,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_n(p)
     p.add_argument("--points", type=int, default=None,
                    help="quadrature points per axis (default 64 for n=2, 10 for n=3; "
-                        "at most 1024)")
+                        "4 to 1024)")
     p.add_argument("--rule", choices=("gauss-legendre", "simpson"),
                    default="gauss-legendre")
     p.set_defaults(fn=cmd_volume)

@@ -22,6 +22,9 @@ from .tensorgrid import QuadratureSpec, tensor_quadrature
 # n=3: 64 points/axis is 4096 nodes on the 2-D eigenvalue box (~10 ms); the
 # half-resolution error estimate of the mean entropy there is ~2e-10
 DEFAULT_POINTS = {2: 32, 3: 64}
+# the error estimate reruns at half resolution, which from 4 points up is a
+# rule of at least 2 points that differs from the one it checks
+MIN_POINTS = 4
 _MATRIX_CHUNK = 131072
 
 
@@ -59,6 +62,9 @@ def integrate(n: int, functional, spec: QuadratureSpec | None = None) -> Integra
         raise ValueError(f"only n in {{2, 3}} is supported, got {n}")
     if spec is None:
         spec = QuadratureSpec(DEFAULT_POINTS[n])
+    if spec.points_per_axis < MIN_POINTS:
+        raise ValueError(f"points_per_axis must be >= {MIN_POINTS}, "
+                         f"got {spec.points_per_axis}")
     evaluate = _evaluator(functional)
     box = eigen_box(n)
 
@@ -70,7 +76,7 @@ def integrate(n: int, functional, spec: QuadratureSpec | None = None) -> Integra
                 / _eigen_integral(n, s.points_per_axis, s.rule))
 
     fine = mean(spec)
-    coarse = mean(QuadratureSpec(max(2, spec.points_per_axis // 2), spec.rule))
+    coarse = mean(QuadratureSpec(spec.points_per_axis // 2, spec.rule))
     return IntegrationResult(value=fine, error_estimate=abs(fine - coarse),
                              method="quadrature",
                              points_per_axis=spec.points_per_axis,
@@ -89,8 +95,9 @@ def integrate_mc(n: int, functional: FunctionalId, samples: int,
         raise ValueError(f"only n in {{2, 3}} is supported, got {n}")
     if not isinstance(functional, FunctionalId):
         raise TypeError("Monte Carlo integration needs a FunctionalId")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2 (the standard error needs two), "
+                         f"got {samples}")
     batch = sample(n, samples, SamplerSpec(seed=seed))
     k = n - 1
     vals = np.empty(samples)
@@ -100,9 +107,6 @@ def integrate_mc(n: int, functional: FunctionalId, samples: int,
         rhos = density_batch(n, rows[:, :k], rows[:, k:])
         vals[start:stop] = from_matrices(functional, rhos)
     value = float(vals.mean())
-    if samples > 1:
-        se = float(vals.std(ddof=1) / np.sqrt(samples))
-    else:
-        se = float("inf")
+    se = float(vals.std(ddof=1) / np.sqrt(samples))
     return IntegrationResult(value=value, error_estimate=se, method="mc",
                              samples=samples, std_error=se)

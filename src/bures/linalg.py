@@ -52,11 +52,6 @@ def frobenius_norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
-def is_hermitian(a, rtol: float = HERMITICITY_RTOL) -> bool:
-    m = as_square(a)
-    return frobenius_norm(m - m.conj().T) <= rtol * max(1.0, frobenius_norm(m))
-
-
 def _require_hermitian(a, name: str) -> np.ndarray:
     m = as_square(a, name)
     dev = frobenius_norm(m - m.conj().T)

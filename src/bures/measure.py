@@ -18,8 +18,8 @@ as scalar operations on the typed coordinates and as vectorized kernels.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -257,22 +257,13 @@ REFERENCE_POINTS = {2: 64, 3: 10}
 # for n=3 pi^3 from the three free diagonal angles times 1/4 from the rest
 _COSET_VOLUME = {2: math.pi, 3: math.pi ** 3 / 4}
 
-_norm_lock = threading.Lock()
-_eigen_cache: dict[tuple, float] = {}
 
-
+@functools.cache
 def _eigen_integral(n: int, pts: int, rule: QuadratureRule) -> float:
     """Cached tensor quadrature of the eigenvalue factor over its box."""
-    key = (n, rule.value, pts)
-    with _norm_lock:
-        if key in _eigen_cache:
-            return _eigen_cache[key]
     box = eigen_box(n)
-    val = tensor_quadrature(lambda p: eigen_measure_factor(n, p), box.lower,
-                            box.upper, QuadratureSpec(pts, rule))
-    with _norm_lock:
-        _eigen_cache.setdefault(key, val)
-        return _eigen_cache[key]
+    return tensor_quadrature(lambda p: eigen_measure_factor(n, p), box.lower,
+                             box.upper, QuadratureSpec(pts, rule))
 
 
 def normalization_constant(n: int, points_per_axis: int | None = None,

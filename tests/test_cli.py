@@ -246,7 +246,12 @@ class TestOutputContract:
          "77f101275cabc48bc6c72e4ee575b66b83e23ae9510a8f01dcc66c45a3a0e963"),
         (("--n", "3", "--count", "5", "--seed", "7", "--format", "csv"),
          "9885330320584d5002008d397ed1e7d305522c1c1e132f53fc05fac6fb86f140"),
-    ], ids=["n2-json", "n3-csv"])
+        # more rows than one write block of the CLI (1024), ending mid-block
+        (("--n", "3", "--count", "2500", "--seed", "3"),
+         "856e02876929bdcfe01711217c7684881f188d88643620cb99ed4cbd476e246d"),
+        (("--n", "2", "--count", "2049", "--seed", "8", "--format", "csv"),
+         "5c98bd2394869e4c0788b79cac2b523f393a1307373b9bf35fb60f0d766dab9a"),
+    ], ids=["n2-json", "n3-csv", "n3-json-blocks", "n2-csv-blocks"])
     def test_sampler_stream_version_3(self, capsys, argv, digest):
         # golden SHA-256 of the output: a change to the seed-to-sample
         # mapping must show here and carry a new stream version
@@ -282,12 +287,25 @@ class TestSubprocessEntry:
         # over the cap; n=2 keeps the grid small should the cap be missing
         ["integrate", "--n", "2", "--functional", "purity", "--points", "1025"],
         ["volume", "--n", "2", "--points", "1025"],
+        # below 4 the half-resolution rerun (P // 2) is not a rule of 2+ points
+        ["integrate", "--n", "2", "--functional", "purity", "--points", "2"],
+        ["integrate", "--n", "2", "--functional", "purity", "--points", "3"],
     ])
     def test_zero_points_usage_error(self, command):
         r = subprocess.run([sys.executable, "-m", "bures", *command],
                            capture_output=True, text=True)
         assert r.returncode == 2
         assert "points" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_single_mc_sample_usage_error(self):
+        # one sample has no standard error; the record must not carry inf
+        r = subprocess.run([sys.executable, "-m", "bures", "integrate", "--n", "2",
+                            "--functional", "purity", "--method", "mc",
+                            "--samples", "1"], capture_output=True, text=True)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "samples" in r.stderr
         assert "Traceback" not in r.stderr
 
     def test_envelope_violation_exits_1(self, capsys, monkeypatch):

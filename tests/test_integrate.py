@@ -84,6 +84,8 @@ class TestMonteCarlo:
     def test_validation(self):
         with pytest.raises(ValueError):
             integrate_mc(2, PURITY, 0, seed=1)
+        with pytest.raises(ValueError):
+            integrate_mc(2, PURITY, 1, seed=1)
         with pytest.raises(TypeError):
             integrate_mc(2, lambda lam: lam.sum(axis=-1), 10, seed=1)
 
@@ -92,6 +94,11 @@ class TestValidation:
     def test_bad_n(self):
         with pytest.raises(ValueError):
             integrate(4, PURITY)
+
+    def test_too_few_points(self):
+        # below 4 the half-resolution rerun (P // 2) is not a rule of 2+ points
+        with pytest.raises(ValueError):
+            integrate(2, PURITY, QuadratureSpec(3))
 
     def test_bad_functional(self):
         with pytest.raises(TypeError):
