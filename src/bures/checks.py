@@ -16,10 +16,11 @@ import numpy as np
 
 from . import generators
 from .euler import (COSET_RANGES, EIGEN_RANGES, CosetAngles,
-                    EigenvalueAngles, coset_unitary, density_from_params,
-                    diag_eigenvalues, diag_eigenvalues_batch, euler_unitary,
+                    EigenvalueAngles, coset_unitary, density_batch,
+                    density_from_params, diag_eigenvalues,
+                    diag_eigenvalues_batch, euler_unitary,
                     params_from_density_2, params_from_values)
-from .functionals import FunctionalId, FunctionalKind
+from .functionals import FunctionalId, FunctionalKind, spectrum_batch
 from .integrate import integrate, integrate_mc
 from .linalg import dagger, eig_hermitian, expm_i_generator, frobenius_norm
 from .measure import (coset_measure_factor, eigen_measure_factor,
@@ -186,6 +187,27 @@ def check_inverse_roundtrip_2state() -> CheckResult:
     return _result("inverse_roundtrip_2state", dev, 1e-10)
 
 
+def check_density_kernel_closed_form() -> CheckResult:
+    """The closed-form batch kernel against the generator-exponential chain."""
+    rng = np.random.default_rng(110)
+    dev = 0.0
+    for n in (2, 3):
+        pts = _random_point_arrays(n, 200, rng)
+        ref = [density_from_params(params_from_values(n, row)) for row in pts]
+        fast = density_batch(n, pts[:, :n - 1], pts[:, n - 1:])
+        dev = max(dev, float(np.abs(fast - ref).max()))
+    return _result("density_kernel_closed_form", dev, 1e-14)
+
+
+def check_spectrum_2state_closed_form() -> CheckResult:
+    """The 2x2 spectrum from the entries against LAPACK's, pure states to I/2."""
+    pts = _random_point_arrays(2, 1000, np.random.default_rng(111))
+    pts[:200, 0] = np.repeat([0.0, 1e-7], 100)           # pure and near pure
+    rhos = np.concatenate([density_batch(2, pts[:, :1], pts[:, 1:]), np.eye(2)[None] / 2])
+    dev = np.abs(spectrum_batch(rhos) - np.linalg.eigvalsh(rhos)).max()
+    return _result("spectrum_2state_closed_form", dev, 1e-14)
+
+
 # ---------------------------------------------------------------------------
 # measures
 # ---------------------------------------------------------------------------
@@ -345,6 +367,8 @@ FAST_CHECKS = (
     check_density_validity,
     check_dropped_angle_invariance,
     check_inverse_roundtrip_2state,
+    check_density_kernel_closed_form,
+    check_spectrum_2state_closed_form,
     check_coset_density_2state_closed_form,
     check_coset_density_3state_closed_form,
     check_coset_density_fd_3state,

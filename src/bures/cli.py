@@ -8,7 +8,8 @@ coset angles exactly and rejects on the eigenvalue box against the exact
 sup of the eigenvalue factor, which the record reports as ``envelope``; its
 random stream (sampler stream version 3) is keyed by ``(seed, round)``, so
 every count prefix of a seed's output is the same.  A sample row is its
-angles, then re and im of each matrix cell; both formats print rows from one
+angles, then re and im of each matrix cell, the matrix from the closed-form
+kernel ``euler.density_batch``; both formats print rows from one
 float table through one ``%`` template (for JSON, the JSON writer's own
 output with its floats made fields), 1024 rows per write.  ``--points`` is in
 [4, 1024] per axis: from 4 up the error estimate's coarser rerun is another

@@ -15,6 +15,10 @@ with rho = U diag(eigenvalues) U^dag.  The full Euler product carries extra
 rightmost diagonal factors (gamma for n=2; c and phi for n=3) that commute
 with the diagonal matrix and drop out of rho; ``euler_unitary`` keeps them so
 the invariance is testable, ``coset_unitary`` pins them to zero.
+
+The batch kernels write U's entries in closed form (Byrd, J. Math. Phys. 39
+(1998) 6125), and rho's directly for n=2; the scalar maps multiply generator
+exponentials instead and are the independent check on those kernels.
 """
 
 from __future__ import annotations
@@ -41,11 +45,6 @@ EIGEN_RANGES = {2: ((0.0, math.pi / 4),),
 COSET_RANGES = {2: ((0.0, math.pi), (0.0, _HALF_PI)),
                 3: ((0.0, math.pi), (0.0, _HALF_PI), (0.0, math.pi),
                     (0.0, _HALF_PI), (0.0, math.pi), (0.0, _HALF_PI))}
-
-# factor kinds of the truncated Euler product, in left-to-right order
-_COSET_KINDS = {2: ("phase", "rot01"),
-                3: ("phase", "rot01", "phase", "rot02", "phase", "rot01")}
-
 
 class AngleRangeError(ValueError):
     """An angle lies outside its closed coordinate range."""
@@ -159,8 +158,9 @@ def diag_eigenvalues_batch(n: int, angles: np.ndarray) -> np.ndarray:
 # Euler products
 # ---------------------------------------------------------------------------
 
-def _full_factor_chain(n: int, angles):
-    """(generator, factor angle) pairs of the full Euler product."""
+def factor_chain(n: int, angles):
+    """(generator, factor angle) pairs of the full Euler product, left to
+    right; the truncated (coset) product is its first n^2 - n pairs."""
     if n == 2:
         al, be, ga = angles
         return [(pauli(3), al), (pauli(2), be), (pauli(3), ga)]
@@ -182,16 +182,14 @@ def euler_unitary(n: int, angles) -> np.ndarray:
     if len(vals) != want:
         raise ValueError(f"expected {want} angles for n={n}, got {len(vals)}")
     u = np.eye(n, dtype=np.complex128)
-    for g, x in _full_factor_chain(n, vals):
+    for g, x in factor_chain(n, vals):
         u = u @ expm_i_generator(g, x)
     return u
 
 
 def coset_unitary(coset: CosetAngles) -> np.ndarray:
     """Truncated Euler product: the dropped rightmost angles pinned to zero."""
-    if coset.n == 2:
-        return euler_unitary(2, coset.angles + (0.0,))
-    return euler_unitary(3, coset.angles + (0.0, 0.0))
+    return euler_unitary(coset.n, coset.angles + (0.0,) * (coset.n - 1))
 
 
 def density_from_params(p: DensityMatrixParams) -> np.ndarray:
@@ -205,53 +203,52 @@ def density_from_params(p: DensityMatrixParams) -> np.ndarray:
 # vectorized kernels (hot paths: measures, quadrature, sampling)
 # ---------------------------------------------------------------------------
 
-def coset_factor_stack(n: int, angles: np.ndarray) -> np.ndarray:
-    """Factor matrices of the truncated Euler product for a batch of angle
-    rows; returns shape (m, N, n, n) with m factors in left-to-right order."""
+def coset_unitary_batch(n: int, angles: np.ndarray) -> np.ndarray:
+    """Vectorized ``coset_unitary``, entry by entry; ``angles`` has shape
+    (N, 2) or (N, 6)."""
     _check_n(n)
     angles = np.atleast_2d(np.asarray(angles, dtype=np.float64))
-    kinds = _COSET_KINDS[n]
-    cnt = angles.shape[0]
-    out = np.zeros((len(kinds), cnt, n, n), dtype=np.complex128)
-    for k, kind in enumerate(kinds):
-        x = angles[:, k]
-        c, s = np.cos(x), np.sin(x)
-        f = out[k]
-        if kind == "phase":          # exp(i x diag(1, -1[, 0]))
-            f[:, 0, 0] = c + 1j * s
-            f[:, 1, 1] = c - 1j * s
-            if n == 3:
-                f[:, 2, 2] = 1.0
-        elif kind == "rot01":        # exp(i x sigma2-like block in rows 0,1)
-            f[:, 0, 0] = c
-            f[:, 0, 1] = s
-            f[:, 1, 0] = -s
-            f[:, 1, 1] = c
-            if n == 3:
-                f[:, 2, 2] = 1.0
-        else:                        # rot02: block in rows 0,2
-            f[:, 0, 0] = c
-            f[:, 0, 2] = s
-            f[:, 2, 0] = -s
-            f[:, 2, 2] = c
-            f[:, 1, 1] = 1.0
-    return out
-
-
-def coset_unitary_batch(n: int, angles: np.ndarray) -> np.ndarray:
-    """Vectorized ``coset_unitary``; ``angles`` has shape (N, 2) or (N, 6)."""
-    factors = coset_factor_stack(n, angles)
-    u = factors[0]
-    for k in range(1, factors.shape[0]):
-        u = u @ factors[k]
+    u = np.empty((angles.shape[0], n, n), dtype=np.complex128)
+    if n == 2:
+        al, be = angles.T
+        ea, cb, sb = np.exp(1j * al), np.cos(be), np.sin(be)
+        u[:, 0, 0], u[:, 0, 1] = ea * cb, ea * sb
+        u[:, 1, 0], u[:, 1, 1] = -ea.conj() * sb, ea.conj() * cb
+        return u
+    al, be, ga, th, a, b = angles.T
+    eal, ega, ea = np.exp(1j * al), np.exp(1j * ga), np.exp(1j * a)
+    cbe, sbe = np.cos(be), np.sin(be)
+    ct, st = np.cos(th), np.sin(th)
+    cb, sb = np.cos(b), np.sin(b)
+    # L = P(alpha) R01(beta) P(gamma) acts on rows and columns 0, 1 only
+    l00, l01 = eal * cbe * ega, eal * sbe * ega.conj()
+    l10, l11 = -eal.conj() * sbe * ega, eal.conj() * cbe * ega.conj()
+    # M = L R02(theta) P(a); R01(b) then mixes M's columns 0 and 1
+    m00, m01, m10, m11 = l00 * ct * ea, l01 * ea.conj(), l10 * ct * ea, l11 * ea.conj()
+    m20 = -st * ea
+    u[:, 0, 0], u[:, 0, 1], u[:, 0, 2] = m00 * cb - m01 * sb, m00 * sb + m01 * cb, l00 * st
+    u[:, 1, 0], u[:, 1, 1], u[:, 1, 2] = m10 * cb - m11 * sb, m10 * sb + m11 * cb, l10 * st
+    u[:, 2, 0], u[:, 2, 1], u[:, 2, 2] = m20 * cb, m20 * sb, ct
     return u
 
 
 def density_batch(n: int, eigen_angles: np.ndarray, coset_angles: np.ndarray) -> np.ndarray:
     """Vectorized ``density_from_params`` for stacked angle rows."""
-    u = coset_unitary_batch(n, coset_angles)
     lam = diag_eigenvalues_batch(n, eigen_angles)
-    return (u * lam[:, None, :]) @ np.swapaxes(u, -1, -2).conj()
+    if n == 3:
+        u = coset_unitary_batch(3, coset_angles)
+        return np.einsum("nik,njk->nij", u * lam[:, None, :], u.conj())
+    l1, l2 = lam.T
+    al, be = np.atleast_2d(np.asarray(coset_angles, dtype=np.float64)).T
+    cb, sb = np.cos(be), np.sin(be)
+    c2, s2 = cb * cb, sb * sb
+    off = (l2 - l1) * sb * cb
+    rho = np.empty((lam.shape[0], 2, 2), dtype=np.complex128)
+    rho[:, 0, 0] = l1 * c2 + l2 * s2
+    rho[:, 1, 1] = l1 * s2 + l2 * c2
+    rho[:, 0, 1] = off * np.exp(2j * al)
+    rho[:, 1, 0] = rho[:, 0, 1].conj()
+    return rho
 
 
 # ---------------------------------------------------------------------------

@@ -76,17 +76,30 @@ def from_eigenvalues(fid: FunctionalId, lam: np.ndarray) -> np.ndarray:
     return (lam ** fid.order).sum(axis=-1)
 
 
+def spectrum_batch(rhos: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of stacked Hermitian matrices (N, n, n), unclipped:
+    for n=2 m -/+ h, m the mean of the diagonal and h = hypot(half its
+    difference, |rho_01|); for n=3 ``eigvalsh``."""
+    rhos = np.asarray(rhos, dtype=np.complex128)
+    if rhos.shape[-1] != 2:
+        return np.linalg.eigvalsh(rhos)
+    a, d = rhos[..., 0, 0].real, rhos[..., 1, 1].real
+    m = 0.5 * (a + d)
+    h = np.hypot(0.5 * (a - d), np.abs(rhos[..., 0, 1]))
+    return np.stack([m - h, m + h], axis=-1)
+
+
 def from_matrices(fid: FunctionalId, rhos: np.ndarray) -> np.ndarray:
     """Evaluate on stacked density matrices (N, n, n), via their spectra.
 
-    Purity avoids diagonalization: Tr(rho^2) = sum |rho_ij|^2 for Hermitian rho.
-    Tiny negative eigenvalues from roundoff are clipped to zero.
+    The spectrum comes from the entries alone (``spectrum_batch``), not from
+    the angles the matrices were built from.  Purity avoids it: Tr(rho^2) =
+    sum |rho_ij|^2 for Hermitian rho.  Roundoff negatives are clipped to zero.
     """
     rhos = np.asarray(rhos, dtype=np.complex128)
     if fid.kind is FunctionalKind.PURITY:
         return (np.abs(rhos) ** 2).sum(axis=(-2, -1))
-    lam = np.clip(np.linalg.eigvalsh(rhos), 0.0, None)
-    return from_eigenvalues(fid, lam)
+    return from_eigenvalues(fid, np.clip(spectrum_batch(rhos), 0.0, None))
 
 
 def von_neumann_entropy(rho, tol: float = 1e-10) -> float:

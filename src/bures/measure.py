@@ -27,7 +27,7 @@ import numpy as np
 
 from . import generators
 from .euler import (COSET_NAMES, COSET_RANGES, EIGEN_NAMES, EIGEN_RANGES,
-                    CosetAngles, DensityMatrixParams, EigenvalueAngles)
+                    CosetAngles, DensityMatrixParams, EigenvalueAngles, factor_chain)
 from .linalg import dagger, expm_i_generator, matmul
 from .tensorgrid import QuadratureRule, QuadratureSpec, tensor_quadrature
 
@@ -156,18 +156,6 @@ EIGEN_FACTOR_SUP = {2: 8.0, 3: _eigen_sup_3()}
 # coset factor
 # ---------------------------------------------------------------------------
 
-def _coset_chain(n: int):
-    """Factor generators of the truncated Euler product plus the coset
-    (non-diagonal) generator basis used for the coefficient columns."""
-    gset = generators.generator_set(n)
-    if n == 2:
-        factor_gens = [gset.generators[2], gset.generators[1]]   # s3, s2
-    else:
-        g = gset.generators
-        factor_gens = [g[2], g[1], g[2], g[4], g[2], g[1]]       # l3,l2,l3,l5,l3,l2
-    return factor_gens, gset.coset_generators()
-
-
 def haar_coset_density(coset: CosetAngles) -> float:
     """Invariant coset density |det C| at one point.
 
@@ -176,14 +164,15 @@ def haar_coset_density(coset: CosetAngles) -> float:
     rows of C are the coset-generator coefficients of -i U^dag dU/dx_k.
     """
     n = coset.n
-    factor_gens, coset_gens = _coset_chain(n)
-    factors = [expm_i_generator(g, x) for g, x in zip(factor_gens, coset.angles)]
+    chain = factor_chain(n, coset.angles + (0.0,) * (n - 1))[:len(coset.angles)]
+    factors = [expm_i_generator(g, x) for g, x in chain]
+    coset_gens = generators.generator_set(n).coset_generators()
     u = np.eye(n, dtype=np.complex128)
     for f in factors:
         u = matmul(u, f)
     udag = dagger(u)
     rows = []
-    for k, g in enumerate(factor_gens):
+    for k, (g, _) in enumerate(chain):
         du = np.eye(n, dtype=np.complex128)
         for j, f in enumerate(factors):
             du = matmul(du, matmul(1j * g, f) if j == k else f)

@@ -183,6 +183,24 @@ class TestDensityFromParams:
         assert np.linalg.eigvalsh(rho).min() >= -1e-12
 
 
+class TestClosedFormKernel:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_density_batch_matches_expm_chain(self, rng, n):
+        # the closed-form batch kernel against the product of generator
+        # exponentials; every few rows sit on a box edge: theta (or theta1)
+        # = 0 and pi/4, beta (column n) = 0 and pi/2, theta2 at its max
+        pts = random_box_points(n, 1200, rng)
+        edges = [(0, 0.0), (0, math.pi / 4), (n, 0.0), (n, math.pi / 2)]
+        if n == 3:
+            edges.append((1, THETA2_MAX))
+        for i, (col, value) in enumerate(edges):
+            pts[i::len(edges) + 1, col] = value
+        k = n - 1
+        fast = density_batch(n, pts[:, :k], pts[:, k:])
+        ref = np.array([density_from_params(params_from_values(n, row)) for row in pts])
+        assert np.abs(fast - ref).max() <= 1e-14
+
+
 class TestValidateDensity:
     def test_accepts_valid(self):
         validate_density(np.diag([0.75, 0.25]).astype(complex))

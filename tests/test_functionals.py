@@ -6,7 +6,7 @@ import pytest
 from bures.euler import NotADensityMatrixError, density_batch
 from bures.functionals import (FunctionalId, FunctionalKind, eigenvalue_moment,
                                from_eigenvalues, from_matrices, purity,
-                               von_neumann_entropy)
+                               spectrum_batch, von_neumann_entropy)
 from conftest import random_box_points
 
 
@@ -102,3 +102,38 @@ class TestBatchEvaluators:
     def test_zero_eigenvalue_entropy(self):
         fid = FunctionalId.parse("entropy")
         assert from_eigenvalues(fid, np.array([1.0, 0.0])) == 0.0
+
+
+class TestSpectrum2State:
+    """The n=2 spectrum read off the matrix entries, against ``eigvalsh``."""
+
+    def test_maximally_mixed(self):
+        # h = 0: both eigenvalues are the mean of the diagonal
+        assert np.array_equal(spectrum_batch(np.eye(2)[None] / 2), [[0.5, 0.5]])
+
+    def test_pure_states_stay_nonnegative(self, rng):
+        pts = random_box_points(2, 10_000, rng)
+        pts[:, 0] = 0.0
+        lam = spectrum_batch(density_batch(2, pts[:, :1], pts[:, 1:]))
+        assert lam[:, 0].min() >= -1e-15             # before the clip
+        assert np.abs(lam[:, 1] - 1.0).max() <= 1e-15
+
+    def test_diagonal(self):
+        # rho_01 = 0: the eigenvalues are the diagonal, up to the rounding of m -/+ h
+        rhos = np.array([np.diag(d) for d in ([0.7, 0.3], [0.3, 0.7], [1.0, 0.0],
+                                              [0.0, 1.0])], dtype=complex)
+        want = np.sort(np.real(np.diagonal(rhos, axis1=1, axis2=2)), axis=1)
+        assert np.abs(spectrum_batch(rhos) - want).max() <= 1e-16
+
+    def test_matches_eigvalsh_route(self, rng):
+        count = 100_000
+        pts = random_box_points(2, count, rng)
+        edge = count // 100
+        pts[:edge, 0] = rng.uniform(0.0, 1e-6, edge)                      # near pure
+        pts[edge:2 * edge, 0] = math.pi / 4 - rng.uniform(0.0, 1e-6, edge)   # near I/2
+        rhos = density_batch(2, pts[:, :1], pts[:, 1:])
+        ref = np.clip(np.linalg.eigvalsh(rhos), 0.0, None)
+        for text in ("entropy", "moment:1", "moment:2", "moment:3"):
+            fid = FunctionalId.parse(text)
+            gap = np.abs(from_matrices(fid, rhos) - from_eigenvalues(fid, ref)).max()
+            assert gap <= 1e-13, text
