@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import generators
+from . import floatfmt, generators
 from .euler import (COSET_RANGES, EIGEN_RANGES, CosetAngles,
                     EigenvalueAngles, coset_unitary, density_batch,
                     density_from_params, diag_eigenvalues,
@@ -307,6 +307,38 @@ def check_sampler_determinism() -> CheckResult:
     return _result("sampler_determinism", 0.0 if same else 1.0, 0.0)
 
 
+def check_float_format_exact() -> CheckResult:
+    """The vectorized sample-row formatter against CPython's ``%``, value by value.
+
+    The deviation is the number of values printed differently.
+    """
+    rng = np.random.default_rng(112)
+    tens = np.array([float(f"1e{p}") for p in range(-31, 4)]).view(np.int64)
+    # ties: odd k / 2**(17 - j) in [10**j, 10**(j+1)) has 18 significant
+    # digits, the last a 5, so its 17-digit rounding is exactly half way
+    j = rng.integers(-5, 3, 5_000)
+    k = np.floor(np.ldexp(10.0 ** j * rng.uniform(1.0, 10.0, j.size), 17 - j))
+    ties = np.ldexp(k + (k % 2 == 0), j - 17)
+    magnitudes = np.concatenate([
+        10.0 ** rng.uniform(-30.0, 3.0, 10_000),
+        (tens[:, None] + np.arange(-1, 2)).ravel().view(np.float64),
+        ties, [1 + 2.0 ** -17, 1 + 3 * 2.0 ** -17],
+        rng.integers(1, 2 ** 52, 1_000, dtype=np.int64).view(np.float64),   # subnormal
+        [0.0, 1e3, np.inf, np.nan]])
+    params = sample(3, 1024, SamplerSpec(seed=112)).params
+    table = np.concatenate([params, density_batch(3, params[:, :2], params[:, 2:])
+                            .view(np.float64).reshape(len(params), -1)], axis=1)
+    values = np.concatenate([
+        rng.integers(0, 2 ** 64, 20_000, dtype=np.uint64).view(np.float64),
+        magnitudes, -magnitudes, table.ravel()])
+    row = floatfmt.FIELD + "\n"
+    got = floatfmt.format_rows(row, values[:, None])
+    want = (row * len(values)) % tuple(values.tolist())
+    mismatches = 0 if got == want else sum(map(str.__ne__, got.split("\n"),
+                                               want.split("\n")))
+    return _result("float_format_exact", mismatches, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # full-suite statistical checks
 # ---------------------------------------------------------------------------
@@ -376,6 +408,7 @@ FAST_CHECKS = (
     check_joint_density_2state_analytic,
     check_normalization_2state,
     check_sampler_determinism,
+    check_float_format_exact,
 )
 
 FULL_CHECKS = FAST_CHECKS + (

@@ -9,12 +9,16 @@ sup of the eigenvalue factor, which the record reports as ``envelope``; its
 random stream (sampler stream version 3) is keyed by ``(seed, round)``, so
 every count prefix of a seed's output is the same.  A sample row is its
 angles, then re and im of each matrix cell, the matrix from the closed-form
-kernel ``euler.density_batch``; both formats print rows from one
-float table through one ``%`` template (for JSON, the JSON writer's own
-output with its floats made fields), 1024 rows per write.  ``--points`` is in
+kernel ``euler.density_batch``; both formats print rows from one float table
+through one ``%.16e`` row template (for JSON, the JSON writer's own output
+with its floats made fields), 1024 rows per write.  ``floatfmt.format_rows``
+fills the template a block at a time with numpy, byte-identical to ``%``, and
+hands the few floats it cannot round with certainty (possible ties, very
+large or small magnitudes, inf and nan) to ``%`` itself.  ``--points`` is in
 [4, 1024] per axis: from 4 up the error estimate's coarser rerun is another
 rule, and the cap bounds the quadrature grid's memory.  A reader that closes
-stdout early ends the command quietly.
+stdout early ends the command quietly; any other failure to write stdout
+exits 1 with a message.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import numpy as np
 
 from .euler import (AngleRangeError, COSET_NAMES, EIGEN_NAMES, DensityMatrixParams,
                     density_batch, density_from_params, params_from_values)
+from .floatfmt import FIELD, format_rows
 from .functionals import FunctionalId
 from .integrate import DEFAULT_POINTS, MIN_POINTS, integrate, integrate_mc
 from .linalg import eig_hermitian
@@ -40,10 +45,14 @@ SCHEMA_VERSION = "1"
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
+OUTPUT_FAILURE = 1
 MAX_POINTS = 1024       # the n=3 grid holds about 120 * P**2 bytes: 126 MB here
 
 
-_FLOAT = "%.16e"        # 17 significant digits: lossless round-trip for binary64
+# "%.16e": 17 significant digits, a lossless round-trip for binary64.  Sample
+# rows go through floatfmt.format_rows, a vectorized form of this format that
+# falls back to ``%`` for the floats it cannot round with certainty
+_FLOAT = FIELD
 _WRITE_ROWS = 1024      # sample rows per write; keeps each block's string under 1 MB
 
 
@@ -189,8 +198,8 @@ def cmd_sample(args) -> int:
         mats = density_batch(n, params[:, :k], params[:, k:])
         table = np.concatenate([params, mats.view(np.float64).reshape(len(params), -1)],
                                axis=1)
-        out.write((sep if start else "")
-                  + sep.join([row] * len(table)) % tuple(table.ravel().tolist()))
+        text = format_rows(sep + row, table)          # sep leads every row but the first
+        out.write(text if start else text[len(sep):])
     out.write(tail)
     return 0
 
@@ -350,7 +359,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except (AngleRangeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -360,8 +371,18 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # the reader closed stdout (e.g. `| head`); send what is still
         # buffered to devnull so the interpreter's exit flush cannot raise
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _discard_stdout()
         return 0
+    except OSError as exc:
+        # stdout could not take the output (e.g. a full disk); the commands
+        # do no other I/O
+        _discard_stdout()
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return OUTPUT_FAILURE
+
+
+def _discard_stdout() -> None:
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from bures import cli
+from bures.euler import density_batch
+from bures.sampling import SamplerSpec, sample
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schema" / "output_record.v1.json")
@@ -261,6 +263,40 @@ class TestOutputContract:
                                "--seed", "4", "--format", "csv")
         assert outs[0].split("\n")[:21] == prefix.split("\n")[:21]
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2049])
+    def test_sample_matches_percent_route(self, capsys, n, fmt, count):
+        # the expected output is built from the sampler and the matrix kernel
+        # with CPython's % on every float, as the CLI printed it before its
+        # rows were formatted a block at a time
+        batch = sample(n, count, SamplerSpec(seed=21))
+        k = n - 1
+        mats = density_batch(n, batch.params[:, :k], batch.params[:, k:])
+        cells = mats.view(np.float64).reshape(count, 2 * n * n)
+        names = cli._param_names(n)
+        if fmt == "csv":
+            head = names + tuple(f"m{i}{j}_{part}" for i in range(n) for j in range(n)
+                                 for part in ("re", "im"))
+            rows = np.concatenate([batch.params, cells], axis=1).tolist()
+            want = "".join(",".join(["%.16e"] * len(head)) % tuple(row) + "\n"
+                           for row in rows)
+            want = ",".join(head) + "\n" + want
+        else:
+            want = cli.dumps_record({
+                "schema_version": "1", "kind": "samples", "n": n, "seed": 21,
+                "count": count, "envelope": float(batch.envelope),
+                "batch_size": int(batch.batch_size),
+                "total_proposals": int(batch.total_proposals),
+                "params_order": list(names),
+                "samples": [{"params": dict(zip(names, p)),
+                             "matrix": c.reshape(-1, 2).tolist()}
+                            for p, c in zip(batch.params.tolist(), cells)],
+            }) + "\n"
+        _, out, _ = run_cli(capsys, "sample", "--n", str(n), "--count", str(count),
+                            "--seed", "21", "--format", fmt)
+        assert out == want
+
     @pytest.mark.parametrize("argv,digest", zip(_STREAM_V3_ARGV, [
         "2526cdaadb29d3f602ee09d20be60413bee2d7c7a21f304474efa38396bae043",
         "cabade82392bf21ad37a9d665a0464af12db5ce990a0eadc78f1a33df7433fc2",
@@ -311,6 +347,21 @@ class TestSubprocessEntry:
         assert header.startswith(b"theta,alpha,beta,")
         assert b"Traceback" not in err
         assert proc.returncode == 0
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", [
+        ["volume", "--n", "2"],
+        ["density", "--n", "2", "--params", "theta=0.3,alpha=1,beta=0.5"],
+        ["sample", "--n", "3", "--count", "3000", "--seed", "1"],
+    ])
+    def test_write_error_exits_1(self, command):
+        # every write to /dev/full fails with ENOSPC
+        with open("/dev/full", "w") as full:
+            r = subprocess.run([sys.executable, "-m", "bures", *command],
+                               stdout=full, stderr=subprocess.PIPE, text=True)
+        assert r.returncode == 1
+        assert r.stderr.startswith("error: cannot write output:")
+        assert "Traceback" not in r.stderr
 
     @pytest.mark.parametrize("command", [
         ["integrate", "--n", "2", "--functional", "purity", "--points", "0"],
