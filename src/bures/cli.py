@@ -14,7 +14,12 @@ through one ``%.16e`` row template (for JSON, the JSON writer's own output
 with its floats made fields), 1024 rows per write.  ``floatfmt.format_rows``
 fills the template a block at a time with numpy, byte-identical to ``%``, and
 hands the few floats it cannot round with certainty (possible ties, very
-large or small magnitudes, inf and nan) to ``%`` itself.  ``--points`` is in
+large or small magnitudes, inf and nan) to ``%`` itself.  CSV writes each of
+the sampler's 16384-index chunks as it is drawn, so its memory does not grow
+with ``--count``; the JSON record gives ``total_proposals`` before the
+samples, so JSON draws them all first.  ``integrate`` rejects an option of
+the method it does not run (``--points``/``--rule`` with ``--method mc``,
+``--samples``/``--seed`` with quadrature).  ``--points`` is in
 [4, 1024] per axis: from 4 up the error estimate's coarser rerun is another
 rule, and the cap bounds the quadrature grid's memory.  A reader that closes
 stdout early ends the command quietly; any other failure to write stdout
@@ -37,9 +42,8 @@ from .integrate import DEFAULT_POINTS, MIN_POINTS, integrate, integrate_mc
 from .linalg import eig_hermitian
 from .measure import (NormalizationMode, REFERENCE_POINTS, bures_joint_density,
                       normalization_constant)
-from .sampling import EnvelopeViolationError, SamplerSpec, sample
+from .sampling import EnvelopeViolationError, SamplerSpec, sample, sample_chunks
 from .tensorgrid import QuadratureRule, QuadratureSpec
-from .checks import run_suite
 
 SCHEMA_VERSION = "1"
 
@@ -47,6 +51,8 @@ USAGE_ERROR = 2
 CHECK_FAILURE = 1
 OUTPUT_FAILURE = 1
 MAX_POINTS = 1024       # the n=3 grid holds about 120 * P**2 bytes: 126 MB here
+DEFAULT_SAMPLES = 1_000_000
+DEFAULT_SEED = 0
 
 
 # "%.16e": 17 significant digits, a lossless round-trip for binary64.  Sample
@@ -131,7 +137,7 @@ def _points(args, default: int) -> int:
     return points
 
 
-def _rule(text: str) -> QuadratureRule:
+def _rule(text: str | None) -> QuadratureRule:
     return (QuadratureRule.COMPOSITE_SIMPSON if text == "simpson"
             else QuadratureRule.GAUSS_LEGENDRE)
 
@@ -165,17 +171,23 @@ def cmd_sample(args) -> int:
     if args.count < 0:
         raise ValueError("--count must be >= 0")
     n, k = args.n, args.n - 1
-    batch = sample(n, args.count, SamplerSpec(seed=args.seed))
+    spec = SamplerSpec(seed=args.seed)
     names = _param_names(n)
     # a row is the angles, then re and im of each matrix cell in row-major
     # order; both formats print it through one template of _FLOAT fields
     if args.format == "csv":
+        # each index chunk of the sampler is written as it is drawn
+        chunks = (params for params, _ in sample_chunks(n, args.count, spec))
         cells = [f"m{i}{j}_{part}" for i in range(n) for j in range(n)
                  for part in ("re", "im")]
         head = ",".join(names + tuple(cells)) + "\n"
         row = ",".join([_FLOAT] * (len(names) + len(cells))) + "\n"
         sep, tail = "", ""
     else:
+        # the record gives total_proposals before the samples, so JSON draws
+        # the whole batch first
+        batch = sample(n, args.count, spec)
+        chunks = [batch.params]
         head = dumps_record({
             "schema_version": SCHEMA_VERSION,
             "kind": "samples",
@@ -193,19 +205,33 @@ def cmd_sample(args) -> int:
         sep, tail = ", ", "]}\n"
     out = sys.stdout
     out.write(head)
-    for start in range(0, args.count, _WRITE_ROWS):
-        params = batch.params[start:start + _WRITE_ROWS]
-        mats = density_batch(n, params[:, :k], params[:, k:])
-        table = np.concatenate([params, mats.view(np.float64).reshape(len(params), -1)],
-                               axis=1)
-        text = format_rows(sep + row, table)          # sep leads every row but the first
-        out.write(text if start else text[len(sep):])
+    first = True
+    # a sampler chunk (16384 rows) holds a whole number of write blocks, so
+    # rows fall into the same blocks as in one concatenated batch
+    for chunk in chunks:
+        for start in range(0, len(chunk), _WRITE_ROWS):
+            params = chunk[start:start + _WRITE_ROWS]
+            mats = density_batch(n, params[:, :k], params[:, k:])
+            table = np.concatenate([params, mats.view(np.float64).reshape(len(params), -1)],
+                                   axis=1)
+            text = format_rows(sep + row, table)      # sep leads every row but the first
+            out.write(text[len(sep):] if first else text)
+            first = False
     out.write(tail)
     return 0
 
 
 def cmd_integrate(args) -> int:
     fid = FunctionalId.parse(args.functional)
+    # each method takes only its own options; the defaults are set here so
+    # that an option given to the other method can be told from its default
+    if args.method == "mc":
+        unused = {"--points": args.points, "--rule": args.rule}
+    else:
+        unused = {"--samples": args.samples, "--seed": args.seed}
+    for flag, value in unused.items():
+        if value is not None:
+            raise ValueError(f"{flag} does not apply to --method {args.method}")
     record = {
         "schema_version": SCHEMA_VERSION,
         "kind": "scalar",
@@ -224,13 +250,15 @@ def cmd_integrate(args) -> int:
             "rule": res.rule,
         })
     else:
-        res = integrate_mc(args.n, fid, args.samples, seed=args.seed)
+        samples = DEFAULT_SAMPLES if args.samples is None else args.samples
+        seed = DEFAULT_SEED if args.seed is None else args.seed
+        res = integrate_mc(args.n, fid, samples, seed=seed)
         record.update({
             "value": res.value,
             "error_estimate": res.error_estimate,
             "samples": res.samples,
             "std_error": res.std_error,
-            "seed": int(args.seed),
+            "seed": int(seed),
         })
     print(dumps_record(record))
     return 0
@@ -258,6 +286,7 @@ def cmd_volume(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .checks import run_suite     # the suite is compiled only when it runs
     results = run_suite(args.suite)
     ok = all(r.passed for r in results)
     record = {
@@ -330,12 +359,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("quadrature", "mc"), default="quadrature")
     p.add_argument("--points", type=int, default=None,
                    help="quadrature points per axis of the eigenvalue box "
-                        "(default 32 for n=2, 64 for n=3; 4 to 1024)")
-    p.add_argument("--rule", choices=("gauss-legendre", "simpson"),
-                   default="gauss-legendre")
-    p.add_argument("--samples", type=int, default=1_000_000,
-                   help="Monte Carlo sample count (method=mc; at least 2)")
-    p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
+                        "(method=quadrature; default 32 for n=2, 64 for n=3; "
+                        "4 to 1024)")
+    p.add_argument("--rule", choices=("gauss-legendre", "simpson"), default=None,
+                   help="quadrature rule (method=quadrature; default gauss-legendre)")
+    p.add_argument("--samples", type=int, default=None,
+                   help="Monte Carlo sample count (method=mc; at least 2, default "
+                        "1000000); reduced one sampler chunk of 16384 samples at "
+                        "a time, merging each chunk's mean and variance in index "
+                        "order, so memory does not grow with the count")
+    p.add_argument("--seed", type=int, default=None,
+                   help="Monte Carlo seed (method=mc; default 0)")
     p.set_defaults(fn=cmd_integrate)
 
     p = sub.add_parser("volume",

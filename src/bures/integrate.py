@@ -16,7 +16,7 @@ import numpy as np
 from .euler import density_batch, diag_eigenvalues_batch
 from .functionals import FunctionalId, from_eigenvalues, from_matrices
 from .measure import _eigen_integral, eigen_box, eigen_measure_factor
-from .sampling import SamplerSpec, sample
+from .sampling import SamplerSpec, sample_chunks
 from .tensorgrid import QuadratureSpec, tensor_quadrature
 
 # n=3: 64 points/axis is 4096 nodes on the 2-D eigenvalue box (~10 ms); the
@@ -25,7 +25,6 @@ DEFAULT_POINTS = {2: 32, 3: 64}
 # the error estimate reruns at half resolution, which from 4 points up is a
 # rule of at least 2 points that differs from the one it checks
 MIN_POINTS = 4
-_MATRIX_CHUNK = 131072
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,11 @@ def integrate_mc(n: int, functional: FunctionalId, samples: int,
 
     The functional is evaluated from the sampled density matrices themselves
     (not from the sampled angles), so this path is independent of the
-    spectrum bookkeeping used by the quadrature route.
+    spectrum bookkeeping used by the quadrature route.  The samples are
+    reduced one sampler index chunk (16384 rows) at a time: each chunk's
+    count, mean and sum of squared deviations are merged in index order by
+    the pairwise update of Chan, Golub & LeVeque (Am. Stat. 37 (1983) 242),
+    so memory does not grow with ``samples``.
     """
     if n not in (2, 3):
         raise ValueError(f"only n in {{2, 3}} is supported, got {n}")
@@ -98,15 +101,17 @@ def integrate_mc(n: int, functional: FunctionalId, samples: int,
     if samples < 2:
         raise ValueError(f"samples must be >= 2 (the standard error needs two), "
                          f"got {samples}")
-    batch = sample(n, samples, SamplerSpec(seed=seed))
     k = n - 1
-    vals = np.empty(samples)
-    for start in range(0, samples, _MATRIX_CHUNK):
-        stop = min(start + _MATRIX_CHUNK, samples)
-        rows = batch.params[start:stop]
-        rhos = density_batch(n, rows[:, :k], rows[:, k:])
-        vals[start:stop] = from_matrices(functional, rhos)
-    value = float(vals.mean())
-    se = float(vals.std(ddof=1) / np.sqrt(samples))
-    return IntegrationResult(value=value, error_estimate=se, method="mc",
+    count, mean, m2 = 0, 0.0, 0.0
+    for params, _ in sample_chunks(n, samples, SamplerSpec(seed=seed)):
+        vals = from_matrices(functional, density_batch(n, params[:, :k], params[:, k:]))
+        size, chunk_mean = len(vals), float(vals.mean())
+        chunk_m2 = float(np.square(vals - chunk_mean).sum())
+        delta = chunk_mean - mean
+        total = count + size
+        mean += delta * size / total
+        m2 += chunk_m2 + delta * delta * count * size / total
+        count = total
+    se = float(np.sqrt(m2 / (count - 1) / count))
+    return IntegrationResult(value=mean, error_estimate=se, method="mc",
                              samples=samples, std_error=se)

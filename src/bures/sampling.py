@@ -13,6 +13,8 @@ n-1 uniforms linearly onto the eigenvalue box and n^2-n through the coset
 inverse CDFs, and is accepted iff u * M < eigenvalue factor for its last
 uniform u; the first accepted attempt of a row wins.  A rank depends only on
 the lower indices of its chunk, so every count prefix gives the same bytes.
+``sample_chunks`` yields the chunks one at a time, in index order, for
+callers that reduce or write them as they come; ``sample`` concatenates them.
 
 This is sampler stream version 3: version 2 gave each sample index its own
 Philox stream keyed by ``(seed, index)``, and version 1 proposed uniformly on
@@ -130,24 +132,35 @@ def _rejection_chunk(n: int, env: float, seed: int, chunk: int,
     return out, proposals
 
 
-def sample(n: int, count: int, spec: SamplerSpec) -> SampleBatch:
-    """Draw i.i.d. parameter points from the normalized Bures density."""
+def sample_chunks(n: int, count: int,
+                  spec: SamplerSpec) -> Iterator[tuple[np.ndarray, int]]:
+    """The rows of ``sample(n, count, spec)`` one index chunk at a time.
+
+    Yields ``(params, proposals)`` for each chunk of up to 16384 sample
+    indices, in index order, drawing a chunk only when it is asked for; the
+    rows are the same bytes ``sample`` returns, so a caller that reduces or
+    writes each chunk holds one chunk at a time, however large ``count``.
+    """
     if n not in (2, 3):
         raise ValueError(f"only n in {{2, 3}} is supported, got {n}")
     if count < 0:
         raise ValueError("count must be >= 0")
-    env = EIGEN_FACTOR_SUP[n]
-    seed = int(spec.seed)
-    results = [_rejection_chunk(n, env, seed, c, min(_INDEX_CHUNK, count - a))
-               for c, a in enumerate(range(0, count, _INDEX_CHUNK))]
-    if results:
-        params = np.concatenate([r[0] for r in results], axis=0)
+    env, seed = EIGEN_FACTOR_SUP[n], int(spec.seed)
+    return (_rejection_chunk(n, env, seed, c, min(_INDEX_CHUNK, count - a))
+            for c, a in enumerate(range(0, count, _INDEX_CHUNK)))
+
+
+def sample(n: int, count: int, spec: SamplerSpec) -> SampleBatch:
+    """Draw i.i.d. parameter points from the normalized Bures density."""
+    chunks = list(sample_chunks(n, count, spec))
+    if chunks:
+        params = np.concatenate([c[0] for c in chunks], axis=0)
     else:
         params = np.empty((0, n * n - 1))
     params.flags.writeable = False
-    return SampleBatch(n=n, kind="joint", seed=seed, params=params, envelope=env,
-                       batch_size=_BLOCK,
-                       total_proposals=sum(r[1] for r in results))
+    return SampleBatch(n=n, kind="joint", seed=int(spec.seed), params=params,
+                       envelope=EIGEN_FACTOR_SUP[n], batch_size=_BLOCK,
+                       total_proposals=sum(c[1] for c in chunks))
 
 
 def sample_coset(n: int, count: int, spec: SamplerSpec) -> SampleBatch:

@@ -177,6 +177,19 @@ class TestIntegrateCommand:
         assert code == 2
         assert "enthalpy" in err
 
+    @pytest.mark.parametrize("extra,flag", [
+        (("--method", "mc", "--samples", "10", "--points", "5000"), "--points"),
+        (("--method", "mc", "--samples", "10", "--rule", "simpson"), "--rule"),
+        (("--samples", "10"), "--samples"),
+        (("--points", "8", "--seed", "3"), "--seed"),
+    ], ids=["mc-points", "mc-rule", "quadrature-samples", "quadrature-seed"])
+    def test_option_of_the_other_method_usage_error(self, capsys, extra, flag):
+        code, out, err = run_cli(capsys, "integrate", "--n", "2", "--functional",
+                                 "purity", *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and flag in err
+
     def test_simpson_rule(self, capsys):
         code, out, _ = run_cli(capsys, "integrate", "--n", "2", "--functional",
                                "purity", "--points", "33", "--rule", "simpson")
@@ -264,15 +277,22 @@ class TestOutputContract:
         assert outs[0].split("\n")[:21] == prefix.split("\n")[:21]
 
     @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    @pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2049])
+    # CSV also at 16385 and 32771, which cross the sampler's 16384-row chunks:
+    # it writes each chunk as it is drawn
+    @pytest.mark.parametrize("count,fmt", [
+        (count, fmt) for fmt in ("json", "csv") for count in (0, 1, 1023, 1024, 1025, 2049)
+    ] + [(16385, "csv"), (32771, "csv")])
     def test_sample_matches_percent_route(self, capsys, n, fmt, count):
         # the expected output is built from the sampler and the matrix kernel
         # with CPython's % on every float, as the CLI printed it before its
         # rows were formatted a block at a time
         batch = sample(n, count, SamplerSpec(seed=21))
         k = n - 1
-        mats = density_batch(n, batch.params[:, :k], batch.params[:, k:])
+        # the kernel runs on the CLI's 1024-row blocks: for n=3 its einsum can
+        # round a cell differently, by an ulp or two, given more rows at once
+        blocks = [batch.params[a:a + 1024] for a in range(0, count, 1024)]
+        mats = (np.concatenate([density_batch(n, p[:, :k], p[:, k:]) for p in blocks])
+                if blocks else np.empty((0, n, n), complex))
         cells = mats.view(np.float64).reshape(count, 2 * n * n)
         names = cli._param_names(n)
         if fmt == "csv":

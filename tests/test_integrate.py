@@ -1,7 +1,12 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
-from bures.functionals import FunctionalId, from_eigenvalues
+from bures.euler import density_batch
+from bures.functionals import FunctionalId, from_eigenvalues, from_matrices
 from bures.integrate import IntegrationResult, integrate, integrate_mc
+from bures.sampling import SamplerSpec, sample
 from bures.tensorgrid import QuadratureSpec
 
 ENTROPY = FunctionalId.parse("entropy")
@@ -80,6 +85,31 @@ class TestMonteCarlo:
     def test_entropy_agreement_3state(self):
         res = integrate_mc(3, ENTROPY, 4_000, seed=17)
         assert abs(res.value - MEAN_ENTROPY_3) <= 4 * res.std_error
+
+    @pytest.mark.parametrize("n,fid", [(2, PURITY), (2, ENTROPY), (3, ENTROPY)],
+                             ids=["n2-purity", "n2-entropy", "n3-entropy"])
+    def test_chunked_reduction_matches_whole_array(self, n, fid):
+        # 40 000 samples span three sampler chunks; the reference holds them all
+        samples, seed = 40_000, 19
+        params = sample(n, samples, SamplerSpec(seed=seed)).params
+        vals = from_matrices(fid, density_batch(n, params[:, :n - 1], params[:, n - 1:]))
+        want_se = vals.std(ddof=1) / np.sqrt(samples)
+        res = integrate_mc(n, fid, samples, seed=seed)
+        assert abs(res.value - vals.mean()) <= 1e-14 * abs(vals.mean())
+        assert abs(res.std_error - want_se) <= 1e-14 * want_se
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_memory_does_not_grow_with_samples(self, n):
+        integrate_mc(n, ENTROPY, 2, seed=1)     # lazily built constants
+        peaks = []
+        for samples in (50_000, 200_000):
+            tracemalloc.start()
+            try:
+                integrate_mc(n, ENTROPY, samples, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,8 @@ from bures import measure, sampling
 from bures.euler import THETA2_MAX, DensityMatrixParams
 from bures.measure import (EIGEN_FACTOR_SUP, angle_box, coset_angles_from_uniforms,
                            eigen_box, eigen_measure_factor, normalization_constant)
-from bures.sampling import EnvelopeViolationError, SamplerSpec, sample, sample_coset
+from bures.sampling import (EnvelopeViolationError, SamplerSpec, sample, sample_chunks,
+                            sample_coset)
 from bures.checks import ks_statistic
 
 KS_CRIT_1PCT = 1.6276
@@ -81,6 +82,28 @@ class TestDeterminism:
                 pending = left
         got = sample(n, count, SamplerSpec(seed=seed)).params
         assert np.abs(got - want).max() <= 1e-15
+
+
+class TestChunks:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("count", [0, 1, 16383, 16384, 16385, 2 * 16384 + 3])
+    def test_chunks_concatenate_to_the_batch(self, n, count):
+        spec = SamplerSpec(seed=2 ** 64 - 3)
+        chunks = list(sample_chunks(n, count, spec))
+        batch = sample(n, count, spec)
+        # full 16384-index chunks in index order, then the remainder
+        assert [len(p) for p, _ in chunks] == [min(16384, count - a)
+                                               for a in range(0, count, 16384)]
+        got = np.concatenate([p for p, _ in chunks]) if chunks else np.empty((0, n * n - 1))
+        assert got.tobytes() == batch.params.tobytes()
+        assert sum(q for _, q in chunks) == batch.total_proposals
+
+    def test_validates_before_drawing(self):
+        # a bad argument raises at the call, not at the first chunk
+        with pytest.raises(ValueError):
+            sample_chunks(4, 10, SamplerSpec(seed=1))
+        with pytest.raises(ValueError):
+            sample_chunks(2, -1, SamplerSpec(seed=1))
 
 
 def _grid(n: int, per_axis: int) -> np.ndarray:
