@@ -16,33 +16,29 @@ from .euler import (THETA2_MAX, AngleRangeError, CosetAngles, DensityMatrixParam
                     coset_unitary, density_from_params, diag_eigenvalues,
                     euler_unitary, params_from_density_2, params_from_values,
                     validate_density)
-from .measure import (AngleBox, MeasureValue, NormalizationMode, angle_box,
-                      bures_joint_density, coset_normalization_constant,
-                      eigenvalue_jacobian, haar_coset_density, hall_density,
-                      normalization_constant)
+from .measure import (MeasureValue, NormalizationMode, bures_joint_density,
+                      coset_normalization_constant, eigenvalue_jacobian,
+                      haar_coset_density, hall_density, normalization_constant)
 from .functionals import (FunctionalId, FunctionalKind, eigenvalue_moment,
                           purity, von_neumann_entropy)
-from .tensorgrid import QuadratureRule, QuadratureSpec, tensor_quadrature
+from .tensorgrid import QuadratureSpec, tensor_quadrature
 from .integrate import IntegrationResult, integrate, integrate_mc
-from .sampling import (EnvelopeViolationError, SampleBatch, SamplerSpec, sample,
-                       sample_coset)
+from .sampling import EnvelopeViolationError, SampleBatch, SamplerSpec, sample
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngleBox", "AngleRangeError", "CosetAngles", "DensityMatrixParams",
-    "EigenvalueAngles", "EnvelopeViolationError", "FunctionalId",
-    "FunctionalKind", "GeneratorSet", "HermitianEigenResult",
-    "IntegrationResult", "Inverse2Result", "MeasureValue",
+    "AngleRangeError", "CosetAngles", "DensityMatrixParams", "EigenvalueAngles",
+    "EnvelopeViolationError", "FunctionalId", "FunctionalKind", "GeneratorSet",
+    "HermitianEigenResult", "IntegrationResult", "Inverse2Result", "MeasureValue",
     "NonHermitianError", "NormalizationMode", "NotADensityMatrixError",
-    "QuadratureRule", "QuadratureSpec", "SampleBatch", "SamplerSpec",
-    "THETA2_MAX", "angle_box", "bures_joint_density",
-    "coset_normalization_constant", "coset_unitary", "dagger",
-    "density_from_params", "diag_eigenvalues", "eig_hermitian",
-    "eigenvalue_jacobian", "eigenvalue_moment",
-    "euler_unitary", "expm_i_generator", "gell_mann", "generator_set",
-    "haar_coset_density", "hall_density", "integrate", "integrate_mc",
-    "matmul", "normalization_constant", "params_from_density_2",
-    "params_from_values", "pauli", "purity", "sample", "sample_coset",
-    "tensor_quadrature", "trace", "validate_density", "von_neumann_entropy",
+    "QuadratureSpec", "SampleBatch", "SamplerSpec", "THETA2_MAX",
+    "bures_joint_density", "coset_normalization_constant", "coset_unitary",
+    "dagger", "density_from_params", "diag_eigenvalues", "eig_hermitian",
+    "eigenvalue_jacobian", "eigenvalue_moment", "euler_unitary",
+    "expm_i_generator", "gell_mann", "generator_set", "haar_coset_density",
+    "hall_density", "integrate", "integrate_mc", "matmul",
+    "normalization_constant", "params_from_density_2", "params_from_values",
+    "pauli", "purity", "sample", "tensor_quadrature", "trace",
+    "validate_density", "von_neumann_entropy",
 ]

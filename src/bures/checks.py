@@ -26,7 +26,7 @@ from .linalg import dagger, eig_hermitian, expm_i_generator, frobenius_norm
 from .measure import (coset_measure_factor, eigen_measure_factor,
                       eigenvalue_jacobian, haar_coset_density,
                       normalization_constant)
-from .sampling import SamplerSpec, sample, sample_coset
+from .sampling import SamplerSpec, sample
 KS_CRITICAL_1PCT = 1.6276  # asymptotic Kolmogorov quantile at alpha = 0.01
 
 
@@ -351,7 +351,7 @@ def check_normalization_3state_consistency() -> CheckResult:
 
 
 def check_pushforward_uniform_2state() -> CheckResult:
-    batch = sample_coset(2, 100_000, SamplerSpec(seed=501))
+    batch = sample(2, 100_000, SamplerSpec(seed=501))
     u11 = np.abs(batch.unitaries()[:, 0, 0]) ** 2
     d = ks_statistic(u11, lambda t: np.clip(t, 0.0, 1.0))
     return _result("pushforward_uniform_2state", d,
@@ -359,7 +359,7 @@ def check_pushforward_uniform_2state() -> CheckResult:
 
 
 def check_pushforward_dirichlet_3state() -> CheckResult:
-    batch = sample_coset(3, 100_000, SamplerSpec(seed=502))
+    batch = sample(3, 100_000, SamplerSpec(seed=502))
     col = np.abs(batch.unitaries()[:, :, 0]) ** 2
     # Dirichlet(1,1,1) marginals are Beta(1,2)
     beta12 = lambda t: 1.0 - (1.0 - np.clip(t, 0.0, 1.0)) ** 2

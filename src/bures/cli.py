@@ -17,13 +17,15 @@ hands the few floats it cannot round with certainty (possible ties, very
 large or small magnitudes, inf and nan) to ``%`` itself.  CSV writes each of
 the sampler's 16384-index chunks as it is drawn, so its memory does not grow
 with ``--count``; the JSON record gives ``total_proposals`` before the
-samples, so JSON draws them all first.  ``integrate`` rejects an option of
-the method it does not run (``--points``/``--rule`` with ``--method mc``,
-``--samples``/``--seed`` with quadrature).  ``--points`` is in
-[4, 1024] per axis: from 4 up the error estimate's coarser rerun is another
-rule, and the cap bounds the quadrature grid's memory.  A reader that closes
-stdout early ends the command quietly; any other failure to write stdout
-exits 1 with a message.
+samples, so JSON draws them all first.  Quadrature has one rule,
+Gauss-Legendre on the eigenvalue box, and records name it in their ``rule``
+field.  ``integrate`` rejects an option of the method it does not run
+(``--points`` with ``--method mc``, ``--samples``/``--seed`` with
+quadrature).  ``--points`` is in [4, 1024] per axis: from 4 up the error
+estimate's coarser rerun is another rule, and the cap bounds the quadrature
+grid's memory.  A reader that closes stdout early ends the command quietly;
+any other failure to write stdout exits 1 with a message, and an interrupt
+(Ctrl-C) exits 130 without a traceback.
 """
 
 from __future__ import annotations
@@ -43,16 +45,18 @@ from .linalg import eig_hermitian
 from .measure import (NormalizationMode, REFERENCE_POINTS, bures_joint_density,
                       normalization_constant)
 from .sampling import EnvelopeViolationError, SamplerSpec, sample, sample_chunks
-from .tensorgrid import QuadratureRule, QuadratureSpec
+from .tensorgrid import QuadratureSpec
 
 SCHEMA_VERSION = "1"
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
 OUTPUT_FAILURE = 1
+INTERRUPTED = 130       # 128 + SIGINT, as a shell reports it
 MAX_POINTS = 1024       # the n=3 grid holds about 120 * P**2 bytes: 126 MB here
 DEFAULT_SAMPLES = 1_000_000
 DEFAULT_SEED = 0
+RULE = "gauss-legendre"     # the records' "rule" field; the only quadrature rule
 
 
 # "%.16e": 17 significant digits, a lossless round-trip for binary64.  Sample
@@ -135,11 +139,6 @@ def _points(args, default: int) -> int:
     if not MIN_POINTS <= points <= MAX_POINTS:
         raise ValueError(f"--points must be in [{MIN_POINTS}, {MAX_POINTS}], got {points}")
     return points
-
-
-def _rule(text: str | None) -> QuadratureRule:
-    return (QuadratureRule.COMPOSITE_SIMPSON if text == "simpson"
-            else QuadratureRule.GAUSS_LEGENDRE)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +225,7 @@ def cmd_integrate(args) -> int:
     # each method takes only its own options; the defaults are set here so
     # that an option given to the other method can be told from its default
     if args.method == "mc":
-        unused = {"--points": args.points, "--rule": args.rule}
+        unused = {"--points": args.points}
     else:
         unused = {"--samples": args.samples, "--seed": args.seed}
     for flag, value in unused.items():
@@ -241,13 +240,12 @@ def cmd_integrate(args) -> int:
         "method": args.method,
     }
     if args.method == "quadrature":
-        spec = QuadratureSpec(_points(args, DEFAULT_POINTS[args.n]), _rule(args.rule))
-        res = integrate(args.n, fid, spec)
+        res = integrate(args.n, fid, QuadratureSpec(_points(args, DEFAULT_POINTS[args.n])))
         record.update({
             "value": res.value,
             "error_estimate": res.error_estimate,
             "points_per_axis": res.points_per_axis,
-            "rule": res.rule,
+            "rule": RULE,
         })
     else:
         samples = DEFAULT_SAMPLES if args.samples is None else args.samples
@@ -266,9 +264,8 @@ def cmd_integrate(args) -> int:
 
 def cmd_volume(args) -> int:
     points = _points(args, REFERENCE_POINTS[args.n])
-    rule = _rule(args.rule)
-    value = normalization_constant(args.n, points_per_axis=points, rule=rule)
-    compare = normalization_constant(args.n, points_per_axis=points - 2, rule=rule)
+    value = normalization_constant(args.n, points_per_axis=points)
+    compare = normalization_constant(args.n, points_per_axis=points - 2)
     record = {
         "schema_version": SCHEMA_VERSION,
         "kind": "scalar",
@@ -279,7 +276,7 @@ def cmd_volume(args) -> int:
         "error_estimate": abs(value - compare),
         "points_per_axis": int(points),
         "comparison_points": int(points - 2),
-        "rule": rule.value,
+        "rule": RULE,
     }
     print(dumps_record(record))
     return 0
@@ -358,11 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="entropy | purity | moment:k (moment:0 is the constant 1)")
     p.add_argument("--method", choices=("quadrature", "mc"), default="quadrature")
     p.add_argument("--points", type=int, default=None,
-                   help="quadrature points per axis of the eigenvalue box "
+                   help="Gauss-Legendre points per axis of the eigenvalue box "
                         "(method=quadrature; default 32 for n=2, 64 for n=3; "
                         "4 to 1024)")
-    p.add_argument("--rule", choices=("gauss-legendre", "simpson"), default=None,
-                   help="quadrature rule (method=quadrature; default gauss-legendre)")
     p.add_argument("--samples", type=int, default=None,
                    help="Monte Carlo sample count (method=mc; at least 2, default "
                         "1000000); reduced one sampler chunk of 16384 samples at "
@@ -376,10 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="RAW normalization constant of the Bures density")
     add_n(p)
     p.add_argument("--points", type=int, default=None,
-                   help="quadrature points per axis (default 64 for n=2, 10 for n=3; "
-                        "4 to 1024)")
-    p.add_argument("--rule", choices=("gauss-legendre", "simpson"),
-                   default="gauss-legendre")
+                   help="Gauss-Legendre points per axis (default 64 for n=2, 10 for "
+                        "n=3; 4 to 1024)")
     p.set_defaults(fn=cmd_volume)
 
     p = sub.add_parser("check", help="run the invariant suite")
@@ -413,6 +406,11 @@ def main(argv: list[str] | None = None) -> int:
         _discard_stdout()
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return OUTPUT_FAILURE
+    except KeyboardInterrupt:
+        # Ctrl-C: drop what is still buffered, so that the exit flush
+        # cannot block or raise, and exit as an interrupted command does
+        _discard_stdout()
+        return INTERRUPTED
 
 
 def _discard_stdout() -> None:

@@ -36,8 +36,6 @@ THETA2_MAX = float(np.arccos(1.0 / np.sqrt(3.0)))
 
 EIGEN_NAMES = {2: ("theta",), 3: ("theta1", "theta2")}
 COSET_NAMES = {2: ("alpha", "beta"), 3: ("alpha", "beta", "gamma", "theta_big", "a", "b")}
-FULL_NAMES = {2: ("alpha", "beta", "gamma"),
-              3: ("alpha", "beta", "gamma", "theta_big", "a", "b", "c", "phi")}
 
 _HALF_PI = math.pi / 2
 EIGEN_RANGES = {2: ((0.0, math.pi / 4),),

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .euler import density_batch, diag_eigenvalues_batch
+from .euler import EIGEN_RANGES, density_batch, diag_eigenvalues_batch
 from .functionals import FunctionalId, from_eigenvalues, from_matrices
-from .measure import _eigen_integral, eigen_box, eigen_measure_factor
+from .measure import _eigen_integral, eigen_measure_factor
 from .sampling import SamplerSpec, sample_chunks
 from .tensorgrid import QuadratureSpec, tensor_quadrature
 
@@ -33,7 +33,6 @@ class IntegrationResult:
     error_estimate: float
     method: str                      # "quadrature" or "mc"
     points_per_axis: int | None = None
-    rule: str | None = None
     samples: int | None = None
     std_error: float | None = None
 
@@ -54,7 +53,7 @@ def integrate(n: int, functional, spec: QuadratureSpec | None = None) -> Integra
     eigenvalue rows (N, n) to values (N,) (spectral functionals only).
     Such an f does not depend on the coset angles, so the exact coset
     integral cancels and E[f] = Q[f e] / Q[e], with e the eigenvalue factor
-    and Q one rule on the (n-1)-dimensional eigenvalue box.
+    and Q the Gauss-Legendre rule on the (n-1)-dimensional eigenvalue box.
     The error estimate compares against a half-resolution rerun.
     """
     if n not in (2, 3):
@@ -65,21 +64,19 @@ def integrate(n: int, functional, spec: QuadratureSpec | None = None) -> Integra
         raise ValueError(f"points_per_axis must be >= {MIN_POINTS}, "
                          f"got {spec.points_per_axis}")
     evaluate = _evaluator(functional)
-    box = eigen_box(n)
+    lower, upper = zip(*EIGEN_RANGES[n])
 
     def fn(eig: np.ndarray) -> np.ndarray:
         return evaluate(diag_eigenvalues_batch(n, eig)) * eigen_measure_factor(n, eig)
 
     def mean(s: QuadratureSpec) -> float:
-        return (tensor_quadrature(fn, box.lower, box.upper, s)
-                / _eigen_integral(n, s.points_per_axis, s.rule))
+        return tensor_quadrature(fn, lower, upper, s) / _eigen_integral(n, s.points_per_axis)
 
     fine = mean(spec)
-    coarse = mean(QuadratureSpec(spec.points_per_axis // 2, spec.rule))
+    coarse = mean(QuadratureSpec(spec.points_per_axis // 2))
     return IntegrationResult(value=fine, error_estimate=abs(fine - coarse),
                              method="quadrature",
-                             points_per_axis=spec.points_per_axis,
-                             rule=spec.rule.value)
+                             points_per_axis=spec.points_per_axis)
 
 
 def integrate_mc(n: int, functional: FunctionalId, samples: int,

@@ -12,8 +12,10 @@ The coordinate density is a product of three factors:
 
 The first two factors have an integrable 1/sqrt(lam) singularity against a
 vanishing Jacobian at spectrum boundaries; ``*_measure_factor`` composes them
-analytically so the product stays finite there.  Everything is exposed both
-as scalar operations on the typed coordinates and as vectorized kernels.
+analytically so the product stays finite there.  The normalization constant
+is a Gauss-Legendre quadrature of the eigenvalue factor over its box times
+the exact coset integral.  Everything is exposed both as scalar operations on
+the typed coordinates and as vectorized kernels.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from enum import Enum
 import numpy as np
 
 from . import generators
-from .euler import (COSET_NAMES, COSET_RANGES, EIGEN_NAMES, EIGEN_RANGES,
-                    CosetAngles, DensityMatrixParams, EigenvalueAngles, factor_chain)
+from .euler import (EIGEN_RANGES, CosetAngles, DensityMatrixParams, EigenvalueAngles,
+                    factor_chain)
 from .linalg import dagger, expm_i_generator, matmul
-from .tensorgrid import QuadratureRule, QuadratureSpec, tensor_quadrature
+from .tensorgrid import QuadratureSpec, tensor_quadrature
 
 
 class NormalizationMode(Enum):
@@ -44,43 +46,6 @@ class MeasureValue:
     value: float
     normalization_mode: NormalizationMode
     n: int
-
-
-@dataclass(frozen=True)
-class AngleBox:
-    """The rectangular coordinate domain (eigenvalue angles, then coset)."""
-
-    n: int
-    names: tuple[str, ...]
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.names)
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(np.asarray(self.upper) - np.asarray(self.lower)))
-
-
-def _box(n: int, names, ranges) -> AngleBox:
-    lo = tuple(r[0] for r in ranges)
-    hi = tuple(r[1] for r in ranges)
-    return AngleBox(n, tuple(names), lo, hi)
-
-
-def angle_box(n: int) -> AngleBox:
-    """Full (n^2 - 1)-dimensional coordinate box."""
-    return _box(n, EIGEN_NAMES[n] + COSET_NAMES[n], EIGEN_RANGES[n] + COSET_RANGES[n])
-
-
-def eigen_box(n: int) -> AngleBox:
-    return _box(n, EIGEN_NAMES[n], EIGEN_RANGES[n])
-
-
-def coset_box(n: int) -> AngleBox:
-    return _box(n, COSET_NAMES[n], COSET_RANGES[n])
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +196,9 @@ def joint_density_batch(n: int, points: np.ndarray, normalized: bool = False) ->
 def bures_joint_density(p: DensityMatrixParams,
                         mode: NormalizationMode = NormalizationMode.RAW) -> MeasureValue:
     """Joint coordinate density at one parameter point."""
-    raw = float(eigen_measure_factor(p.n, np.asarray(p.eigen.angles))
-                * coset_measure_factor(p.n, np.asarray(p.coset.angles))[0])
-    if mode is NormalizationMode.NORMALIZED:
-        return MeasureValue(raw / normalization_constant(p.n), mode, p.n)
-    return MeasureValue(raw, NormalizationMode.RAW, p.n)
+    normalized = mode is NormalizationMode.NORMALIZED
+    value = float(joint_density_batch(p.n, p.values(), normalized)[0])
+    return MeasureValue(value, mode, p.n)
 
 
 # reference resolutions of the eigenvalue-box quadrature (Gauss-Legendre);
@@ -248,15 +211,14 @@ _COSET_VOLUME = {2: math.pi, 3: math.pi ** 3 / 4}
 
 
 @functools.cache
-def _eigen_integral(n: int, pts: int, rule: QuadratureRule) -> float:
-    """Cached tensor quadrature of the eigenvalue factor over its box."""
-    box = eigen_box(n)
-    return tensor_quadrature(lambda p: eigen_measure_factor(n, p), box.lower,
-                             box.upper, QuadratureSpec(pts, rule))
+def _eigen_integral(n: int, pts: int) -> float:
+    """Cached Gauss-Legendre quadrature of the eigenvalue factor over its box."""
+    lower, upper = zip(*EIGEN_RANGES[n])
+    return tensor_quadrature(lambda p: eigen_measure_factor(n, p), lower, upper,
+                             QuadratureSpec(pts))
 
 
-def normalization_constant(n: int, points_per_axis: int | None = None,
-                           rule: QuadratureRule = QuadratureRule.GAUSS_LEGENDRE) -> float:
+def normalization_constant(n: int, points_per_axis: int | None = None) -> float:
     """Integral of the RAW joint density over the angle box (cached).
 
     The RAW density is an eigenvalue-angle factor times the coset factor, so
@@ -266,7 +228,7 @@ def normalization_constant(n: int, points_per_axis: int | None = None,
     if n not in (2, 3):
         raise ValueError(f"only n in {{2, 3}} is supported, got {n}")
     pts = REFERENCE_POINTS[n] if points_per_axis is None else int(points_per_axis)
-    return _eigen_integral(n, pts, rule) * coset_normalization_constant(n)
+    return _eigen_integral(n, pts) * coset_normalization_constant(n)
 
 
 def coset_normalization_constant(n: int) -> float:

@@ -23,14 +23,14 @@ the full angle box against an envelope estimated from a grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
-from .euler import DensityMatrixParams, coset_unitary_batch, density_batch, params_from_values
-from .measure import (EIGEN_FACTOR_SUP, coset_angles_from_uniforms, eigen_box,
-                      eigen_measure_factor)
+from .euler import (EIGEN_RANGES, DensityMatrixParams, coset_unitary_batch, density_batch,
+                    params_from_values)
+from .measure import EIGEN_FACTOR_SUP, coset_angles_from_uniforms, eigen_measure_factor
 
 _INDEX_CHUNK = 16384          # sample indices per chunk (bounds memory)
 _BLOCK = 4                    # attempts per round per pending sample
@@ -56,7 +56,6 @@ class SampleBatch:
     """Accepted samples plus the run's bookkeeping."""
 
     n: int
-    kind: str                 # "joint" or "coset"
     seed: int
     params: np.ndarray        # (count, d) angle rows, read-only
     envelope: float
@@ -74,20 +73,15 @@ class SampleBatch:
         return self.count / self.total_proposals
 
     def matrices(self) -> np.ndarray:
-        """Density matrices of the samples (joint batches only)."""
-        if self.kind != "joint":
-            raise ValueError("matrices() requires a joint sample batch")
+        """Density matrices of the samples."""
         k = self.n - 1
         return density_batch(self.n, self.params[:, :k], self.params[:, k:])
 
     def unitaries(self) -> np.ndarray:
         """Coset unitaries of the samples."""
-        coset = self.params if self.kind == "coset" else self.params[:, self.n - 1:]
-        return coset_unitary_batch(self.n, coset)
+        return coset_unitary_batch(self.n, self.params[:, self.n - 1:])
 
     def iter_params(self) -> Iterator[DensityMatrixParams]:
-        if self.kind != "joint":
-            raise ValueError("iter_params() requires a joint sample batch")
         for row in self.params:
             yield params_from_values(self.n, row)
 
@@ -97,9 +91,8 @@ def _rejection_chunk(n: int, env: float, seed: int, chunk: int,
     """Run rejection for the ``count`` sample indices of index chunk ``chunk``."""
     k = n - 1
     d = n * n - 1
-    box = eigen_box(n)
-    lower = np.asarray(box.lower)
-    span = np.asarray(box.upper) - lower
+    lower, upper = np.array(EIGEN_RANGES[n]).T
+    span = upper - lower
     out = np.empty((count, d))
     pend = np.arange(count)
     proposals = 0
@@ -158,13 +151,7 @@ def sample(n: int, count: int, spec: SamplerSpec) -> SampleBatch:
     else:
         params = np.empty((0, n * n - 1))
     params.flags.writeable = False
-    return SampleBatch(n=n, kind="joint", seed=int(spec.seed), params=params,
+    return SampleBatch(n=n, seed=int(spec.seed), params=params,
                        envelope=EIGEN_FACTOR_SUP[n], batch_size=_BLOCK,
                        total_proposals=sum(c[1] for c in chunks))
 
-
-def sample_coset(n: int, count: int, spec: SamplerSpec) -> SampleBatch:
-    """Draw coset angles from the normalized invariant coset density: the
-    coset columns of ``sample`` with the same spec."""
-    batch = sample(n, count, spec)
-    return replace(batch, kind="coset", params=batch.params[:, n - 1:])

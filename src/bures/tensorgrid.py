@@ -1,59 +1,36 @@
-"""Tensor-product quadrature over rectangular boxes.
+"""Gauss-Legendre tensor-product quadrature over rectangular boxes.
 
 The package's integrals run over the 1-D (n=2) or 2-D (n=3) eigenvalue box,
-so the node grid is small and is built densely in one array; its memory
-grows as points_per_axis ** d.
+where the integrands are smooth and Gauss-Legendre converges geometrically,
+so it is the only rule.  The node grid is small and is built densely in one
+array; its memory grows as points_per_axis ** d.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
 
-class QuadratureRule(Enum):
-    GAUSS_LEGENDRE = "gauss-legendre"
-    COMPOSITE_SIMPSON = "simpson"
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     points_per_axis: int
-    rule: QuadratureRule = QuadratureRule.GAUSS_LEGENDRE
 
     def __post_init__(self):
         if self.points_per_axis < 2:
             raise ValueError("points_per_axis must be >= 2")
 
 
-def axis_rule(rule: QuadratureRule, points: int, lo: float, hi: float):
-    """Nodes and weights of a 1-D rule on [lo, hi]."""
+def axis_rule(points: int, lo: float, hi: float):
+    """Nodes and weights of the Gauss-Legendre rule on [lo, hi]."""
     if points < 2:
         raise ValueError("points must be >= 2")
-    if rule is QuadratureRule.GAUSS_LEGENDRE:
-        x, w = np.polynomial.legendre.leggauss(points)
-        half = 0.5 * (hi - lo)
-        return half * x + 0.5 * (hi + lo), half * w
-    # composite Simpson on a uniform grid; an even node count gets a
-    # trapezoid patch on the last interval
-    x = np.linspace(lo, hi, points)
-    h = (hi - lo) / (points - 1)
-    w = np.zeros(points)
-    simpson_end = points if points % 2 == 1 else points - 1
-    if simpson_end >= 3:
-        w[0:simpson_end] = 2.0
-        w[1:simpson_end:2] = 4.0
-        w[0] = 1.0
-        w[simpson_end - 1] = 1.0
-        w *= h / 3.0
-    if simpson_end != points:
-        w[-2] += 0.5 * h
-        w[-1] += 0.5 * h
-    return x, w
+    x, w = np.polynomial.legendre.leggauss(points)
+    half = 0.5 * (hi - lo)
+    return half * x + 0.5 * (hi + lo), half * w
 
 
 def tensor_quadrature(fn: Callable[[np.ndarray], np.ndarray],
@@ -68,7 +45,7 @@ def tensor_quadrature(fn: Callable[[np.ndarray], np.ndarray],
     upper = np.asarray(upper, dtype=np.float64)
     if lower.shape != upper.shape or lower.ndim != 1:
         raise ValueError("lower/upper must be 1-D and of equal length")
-    rules = [axis_rule(spec.rule, spec.points_per_axis, lo, hi)
+    rules = [axis_rule(spec.points_per_axis, lo, hi)
              for lo, hi in zip(lower, upper)]
     grids = np.meshgrid(*(x for x, _ in rules), indexing="ij")
     pts = np.column_stack([g.ravel() for g in grids])

@@ -18,7 +18,7 @@ from bures.generators import generator_set
 from bures.integrate import integrate, integrate_mc
 from bures.measure import joint_density_batch, normalization_constant
 from bures.euler import CosetAngles
-from bures.sampling import SamplerSpec, sample, sample_coset
+from bures.sampling import SamplerSpec, sample
 from conftest import random_box_points
 
 KS_CRIT_1PCT = 1.6276
@@ -121,10 +121,10 @@ def test_criterion_5_normalization_constants():
 
 def test_criterion_6_pushforward_columns():
     crit = KS_CRIT_1PCT / math.sqrt(100_000)
-    b2 = sample_coset(2, 100_000, SamplerSpec(seed=1006))
+    b2 = sample(2, 100_000, SamplerSpec(seed=1006))
     u11 = np.abs(b2.unitaries()[:, 0, 0]) ** 2
     d2 = ks_statistic(u11, lambda t: np.clip(t, 0, 1))
-    b3 = sample_coset(3, 100_000, SamplerSpec(seed=1007))
+    b3 = sample(3, 100_000, SamplerSpec(seed=1007))
     col = np.abs(b3.unitaries()[:, :, 0]) ** 2
     beta12 = lambda t: 1.0 - (1.0 - np.clip(t, 0, 1)) ** 2
     d3 = max(ks_statistic(col[:, j], beta12) for j in range(3))

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -179,10 +181,9 @@ class TestIntegrateCommand:
 
     @pytest.mark.parametrize("extra,flag", [
         (("--method", "mc", "--samples", "10", "--points", "5000"), "--points"),
-        (("--method", "mc", "--samples", "10", "--rule", "simpson"), "--rule"),
         (("--samples", "10"), "--samples"),
         (("--points", "8", "--seed", "3"), "--seed"),
-    ], ids=["mc-points", "mc-rule", "quadrature-samples", "quadrature-seed"])
+    ], ids=["mc-points", "quadrature-samples", "quadrature-seed"])
     def test_option_of_the_other_method_usage_error(self, capsys, extra, flag):
         code, out, err = run_cli(capsys, "integrate", "--n", "2", "--functional",
                                  "purity", *extra)
@@ -190,11 +191,23 @@ class TestIntegrateCommand:
         assert out == ""
         assert err.startswith("error:") and flag in err
 
-    def test_simpson_rule(self, capsys):
-        code, out, _ = run_cli(capsys, "integrate", "--n", "2", "--functional",
-                               "purity", "--points", "33", "--rule", "simpson")
-        rec = record_of(out)
-        assert abs(rec["value"] - 0.875) <= 1e-4
+    @pytest.mark.parametrize("command", [
+        ("integrate", "--n", "2", "--functional", "purity"),
+        ("volume", "--n", "2"),
+    ], ids=["integrate", "volume"])
+    def test_rule_option_removed(self, capsys, command):
+        # Gauss-Legendre is the only rule: no option picks one, and the
+        # record's "rule" field always names it
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*command, "--rule", "gauss-legendre"])
+        assert exc.value.code == 2
+        assert "--rule" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            cli.main([command[0], "--help"])
+        assert "--rule" not in capsys.readouterr().out
+        code, out, _ = run_cli(capsys, *command)
+        assert code == 0
+        assert record_of(out)["rule"] == "gauss-legendre"
 
 
 class TestVolumeCommand:
@@ -345,6 +358,34 @@ class TestOutputContract:
         angles = _angle_columns(out, int(argv[1]), "csv" in argv)
         assert hashlib.sha256(angles.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("argv,digest", [
+        (("integrate", "--n", "2", "--functional", "entropy"),
+         "19aeb6a086b1ba3c1f07f5de4e681fe40b40f3359b14ab926fd4ad1e60e19d1f"),
+        (("integrate", "--n", "3", "--functional", "entropy"),
+         "a3f1f1456df8b23dc7da5eb1000468b4bf4b01137186278591200667ea0a7dc2"),
+        (("integrate", "--n", "3", "--functional", "entropy", "--points", "6"),
+         "15eafaacf4dda05cd0bc7e2a9164b55a0c6391a4453d79f49e55e57c62da430f"),
+        (("integrate", "--n", "3", "--functional", "purity", "--points", "5"),
+         "0a13ed52c4135d6ad9b3de5f649c040bdbd5f51a287ef929b68bc14ad4b0e5c9"),
+        (("volume", "--n", "2"),
+         "0007f92cb024405b6346054e60621d5c0c1004387467cc55b5ea2187e0882afc"),
+        (("volume", "--n", "3", "--points", "4"),
+         "f5f2b787157b2b22c06ff96abe11cb915497f5cb2d05e2611525c3db5867f566"),
+        (("density", "--n", "3", "--params", "theta1=0.3,theta2=0.5,alpha=1,beta=0.2,"
+          "gamma=0.4,theta_big=0.6,a=1.1,b=0.3", "--mode", "normalized"),
+         "d65eddc7eb2086655572a5fb09eb0b4cc0c5c7b0ed8ea8f5355a0c68880cb77a"),
+        (("density", "--n", "2", "--params", "theta=0.5,alpha=1.0,beta=0.7",
+          "--mode", "raw"),
+         "aa36fe1e3d831876fe4f10d506b9ceffb2ba1078c6813c12fd59c9e711587b40"),
+    ], ids=["integrate-n2", "integrate-n3", "integrate-n3-p6", "integrate-n3-purity-p5",
+            "volume-n2", "volume-n3-p4", "density-n3-normalized", "density-n2-raw"])
+    def test_scalar_records_pinned(self, capsys, argv, digest):
+        # golden SHA-256 of the quadrature and density records: a change to
+        # the rule, the measure or the serializer must show here
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestSubprocessEntry:
     def test_module_invocation_deterministic(self):
@@ -367,6 +408,20 @@ class TestSubprocessEntry:
         assert header.startswith(b"theta,alpha,beta,")
         assert b"Traceback" not in err
         assert proc.returncode == 0
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
+    def test_interrupt_exits_130_quietly(self):
+        # Ctrl-C in the middle of a long output
+        proc = subprocess.Popen([sys.executable, "-m", "bures", "sample", "--n", "3",
+                                 "--count", "3000000", "--seed", "1", "--format", "csv"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.readline()                      # the header
+        row = proc.stdout.readline()
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=120)
+        assert row.count(b",") == 25
+        assert b"Traceback" not in err
+        assert proc.returncode == 130
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
     @pytest.mark.parametrize("command", [

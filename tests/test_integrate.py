@@ -49,7 +49,6 @@ class TestQuadrature2:
         assert isinstance(res, IntegrationResult)
         assert res.method == "quadrature"
         assert res.points_per_axis == 16
-        assert res.rule == "gauss-legendre"
 
 
 class TestQuadrature3:

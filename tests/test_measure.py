@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from bures.euler import (CosetAngles, EigenvalueAngles, coset_unitary,
+from bures.euler import (COSET_NAMES, COSET_RANGES, EIGEN_NAMES, EIGEN_RANGES,
+                         THETA2_MAX, CosetAngles, EigenvalueAngles, coset_unitary,
                          diag_eigenvalues_batch, params_from_values)
 from bures.generators import generator_set
-from bures.measure import (AngleBox, MeasureValue, NormalizationMode,
-                           angle_box, bures_joint_density, coset_box,
+from bures.measure import (MeasureValue, NormalizationMode, bures_joint_density,
                            coset_measure_factor, coset_normalization_constant,
-                           eigen_box, eigen_measure_factor,
+                           eigen_measure_factor,
                            eigenvalue_jacobian, haar_coset_density,
                            hall_density, joint_density_batch,
                            normalization_constant)
@@ -119,8 +119,7 @@ class TestCosetDensity:
         coset_gens = gset.coset_generators()
         h = 1e-6
         for _ in range(20):
-            ang = np.array([rng.uniform(lo + 0.05, hi - 0.05)
-                            for lo, hi in zip(coset_box(3).lower, coset_box(3).upper)])
+            ang = np.array([rng.uniform(lo + 0.05, hi - 0.05) for lo, hi in COSET_RANGES[3]])
             u0 = coset_unitary(CosetAngles(3, tuple(ang)))
             rows = []
             for k in range(6):
@@ -196,9 +195,9 @@ class TestNormalization:
 
     @staticmethod
     def _coset_quadrature(n: int) -> float:
-        box = coset_box(n)
+        lower, upper = zip(*COSET_RANGES[n])
         return tensor_quadrature(lambda p: coset_measure_factor(n, p),
-                                 box.lower, box.upper, QuadratureSpec(10))
+                                 lower, upper, QuadratureSpec(10))
 
     def test_coset_constant_3state(self):
         # pi^3 from the three free diagonal angles, 1/4 from the rest
@@ -221,17 +220,13 @@ class TestNormalization:
 
 class TestAngleBox:
     def test_contents(self):
-        box2 = angle_box(2)
-        assert isinstance(box2, AngleBox)
-        assert box2.names == ("theta", "alpha", "beta")
-        assert box2.lower == (0.0, 0.0, 0.0)
-        assert box2.upper == (math.pi / 4, math.pi, math.pi / 2)
-        box3 = angle_box(3)
-        assert box3.names == ("theta1", "theta2", "alpha", "beta", "gamma",
-                              "theta_big", "a", "b")
-        assert box3.dim == 8
-
-    def test_sub_boxes(self):
-        assert eigen_box(3).dim == 2
-        assert coset_box(3).dim == 6
-        assert abs(angle_box(2).volume - math.pi ** 3 / 8) <= 1e-15
+        # the one angle box: eigenvalue angles, then coset angles
+        quarter, half = math.pi / 4, math.pi / 2
+        assert EIGEN_NAMES[2] + COSET_NAMES[2] == ("theta", "alpha", "beta")
+        assert EIGEN_RANGES[2] + COSET_RANGES[2] == (
+            (0.0, quarter), (0.0, math.pi), (0.0, half))
+        assert EIGEN_NAMES[3] + COSET_NAMES[3] == (
+            "theta1", "theta2", "alpha", "beta", "gamma", "theta_big", "a", "b")
+        assert EIGEN_RANGES[3] == ((0.0, quarter), (0.0, THETA2_MAX))
+        assert COSET_RANGES[3] == ((0.0, math.pi), (0.0, half)) * 3
+        assert abs(THETA2_MAX - math.acos(1 / math.sqrt(3))) <= 1e-15

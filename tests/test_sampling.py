@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from bures import measure, sampling
-from bures.euler import THETA2_MAX, DensityMatrixParams
-from bures.measure import (EIGEN_FACTOR_SUP, angle_box, coset_angles_from_uniforms,
-                           eigen_box, eigen_measure_factor, normalization_constant)
-from bures.sampling import (EnvelopeViolationError, SamplerSpec, sample, sample_chunks,
-                            sample_coset)
+from bures.euler import COSET_RANGES, EIGEN_RANGES, THETA2_MAX, DensityMatrixParams
+from bures.measure import (EIGEN_FACTOR_SUP, coset_angles_from_uniforms,
+                           eigen_measure_factor, normalization_constant)
+from bures.sampling import EnvelopeViolationError, SamplerSpec, sample, sample_chunks
 from bures.checks import ks_statistic
 
 KS_CRIT_1PCT = 1.6276
@@ -57,9 +56,8 @@ class TestDeterminism:
         # chunks put several chunks and rounds into a short run
         monkeypatch.setattr(sampling, "_INDEX_CHUNK", 16)
         count, seed, block = 50, 2 ** 64 - 5, 4
-        box = eigen_box(n)
-        lower = np.asarray(box.lower)
-        span = np.asarray(box.upper) - lower
+        lower, upper = np.array(EIGEN_RANGES[n]).T
+        span = upper - lower
         want = np.full((count, n * n - 1), np.nan)
         for c, start in enumerate(range(0, count, 16)):
             pending = list(range(start, min(start + 16, count)))
@@ -108,9 +106,8 @@ class TestChunks:
 
 def _grid(n: int, per_axis: int) -> np.ndarray:
     """eigen_measure_factor on the inclusive uniform grid of the eigenvalue box."""
-    box = eigen_box(n)
-    axes = np.meshgrid(*[np.linspace(lo, hi, per_axis)
-                         for lo, hi in zip(box.lower, box.upper)], indexing="ij")
+    axes = np.meshgrid(*[np.linspace(lo, hi, per_axis) for lo, hi in EIGEN_RANGES[n]],
+                       indexing="ij")
     return eigen_measure_factor(n, np.stack(axes, axis=-1))
 
 
@@ -195,7 +192,7 @@ class TestStatistics:
         assert abs(pur.mean() - 0.684443199321445) <= 4 * se
 
     def test_coset_pushforward_two_state(self):
-        batch = sample_coset(2, 30_000, SamplerSpec(seed=31))
+        batch = sample(2, 30_000, SamplerSpec(seed=31))
         u11 = np.abs(batch.unitaries()[:, 0, 0]) ** 2
         d = ks_statistic(u11, lambda t: np.clip(t, 0, 1))
         assert d <= KS_CRIT_1PCT / math.sqrt(u11.size)
@@ -221,20 +218,14 @@ class TestSampleBatch:
 
     def test_in_box(self):
         batch = sample(3, 500, SamplerSpec(seed=47))
-        box = angle_box(3)
-        assert np.all(batch.params >= np.asarray(box.lower))
-        assert np.all(batch.params <= np.asarray(box.upper))
+        lower, upper = np.array(EIGEN_RANGES[3] + COSET_RANGES[3]).T
+        assert np.all(batch.params >= lower)
+        assert np.all(batch.params <= upper)
 
     def test_count_zero(self):
         batch = sample(2, 0, SamplerSpec(seed=1))
         assert batch.count == 0
         assert batch.params.shape == (0, 3)
-
-    def test_coset_batch_rejects_matrix_access(self):
-        batch = sample_coset(2, 4, SamplerSpec(seed=1))
-        with pytest.raises(ValueError):
-            batch.matrices()
-
 
 class TestValidation:
     def test_seed_bounds(self):
