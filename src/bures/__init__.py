@@ -6,24 +6,15 @@ factor times the invariant coset density of the truncated Euler product),
 integrates functionals against the normalized measure, and draws samples
 from it with reproducible counter-based streams (Bures-distributed for n=2;
 for n=3 the paper's coordinate box counts some spectra twice).
+
+The public names load on first use (PEP 562), so ``import bures`` does not
+import numpy; ``python -m bures`` relies on that to set numpy's thread count
+before numpy loads.
 """
 
-from .generators import GeneratorSet, gell_mann, generator_set, pauli
-from .linalg import (HermitianEigenResult, NonHermitianError, dagger,
-                     eig_hermitian, expm_i_generator, matmul, trace)
-from .euler import (THETA2_MAX, AngleRangeError, CosetAngles, DensityMatrixParams,
-                    EigenvalueAngles, Inverse2Result, NotADensityMatrixError,
-                    coset_unitary, density_from_params, diag_eigenvalues,
-                    euler_unitary, params_from_density_2, params_from_values,
-                    validate_density)
-from .measure import (MeasureValue, NormalizationMode, bures_joint_density,
-                      coset_normalization_constant, eigenvalue_jacobian,
-                      haar_coset_density, hall_density, normalization_constant)
-from .functionals import (FunctionalId, FunctionalKind, eigenvalue_moment,
-                          purity, von_neumann_entropy)
-from .tensorgrid import QuadratureSpec, tensor_quadrature
-from .integrate import IntegrationResult, integrate, integrate_mc
-from .sampling import EnvelopeViolationError, SampleBatch, SamplerSpec, sample
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
@@ -42,3 +33,48 @@ __all__ = [
     "pauli", "purity", "sample", "tensor_quadrature", "trace",
     "validate_density", "von_neumann_entropy",
 ]
+
+# public name -> the submodule that defines it
+_SOURCE = {name: module for module, names in {
+    "generators": ("GeneratorSet", "gell_mann", "generator_set", "pauli"),
+    "linalg": ("HermitianEigenResult", "NonHermitianError", "dagger",
+               "eig_hermitian", "expm_i_generator", "matmul", "trace"),
+    "euler": ("THETA2_MAX", "AngleRangeError", "CosetAngles", "DensityMatrixParams",
+              "EigenvalueAngles", "Inverse2Result", "NotADensityMatrixError",
+              "coset_unitary", "density_from_params", "diag_eigenvalues",
+              "euler_unitary", "params_from_density_2", "params_from_values",
+              "validate_density"),
+    "measure": ("MeasureValue", "NormalizationMode", "bures_joint_density",
+                "coset_normalization_constant", "eigenvalue_jacobian",
+                "haar_coset_density", "hall_density", "normalization_constant"),
+    "functionals": ("FunctionalId", "FunctionalKind", "eigenvalue_moment",
+                    "purity", "von_neumann_entropy"),
+    "tensorgrid": ("QuadratureSpec", "tensor_quadrature"),
+    "integrate": ("IntegrationResult", "integrate", "integrate_mc"),
+    "sampling": ("EnvelopeViolationError", "SampleBatch", "SamplerSpec", "sample"),
+}.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(types.ModuleType):
+    # Importing a submodule binds it on its package.  The function
+    # ``integrate`` shares its submodule's name, so bind the function there
+    # instead, whichever of the two is imported first.
+    def __setattr__(self, name, value):
+        if isinstance(value, types.ModuleType) and _SOURCE.get(name) == name:
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -1,5 +1,9 @@
 """Command-line interface.
 
+The ``bures`` command and ``python -m bures`` enter through
+``bures.__main__.main``, which runs numpy's BLAS on one thread so that the
+output bytes do not depend on the core count.
+
 Subcommands: density, sample, integrate, volume, check.  Output is a single
 JSON record (or a CSV stream for ``sample --format csv``) with schema_version
 "1"; every float is printed with 17 significant digits so serialized output
@@ -53,7 +57,7 @@ USAGE_ERROR = 2
 CHECK_FAILURE = 1
 OUTPUT_FAILURE = 1
 INTERRUPTED = 130       # 128 + SIGINT, as a shell reports it
-MAX_POINTS = 1024       # the n=3 grid holds about 120 * P**2 bytes: 126 MB here
+MAX_POINTS = 1024       # the n=3 grid holds about 100 * P**2 bytes: 104 MB here
 DEFAULT_SAMPLES = 1_000_000
 DEFAULT_SEED = 0
 RULE = "gauss-legendre"     # the records' "rule" field; the only quadrature rule
@@ -416,6 +420,3 @@ def main(argv: list[str] | None = None) -> int:
 def _discard_stdout() -> None:
     os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -396,6 +396,24 @@ class TestSubprocessEntry:
         assert r1.returncode == 0
         assert r1.stdout == r2.stdout
 
+    @pytest.mark.parametrize("command", [
+        # more than 10 000 nodes: OpenBLAS splits the quadrature's dot product
+        # over its threads there, which rounds differently
+        ["integrate", "--n", "3", "--functional", "entropy", "--points", "256"],
+        ["volume", "--n", "3", "--points", "1024"],
+    ])
+    def test_bytes_do_not_depend_on_blas_threads(self, command):
+        outs = []
+        for threads in (None, "1", "2"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            r = subprocess.run([sys.executable, "-m", "bures", *command],
+                               capture_output=True, text=True, env=env)
+            assert r.returncode == 0, r.stderr
+            outs.append(r.stdout)
+        assert outs[0] == outs[1] == outs[2]
+
     def test_closed_pipe_ends_quietly(self):
         # the output (~4 MB) outgrows the pipe buffer, so the CLI is still
         # writing when the reader goes away

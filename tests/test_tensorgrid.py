@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from bures import measure, tensorgrid
+from bures.functionals import FunctionalId
+from bures.integrate import integrate
 from bures.tensorgrid import QuadratureSpec, axis_rule, tensor_quadrature
 
 
@@ -17,6 +20,26 @@ class TestAxisRules:
         for pts in (2, 5, 8, 9):
             _, w = axis_rule(pts, -1.0, 3.5)
             assert abs(w.sum() - 4.5) <= 1e-12
+
+    def test_each_rule_built_once(self, monkeypatch):
+        # integrate runs the rule at P and P/2, each for the numerator and
+        # the normalizer on both axes; numpy's leggauss is a dense eigensolve
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda pts: calls.append(pts) or leggauss(pts))
+        measure._eigen_integral.cache_clear()
+        tensorgrid._unit_rule.cache_clear()
+        integrate(3, FunctionalId.parse("entropy"), QuadratureSpec(64))
+        assert sorted(calls) == [32, 64]
+
+    def test_returned_rule_is_a_copy(self):
+        x, w = axis_rule(6, 0.0, 1.0)
+        x0, w0 = x.copy(), w.copy()
+        x[:] = 0.0
+        w *= 2.0
+        x1, w1 = axis_rule(6, 0.0, 1.0)
+        assert np.array_equal(x1, x0) and np.array_equal(w1, w0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
