@@ -27,6 +27,8 @@ from .measure import (coset_measure_factor, eigen_measure_factor,
                       eigenvalue_jacobian, haar_coset_density,
                       normalization_constant)
 from .sampling import SamplerSpec, sample
+from .tensorgrid import QuadratureSpec
+
 KS_CRITICAL_1PCT = 1.6276  # asymptotic Kolmogorov quantile at alpha = 0.01
 
 
@@ -297,6 +299,31 @@ def check_normalization_2state() -> CheckResult:
     return _result("normalization_2state", abs(z - math.pi ** 2), 1e-6)
 
 
+# Closed forms of the Bures means for N = 2: the mean entropy is
+# psi0(N^2/2 + 1) - psi0(N + 1/2) (conjectured by Sarkar & Kumar, 2019, and
+# proved by Wei, 2020) and the mean purity (5N^2 + 1) / (2N(N^2 + 2))
+MEAN_ENTROPY_2 = 2 * math.log(2) - 7 / 6
+MEAN_PURITY_2 = 7 / 8
+_ENTROPY = FunctionalId(FunctionalKind.VON_NEUMANN_ENTROPY)
+
+
+def check_entropy_closed_form_2state() -> CheckResult:
+    quad = integrate(2, _ENTROPY, QuadratureSpec(256))
+    return _result("entropy_closed_form_2state", abs(quad.value - MEAN_ENTROPY_2), 1e-13)
+
+
+def check_entropy_error_estimate_2state() -> CheckResult:
+    # the default rule's reported error estimate bounds its true error
+    quad = integrate(2, _ENTROPY)
+    return _result("entropy_error_estimate_2state", abs(quad.value - MEAN_ENTROPY_2),
+                   quad.error_estimate)
+
+
+def check_purity_closed_form_2state() -> CheckResult:
+    quad = integrate(2, FunctionalId(FunctionalKind.PURITY))
+    return _result("purity_closed_form_2state", abs(quad.value - MEAN_PURITY_2), 1e-13)
+
+
 def check_sampler_determinism() -> CheckResult:
     a = sample(2, 40_000, SamplerSpec(seed=2024))
     # count prefixes that end inside the second index chunk and inside the first
@@ -377,19 +404,6 @@ def check_mc_quadrature_agreement_2state() -> CheckResult:
     return _result("mc_quadrature_agreement_2state", gap, tol)
 
 
-def check_entropy_oracle_2state() -> CheckResult:
-    # 1-D spectral reduction of the same measure: weight 8 cos^2(2t) / pi
-    x, w = np.polynomial.legendre.leggauss(200)
-    t = math.pi / 8 * (x + 1.0)
-    w = math.pi / 8 * w
-    lam = np.stack([np.cos(t) ** 2, np.sin(t) ** 2], axis=-1)
-    from .functionals import from_eigenvalues
-    fid = FunctionalId(FunctionalKind.VON_NEUMANN_ENTROPY)
-    ref = float((from_eigenvalues(fid, lam) * 8 * np.cos(2 * t) ** 2 / math.pi * w).sum())
-    quad = integrate(2, fid)
-    return _result("entropy_oracle_2state", abs(quad.value - ref), 1e-5)
-
-
 FAST_CHECKS = (
     check_generator_orthogonality,
     check_generator_hermitian_traceless,
@@ -407,6 +421,9 @@ FAST_CHECKS = (
     check_jacobian_fd_3state,
     check_joint_density_2state_analytic,
     check_normalization_2state,
+    check_entropy_closed_form_2state,
+    check_entropy_error_estimate_2state,
+    check_purity_closed_form_2state,
     check_sampler_determinism,
     check_float_format_exact,
 )
@@ -416,7 +433,6 @@ FULL_CHECKS = FAST_CHECKS + (
     check_pushforward_uniform_2state,
     check_pushforward_dirichlet_3state,
     check_mc_quadrature_agreement_2state,
-    check_entropy_oracle_2state,
 )
 
 

@@ -2,7 +2,11 @@
 
 The ``bures`` command and ``python -m bures`` enter through
 ``bures.__main__.main``, which runs numpy's BLAS on one thread so that the
-output bytes do not depend on the core count.
+output bytes do not depend on the core count.  This module imports only the
+standard library and registers the package's modules unexecuted; each
+subcommand imports the modules it runs, so numpy loads only once a subcommand
+runs, still after that thread count is set, and ``--help`` or a usage error
+never loads it.
 
 Subcommands: density, sample, integrate, volume, check.  Output is a single
 JSON record (or a CSV stream for ``sample --format csv``) with schema_version
@@ -35,21 +39,9 @@ any other failure to write stdout exits 1 with a message, and an interrupt
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import os
 import sys
-
-import numpy as np
-
-from .euler import (AngleRangeError, COSET_NAMES, EIGEN_NAMES, DensityMatrixParams,
-                    density_batch, density_from_params, params_from_values)
-from .floatfmt import FIELD, format_rows
-from .functionals import FunctionalId
-from .integrate import DEFAULT_POINTS, MIN_POINTS, integrate, integrate_mc
-from .linalg import eig_hermitian
-from .measure import (NormalizationMode, REFERENCE_POINTS, bures_joint_density,
-                      normalization_constant)
-from .sampling import EnvelopeViolationError, SamplerSpec, sample, sample_chunks
-from .tensorgrid import QuadratureSpec
 
 SCHEMA_VERSION = "1"
 
@@ -64,10 +56,38 @@ RULE = "gauss-legendre"     # the records' "rule" field; the only quadrature rul
 
 
 # "%.16e": 17 significant digits, a lossless round-trip for binary64.  Sample
-# rows go through floatfmt.format_rows, a vectorized form of this format that
-# falls back to ``%`` for the floats it cannot round with certainty
-_FLOAT = FIELD
+# rows go through floatfmt.format_rows, a vectorized form of this format (its
+# FIELD) that falls back to ``%`` for the floats it cannot round with certainty
+_FLOAT = "%.16e"
 _WRITE_ROWS = 1024      # sample rows per write; keeps each block's string under 1 MB
+
+
+def _register_lazily(names: tuple[str, ...]) -> None:
+    """Put the subcommands' modules in ``sys.modules`` without running them.
+
+    Each is made by importlib's ``LazyLoader`` and runs on its first
+    attribute access, which the importing subcommand makes, so ``--help`` and
+    usage errors run none of them.  ``import bures.cli`` still leaves every
+    module a subcommand runs in ``sys.modules`` and on the package, as when
+    the CLI imported them up front: perfbench's tracer finds and wraps their
+    functions there.
+    """
+    package = sys.modules[__package__]
+    for name in names:
+        fullname = f"{__package__}.{name}"
+        if fullname in sys.modules:
+            continue
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        if name not in package.__all__:    # the package names a function "integrate"
+            setattr(package, name, module)
+
+
+_register_lazily(("euler", "floatfmt", "functionals", "generators", "integrate",
+                  "linalg", "measure", "sampling", "tensorgrid"))
 
 
 def dumps_record(obj) -> str:
@@ -95,23 +115,37 @@ def _write_json(obj, parts: list[str]) -> None:
         parts.append("]")
     elif isinstance(obj, bool):
         parts.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, int):
         parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, float):
         parts.append(_FLOAT % obj)
     elif isinstance(obj, str):
         parts.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
     elif obj is None:
         parts.append("null")
     else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
+        # a numpy scalar exists only once numpy is loaded, so this import
+        # loads nothing for one (np.float64 is a float and took that branch)
+        import numpy as np
+
+        if isinstance(obj, np.integer):
+            parts.append(str(int(obj)))
+        elif isinstance(obj, np.floating):
+            parts.append(_FLOAT % obj)
+        else:
+            raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def _param_names(n: int) -> tuple[str, ...]:
+    from .euler import COSET_NAMES, EIGEN_NAMES
+
     return EIGEN_NAMES[n] + COSET_NAMES[n]
 
 
-def parse_params(n: int, tokens: list[str]) -> DensityMatrixParams:
+def parse_params(n: int, tokens: list[str]):
+    """The ``--params`` tokens as a ``euler.DensityMatrixParams``."""
+    from .euler import params_from_values
+
     expected = _param_names(n)
     got: dict[str, float] = {}
     for tok in tokens:
@@ -139,6 +173,8 @@ def parse_params(n: int, tokens: list[str]) -> DensityMatrixParams:
 
 
 def _points(args, default: int) -> int:
+    from .integrate import MIN_POINTS
+
     points = default if args.points is None else args.points
     if not MIN_POINTS <= points <= MAX_POINTS:
         raise ValueError(f"--points must be in [{MIN_POINTS}, {MAX_POINTS}], got {points}")
@@ -150,6 +186,12 @@ def _points(args, default: int) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_density(args) -> int:
+    import numpy as np
+
+    from .euler import density_from_params
+    from .linalg import eig_hermitian
+    from .measure import NormalizationMode, bures_joint_density
+
     params = parse_params(args.n, args.params)
     rho = density_from_params(params)
     eigvals = eig_hermitian(rho).eigenvalues
@@ -171,6 +213,12 @@ def cmd_density(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    import numpy as np
+
+    from .euler import density_batch
+    from .floatfmt import format_rows
+    from .sampling import SamplerSpec, sample, sample_chunks
+
     if args.count < 0:
         raise ValueError("--count must be >= 0")
     n, k = args.n, args.n - 1
@@ -225,6 +273,10 @@ def cmd_sample(args) -> int:
 
 
 def cmd_integrate(args) -> int:
+    from .functionals import FunctionalId
+    from .integrate import DEFAULT_POINTS, integrate, integrate_mc
+    from .tensorgrid import QuadratureSpec
+
     fid = FunctionalId.parse(args.functional)
     # each method takes only its own options; the defaults are set here so
     # that an option given to the other method can be told from its default
@@ -267,6 +319,8 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_volume(args) -> int:
+    from .measure import REFERENCE_POINTS, normalization_constant
+
     points = _points(args, REFERENCE_POINTS[args.n])
     value = normalization_constant(args.n, points_per_axis=points)
     compare = normalization_constant(args.n, points_per_axis=points - 2)
@@ -393,10 +447,16 @@ def main(argv: list[str] | None = None) -> int:
         code = args.fn(args)
         sys.stdout.flush()
         return code
-    except (AngleRangeError, ValueError) as exc:
+    except ValueError as exc:           # bad input, euler.AngleRangeError included
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except EnvelopeViolationError as exc:
+    except RuntimeError as exc:
+        # only the sampler raises EnvelopeViolationError, so for one the
+        # sampler has run and this import loads nothing
+        from .sampling import EnvelopeViolationError
+
+        if not isinstance(exc, EnvelopeViolationError):
+            raise
         print(f"envelope violation: {exc}", file=sys.stderr)
         return CHECK_FAILURE
     except BrokenPipeError:

@@ -18,7 +18,9 @@ the invariance is testable, ``coset_unitary`` pins them to zero.
 
 The batch kernels write U's entries in closed form (Byrd, J. Math. Phys. 39
 (1998) 6125), and rho's directly for n=2; the scalar maps multiply generator
-exponentials instead and are the independent check on those kernels.
+exponentials instead and are the independent check on those kernels.  They
+import ``generators`` and ``linalg`` when called, so the batch kernels load
+neither.
 """
 
 from __future__ import annotations
@@ -28,9 +30,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-from .generators import gell_mann, pauli
-from .linalg import as_square, eig_hermitian, expm_i_generator, frobenius_norm
 
 THETA2_MAX = float(np.arccos(1.0 / np.sqrt(3.0)))
 
@@ -159,6 +158,8 @@ def diag_eigenvalues_batch(n: int, angles: np.ndarray) -> np.ndarray:
 def factor_chain(n: int, angles):
     """(generator, factor angle) pairs of the full Euler product, left to
     right; the truncated (coset) product is its first n^2 - n pairs."""
+    from .generators import gell_mann, pauli     # the scalar maps only
+
     if n == 2:
         al, be, ga = angles
         return [(pauli(3), al), (pauli(2), be), (pauli(3), ga)]
@@ -179,6 +180,8 @@ def euler_unitary(n: int, angles) -> np.ndarray:
     want = 3 if n == 2 else 8
     if len(vals) != want:
         raise ValueError(f"expected {want} angles for n={n}, got {len(vals)}")
+    from .linalg import expm_i_generator
+
     u = np.eye(n, dtype=np.complex128)
     for g, x in factor_chain(n, vals):
         u = u @ expm_i_generator(g, x)
@@ -218,11 +221,16 @@ def coset_unitary_batch(n: int, angles: np.ndarray) -> np.ndarray:
     cbe, sbe = np.cos(be), np.sin(be)
     ct, st = np.cos(th), np.sin(th)
     cb, sb = np.cos(b), np.sin(b)
+    # The conjugates are named so that every complex product keeps the
+    # operand order it is written in: from 16384 rows up numpy reuses a
+    # temporary right operand in place, which swaps the operands, and the
+    # SIMD complex multiply is not bitwise commutative.
+    ealc, egac, eac = eal.conj(), ega.conj(), ea.conj()
     # L = P(alpha) R01(beta) P(gamma) acts on rows and columns 0, 1 only
-    l00, l01 = eal * cbe * ega, eal * sbe * ega.conj()
-    l10, l11 = -eal.conj() * sbe * ega, eal.conj() * cbe * ega.conj()
+    l00, l01 = eal * cbe * ega, eal * sbe * egac
+    l10, l11 = -ealc * sbe * ega, ealc * cbe * egac
     # M = L R02(theta) P(a); R01(b) then mixes M's columns 0 and 1
-    m00, m01, m10, m11 = l00 * ct * ea, l01 * ea.conj(), l10 * ct * ea, l11 * ea.conj()
+    m00, m01, m10, m11 = l00 * ct * ea, l01 * eac, l10 * ct * ea, l11 * eac
     m20 = -st * ea
     u[:, 0, 0], u[:, 0, 1], u[:, 0, 2] = m00 * cb - m01 * sb, m00 * sb + m01 * cb, l00 * st
     u[:, 1, 0], u[:, 1, 1], u[:, 1, 2] = m10 * cb - m11 * sb, m10 * sb + m11 * cb, l10 * st
@@ -255,6 +263,8 @@ def density_batch(n: int, eigen_angles: np.ndarray, coset_angles: np.ndarray) ->
 
 def validate_density(rho, n: int | None = None, tol: float = 1e-10) -> np.ndarray:
     """Check Hermiticity, unit trace and positive semidefiniteness."""
+    from .linalg import as_square, frobenius_norm
+
     m = as_square(rho, "rho")
     if n is not None and m.shape[0] != n:
         raise NotADensityMatrixError(f"expected {n}x{n}, got {m.shape[0]}x{m.shape[0]}")
@@ -287,6 +297,8 @@ def params_from_density_2(rho) -> Inverse2Result:
     eigenvalues are degenerate (gap <= 1e-10) the coset angles are not
     identifiable; they are set to zero and ``degenerate`` is flagged.
     """
+    from .linalg import eig_hermitian
+
     m = validate_density(rho, n=2, tol=1e-10)
     w, v = eig_hermitian(m)
     lam_max = min(max(float(w[0]), 0.5), 1.0)

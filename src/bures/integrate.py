@@ -16,7 +16,6 @@ import numpy as np
 from .euler import EIGEN_RANGES, density_batch, diag_eigenvalues_batch
 from .functionals import FunctionalId, from_eigenvalues, from_matrices
 from .measure import _eigen_integral, eigen_measure_factor
-from .sampling import SamplerSpec, sample_chunks
 from .tensorgrid import QuadratureSpec, tensor_quadrature
 
 # n=3: 64 points/axis is 4096 nodes on the 2-D eigenvalue box (~10 ms); the
@@ -98,6 +97,8 @@ def integrate_mc(n: int, functional: FunctionalId, samples: int,
     if samples < 2:
         raise ValueError(f"samples must be >= 2 (the standard error needs two), "
                          f"got {samples}")
+    from .sampling import SamplerSpec, sample_chunks
+
     k = n - 1
     count, mean, m2 = 0, 0.0, 0.0
     for params, _ in sample_chunks(n, samples, SamplerSpec(seed=seed)):

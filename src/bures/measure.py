@@ -27,10 +27,8 @@ from enum import Enum
 
 import numpy as np
 
-from . import generators
 from .euler import (EIGEN_RANGES, CosetAngles, DensityMatrixParams, EigenvalueAngles,
                     factor_chain)
-from .linalg import dagger, expm_i_generator, matmul
 from .tensorgrid import QuadratureSpec, tensor_quadrature
 
 
@@ -128,10 +126,13 @@ def haar_coset_density(coset: CosetAngles) -> float:
     that factor replaced by its exact derivative (i g_k) e^{i g_k x_k}; the
     rows of C are the coset-generator coefficients of -i U^dag dU/dx_k.
     """
+    from .generators import generator_set     # the check only
+    from .linalg import dagger, expm_i_generator, matmul
+
     n = coset.n
     chain = factor_chain(n, coset.angles + (0.0,) * (n - 1))[:len(coset.angles)]
     factors = [expm_i_generator(g, x) for g, x in chain]
-    coset_gens = generators.generator_set(n).coset_generators()
+    coset_gens = generator_set(n).coset_generators()
     u = np.eye(n, dtype=np.complex128)
     for f in factors:
         u = matmul(u, f)

@@ -28,8 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .euler import (EIGEN_RANGES, DensityMatrixParams, coset_unitary_batch, density_batch,
-                    params_from_values)
+from .euler import EIGEN_RANGES, coset_unitary_batch, density_batch
 from .measure import EIGEN_FACTOR_SUP, coset_angles_from_uniforms, eigen_measure_factor
 
 _INDEX_CHUNK = 16384          # sample indices per chunk (bounds memory)
@@ -80,10 +79,6 @@ class SampleBatch:
     def unitaries(self) -> np.ndarray:
         """Coset unitaries of the samples."""
         return coset_unitary_batch(self.n, self.params[:, self.n - 1:])
-
-    def iter_params(self) -> Iterator[DensityMatrixParams]:
-        for row in self.params:
-            yield params_from_values(self.n, row)
 
 
 def _rejection_chunk(n: int, env: float, seed: int, chunk: int,

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from bures import cli
-from bures.euler import density_batch
 from bures.sampling import SamplerSpec, sample
 
 SCHEMA = json.loads(
@@ -241,7 +240,11 @@ class TestCheckCommand:
         assert elapsed < 60.0
         rec = record_of(out)
         assert rec["passed"] is True
-        assert any(c["name"] == "generator_orthogonality" for c in rec["checks"])
+        names = {c["name"] for c in rec["checks"]}
+        assert "generator_orthogonality" in names
+        # the n=2 Bures means against their closed forms
+        assert {"entropy_closed_form_2state", "entropy_error_estimate_2state",
+                "purity_closed_form_2state"} <= names
 
     def test_full_suite_includes_statistical_checks(self):
         from bures.checks import FULL_CHECKS
@@ -275,6 +278,16 @@ class TestOutputContract:
             rec = json.loads(out)
             assert cli.dumps_record(rec) + "\n" == out
 
+    def test_numpy_scalars_print_as_python_numbers(self):
+        rec = {"i": [np.int64(-3), np.uint8(7), np.int32(0)],
+               "f": [np.float64(0.1), np.float32(0.1), np.float16(-2.5)],
+               "b": [True, False]}
+        want = {"i": [-3, 7, 0], "f": [0.1, float(np.float32(0.1)), -2.5], "b": [True, False]}
+        assert cli.dumps_record(rec) == cli.dumps_record(want)
+        assert cli.dumps_record(rec).startswith('{"i": [-3, 7, 0], "f": [1.0000000000000001e-01, ')
+        with pytest.raises(TypeError):
+            cli.dumps_record({"x": np.bool_(True)})
+
     def test_seventeen_significant_digits(self, capsys):
         _, out, _ = run_cli(capsys, "density", "--n", "2", "--params",
                             "theta=0.7853981633974483,alpha=0,beta=0")
@@ -298,15 +311,10 @@ class TestOutputContract:
     def test_sample_matches_percent_route(self, capsys, n, fmt, count):
         # the expected output is built from the sampler and the matrix kernel
         # with CPython's % on every float, as the CLI printed it before its
-        # rows were formatted a block at a time
+        # rows were formatted a block at a time.  The whole batch's matrices
+        # are the cells the CLI forms in 1024-row blocks, bit for bit
         batch = sample(n, count, SamplerSpec(seed=21))
-        k = n - 1
-        # the kernel runs on the CLI's 1024-row blocks: for n=3 its einsum can
-        # round a cell differently, by an ulp or two, given more rows at once
-        blocks = [batch.params[a:a + 1024] for a in range(0, count, 1024)]
-        mats = (np.concatenate([density_batch(n, p[:, :k], p[:, k:]) for p in blocks])
-                if blocks else np.empty((0, n, n), complex))
-        cells = mats.view(np.float64).reshape(count, 2 * n * n)
+        cells = batch.matrices().view(np.float64).reshape(count, 2 * n * n)
         names = cli._param_names(n)
         if fmt == "csv":
             head = names + tuple(f"m{i}{j}_{part}" for i in range(n) for j in range(n)

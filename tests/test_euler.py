@@ -200,6 +200,19 @@ class TestClosedFormKernel:
         ref = np.array([density_from_params(params_from_values(n, row)) for row in pts])
         assert np.abs(fast - ref).max() <= 1e-14
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rows_do_not_depend_on_row_count(self, rng, n):
+        # from 16384 rows up numpy reuses a temporary operand in place, which
+        # can swap the operands of a complex product; the SIMD product is not
+        # bitwise commutative, so a swap would change the last bits of a row
+        pts = random_box_points(n, 65536, rng)
+        k = n - 1
+        for total in (16384, 16385, 65536):
+            whole = density_batch(n, pts[:total, :k], pts[:total, k:])
+            for m in (1, 1000, 1024, 16383):
+                part = density_batch(n, pts[:m, :k], pts[:m, k:])
+                assert part.tobytes() == whole[:m].tobytes(), (total, m)
+
 
 class TestValidateDensity:
     def test_accepts_valid(self):

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import runpy
 import subprocess
 import sys
@@ -33,7 +34,7 @@ def test_import_loads_no_numpy():
 def test_integrate_export_is_the_function():
     # the submodule `bures.integrate` shares the function's name; importing
     # it first must not put the module in the function's place
-    code = ("import bures.cli, bures\n"
+    code = ("import bures.integrate, bures\n"
             "from bures import integrate\n"
             "assert bures.integrate is integrate\n"
             "assert callable(integrate), integrate\n"
@@ -41,6 +42,73 @@ def test_integrate_export_is_the_function():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert callable(bures.integrate)
+
+
+# a fresh interpreter runs the CLI entry with the given arguments, then
+# prints as JSON the names of the modules that ran: the CLI registers its
+# subcommands' modules with importlib's LazyLoader, and one of those that
+# never ran is still a _LazyModule
+_LOADED = """
+import contextlib, importlib.util, io, json, sys
+from bures.__main__ import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        main(sys.argv[1:])
+    except SystemExit:
+        pass
+print(json.dumps(sorted(name for name, module in sys.modules.items()
+                        if not isinstance(module, importlib.util._LazyModule))))
+"""
+
+_CLI = {"bures", "bures.__main__", "bures.cli"}
+_QUADRATURE_UNUSED = {"bures.sampling", "bures.floatfmt", "bures.generators",
+                      "bures.linalg", "bures.checks", "numpy.random"}
+
+
+@pytest.mark.parametrize("argv,needed,unused", [
+    (["--help"], set(), None),
+    (["integrate", "--help"], set(), None),
+    (["integrate", "--n", "4", "--functional", "entropy"], set(), None),
+    (["integrate", "--n", "3", "--functional", "entropy", "--points", "8"],
+     {"bures.integrate", "bures.tensorgrid"}, _QUADRATURE_UNUSED),
+    (["volume", "--n", "3", "--points", "4"], {"bures.measure"}, _QUADRATURE_UNUSED),
+    (["integrate", "--n", "2", "--functional", "purity", "--method", "mc",
+      "--samples", "100"], {"bures.integrate", "bures.sampling"},
+     {"bures.floatfmt", "bures.generators", "bures.linalg", "bures.checks"}),
+    (["sample", "--n", "3", "--count", "10", "--seed", "1"],
+     {"bures.sampling", "bures.floatfmt"},
+     {"bures.integrate", "bures.functionals", "bures.generators", "bures.linalg",
+      "bures.checks"}),
+], ids=["help", "integrate-help", "usage-error", "quadrature", "volume", "mc", "sample"])
+def test_each_command_runs_only_what_it_needs(argv, needed, unused):
+    # --help and usage errors end before numpy loads (unused None: nothing
+    # beyond the CLI runs); a subcommand runs the modules it needs only
+    r = subprocess.run([sys.executable, "-c", _LOADED, *argv],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    ran = set(json.loads(r.stdout))
+    assert _CLI | needed <= ran
+    if unused is None:
+        assert "numpy" not in ran
+        assert {m for m in ran if m.startswith("bures")} == _CLI
+    else:
+        assert "numpy" in ran
+        assert not ran & unused, ran & unused
+
+
+def test_cli_import_registers_the_subcommand_modules():
+    # code that looks the modules up right after `import bures.cli` finds
+    # each one a subcommand runs, and runs it on first use
+    code = ("import sys, bures.cli, bures\n"
+            "names = ('euler', 'floatfmt', 'functionals', 'generators', 'integrate',\n"
+            "         'linalg', 'measure', 'sampling', 'tensorgrid')\n"
+            "assert all('bures.' + n in sys.modules for n in names)\n"
+            "assert 'numpy' not in sys.modules\n"
+            "assert bures.sampling.sample.__module__ == 'bures.sampling'\n"
+            "assert sys.modules['bures.measure'].normalization_constant(2) > 0\n"
+            "assert bures.integrate.__module__ == 'bures.integrate'\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
 
 
 def test_console_script_runs_the_module_entry():

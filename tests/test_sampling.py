@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bures import measure, sampling
-from bures.euler import COSET_RANGES, EIGEN_RANGES, THETA2_MAX, DensityMatrixParams
+from bures.euler import COSET_RANGES, EIGEN_RANGES, THETA2_MAX
 from bures.measure import (EIGEN_FACTOR_SUP, coset_angles_from_uniforms,
                            eigen_measure_factor, normalization_constant)
 from bures.sampling import EnvelopeViolationError, SamplerSpec, sample, sample_chunks
@@ -204,12 +204,6 @@ class TestSampleBatch:
         rhos = batch.matrices()
         assert np.abs(np.trace(rhos, axis1=1, axis2=2) - 1).max() <= 1e-13
         assert np.linalg.eigvalsh(rhos).min() >= -1e-12
-
-    def test_iter_params_typed(self):
-        batch = sample(2, 5, SamplerSpec(seed=41))
-        items = list(batch.iter_params())
-        assert len(items) == 5
-        assert all(isinstance(p, DensityMatrixParams) for p in items)
 
     def test_params_read_only(self):
         batch = sample(2, 10, SamplerSpec(seed=43))
