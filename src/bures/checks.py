@@ -325,12 +325,14 @@ def check_purity_closed_form_2state() -> CheckResult:
 
 
 def check_sampler_determinism() -> CheckResult:
-    a = sample(2, 40_000, SamplerSpec(seed=2024))
-    # count prefixes that end inside the second index chunk and inside the first
-    b = sample(2, 20_000, SamplerSpec(seed=2024))
-    c = sample(2, 100, SamplerSpec(seed=2024))
-    same = (np.array_equal(a.params[:20_000], b.params)
-            and np.array_equal(a.params[:100], c.params))
+    """Count prefixes give the same rows, across a chunk boundary and within one."""
+    spec = SamplerSpec(seed=2024)
+    same = True
+    # n=2: prefixes that end inside the second index chunk and inside the
+    # first; n=3: one that ends inside the first
+    for n, count, prefixes in ((2, 40_000, (20_000, 100)), (3, 20_000, (1000,))):
+        rows = sample(n, count, spec).params
+        same &= all(np.array_equal(rows[:m], sample(n, m, spec).params) for m in prefixes)
     return _result("sampler_determinism", 0.0 if same else 1.0, 0.0)
 
 

@@ -13,9 +13,14 @@ JSON record (or a CSV stream for ``sample --format csv``) with schema_version
 "1"; every float is printed with 17 significant digits so serialized output
 round-trips byte-for-byte.  Angles are radians only.  ``sample`` draws the
 coset angles exactly and rejects on the eigenvalue box against the exact
-sup of the eigenvalue factor, which the record reports as ``envelope``; its
-random stream (sampler stream version 3) is keyed by ``(seed, round)``, so
-every count prefix of a seed's output is the same.  A sample row is its
+sup of the eigenvalue factor, which the record reports as ``envelope``.  Its
+random streams (sampler stream version 4) are two Philox streams per
+16384-index chunk, keyed by ``(seed, 0)`` for the attempts and ``(seed, 1)``
+for the coset uniforms and read in order, so every count prefix of a seed's
+output is the same; the record's ``batch_size`` is the attempts drawn per
+pending index in one round, which changes the cost but not the bytes, and
+``total_proposals`` counts the attempts examined up to and including the
+last accepted one.  A sample row is its
 angles, then re and im of each matrix cell, the matrix from the closed-form
 kernel ``euler.density_batch``; both formats print rows from one float table
 through one ``%.16e`` row template (for JSON, the JSON writer's own output
@@ -173,7 +178,7 @@ def parse_params(n: int, tokens: list[str]):
 
 
 def _points(args, default: int) -> int:
-    from .integrate import MIN_POINTS
+    from .tensorgrid import MIN_POINTS
 
     points = default if args.points is None else args.points
     if not MIN_POINTS <= points <= MAX_POINTS:
@@ -392,12 +397,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Draw density matrices from the normalized Bures density on "
                     "the angle box: coset angles exactly by inverse CDF, "
                     "eigenvalue angles by rejection against the exact sup of "
-                    "the eigenvalue factor (reported as 'envelope'). The "
-                    "random stream (sampler stream version 3) is keyed by "
-                    "(seed, round), so every count prefix of a seed's output "
-                    "is the same. For n=3 the paper's box counts some spectra "
-                    "twice, so the samples differ from the Bures ensemble "
-                    "(mean purity 0.68444, not 46/66).")
+                    "the eigenvalue factor (reported as 'envelope'). Sampler "
+                    "stream version 4: each 16384-index chunk reads one Philox "
+                    "stream of attempts, keyed by (seed, 0), and one of coset "
+                    "uniforms, keyed by (seed, 1), in order, so every count "
+                    "prefix of a seed's output is the same. 'batch_size' is the "
+                    "attempts drawn per pending sample in one round (a cost "
+                    "choice that leaves the samples as they are); "
+                    "'total_proposals' counts the attempts examined up to and "
+                    "including the last accepted one. For n=3 the paper's box "
+                    "counts some spectra twice, so the samples differ from the "
+                    "Bures ensemble (mean purity 0.68444, not 46/66).")
     add_n(p)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)

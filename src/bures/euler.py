@@ -204,19 +204,13 @@ def density_from_params(p: DensityMatrixParams) -> np.ndarray:
 # vectorized kernels (hot paths: measures, quadrature, sampling)
 # ---------------------------------------------------------------------------
 
-def coset_unitary_batch(n: int, angles: np.ndarray) -> np.ndarray:
-    """Vectorized ``coset_unitary``, entry by entry; ``angles`` has shape
-    (N, 2) or (N, 6)."""
-    _check_n(n)
-    angles = np.atleast_2d(np.asarray(angles, dtype=np.float64))
-    u = np.empty((angles.shape[0], n, n), dtype=np.complex128)
+def _coset_entries(n: int, angles: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The rows of ``coset_unitary`` entry by entry, each entry an (N,) array."""
+    al, be, *rest = np.atleast_2d(np.asarray(angles, dtype=np.float64)).T
     if n == 2:
-        al, be = angles.T
         ea, cb, sb = np.exp(1j * al), np.cos(be), np.sin(be)
-        u[:, 0, 0], u[:, 0, 1] = ea * cb, ea * sb
-        u[:, 1, 0], u[:, 1, 1] = -ea.conj() * sb, ea.conj() * cb
-        return u
-    al, be, ga, th, a, b = angles.T
+        return (ea * cb, ea * sb), (-ea.conj() * sb, ea.conj() * cb)
+    ga, th, a, b = rest
     eal, ega, ea = np.exp(1j * al), np.exp(1j * ga), np.exp(1j * a)
     cbe, sbe = np.cos(be), np.sin(be)
     ct, st = np.cos(th), np.sin(th)
@@ -232,18 +226,50 @@ def coset_unitary_batch(n: int, angles: np.ndarray) -> np.ndarray:
     # M = L R02(theta) P(a); R01(b) then mixes M's columns 0 and 1
     m00, m01, m10, m11 = l00 * ct * ea, l01 * eac, l10 * ct * ea, l11 * eac
     m20 = -st * ea
-    u[:, 0, 0], u[:, 0, 1], u[:, 0, 2] = m00 * cb - m01 * sb, m00 * sb + m01 * cb, l00 * st
-    u[:, 1, 0], u[:, 1, 1], u[:, 1, 2] = m10 * cb - m11 * sb, m10 * sb + m11 * cb, l10 * st
-    u[:, 2, 0], u[:, 2, 1], u[:, 2, 2] = m20 * cb, m20 * sb, ct
+    return ((m00 * cb - m01 * sb, m00 * sb + m01 * cb, l00 * st),
+            (m10 * cb - m11 * sb, m10 * sb + m11 * cb, l10 * st),
+            (m20 * cb, m20 * sb, ct))
+
+
+def coset_unitary_batch(n: int, angles: np.ndarray) -> np.ndarray:
+    """Vectorized ``coset_unitary``, entry by entry; ``angles`` has shape
+    (N, 2) or (N, 6)."""
+    _check_n(n)
+    rows = _coset_entries(n, angles)
+    u = np.empty((len(rows[0][0]), n, n), dtype=np.complex128)
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            u[:, i, j] = entry
     return u
 
 
 def density_batch(n: int, eigen_angles: np.ndarray, coset_angles: np.ndarray) -> np.ndarray:
-    """Vectorized ``density_from_params`` for stacked angle rows."""
+    """Vectorized ``density_from_params`` for stacked angle rows.
+
+    Each entry is written from its own closed form, so rho_ji = conj(rho_ij)
+    bit for bit and the diagonal is exactly real.
+    """
     lam = diag_eigenvalues_batch(n, eigen_angles)
     if n == 3:
-        u = coset_unitary_batch(3, coset_angles)
-        return np.einsum("nik,njk->nij", u * lam[:, None, :], u.conj())
+        # rho_ij = sum_k lam_k U_ik conj(U_jk), in real arithmetic
+        rows = _coset_entries(3, coset_angles)
+        re_u = [[np.real(x) for x in row] for row in rows]
+        im_u = [[np.imag(x) for x in row] for row in rows]
+        rho = np.empty((lam.shape[0], 3, 3), dtype=np.complex128)
+        re, im = rho.real, rho.imag
+        for i in range(3):
+            a = [lam[:, k] * re_u[i][k] for k in range(3)]
+            b = [lam[:, k] * im_u[i][k] for k in range(3)]
+            for j in range(i, 3):
+                t = [a[k] * re_u[j][k] + b[k] * im_u[j][k] for k in range(3)]
+                re[:, i, j] = re[:, j, i] = t[0] + t[1] + t[2]
+                if i == j:
+                    im[:, i, i] = 0.0
+                else:
+                    t = [b[k] * re_u[j][k] - a[k] * im_u[j][k] for k in range(3)]
+                    im[:, i, j] = t[0] + t[1] + t[2]
+                    im[:, j, i] = -im[:, i, j]
+        return rho
     l1, l2 = lam.T
     al, be = np.atleast_2d(np.asarray(coset_angles, dtype=np.float64)).T
     cb, sb = np.cos(be), np.sin(be)

@@ -16,14 +16,11 @@ import numpy as np
 from .euler import EIGEN_RANGES, density_batch, diag_eigenvalues_batch
 from .functionals import FunctionalId, from_eigenvalues, from_matrices
 from .measure import _eigen_integral, eigen_measure_factor
-from .tensorgrid import QuadratureSpec, tensor_quadrature
+from .tensorgrid import MIN_POINTS, QuadratureSpec, tensor_quadrature
 
 # n=3: 64 points/axis is 4096 nodes on the 2-D eigenvalue box (~10 ms); the
 # half-resolution error estimate of the mean entropy there is ~2e-10
 DEFAULT_POINTS = {2: 32, 3: 64}
-# the error estimate reruns at half resolution, which from 4 points up is a
-# rule of at least 2 points that differs from the one it checks
-MIN_POINTS = 4
 
 
 @dataclass(frozen=True)

@@ -5,20 +5,26 @@ coset factor is a product of one-angle closed forms, so the coset angles are
 drawn exactly by inverse CDF and rejection runs on the 1-D (n=2) or 2-D
 (n=3) eigenvalue box alone, against the exact sup M of the eigenvalue factor.
 
-Round r of index chunk c (16384 indices each) draws all its uniforms in one
-call, from a Philox generator keyed by ``(seed, r)`` with counter
-``[0, c, 0, 0]``: a (pending, B, n^2) block, B = 4 attempts for each index
-still pending, the pending index of rank j taking row j.  An attempt maps
-n-1 uniforms linearly onto the eigenvalue box and n^2-n through the coset
-inverse CDFs, and is accepted iff u * M < eigenvalue factor for its last
-uniform u; the first accepted attempt of a row wins.  A rank depends only on
-the lower indices of its chunk, so every count prefix gives the same bytes.
-``sample_chunks`` yields the chunks one at a time, in index order, for
-callers that reduce or write them as they come; ``sample`` concatenates them.
+Index chunk c (16384 indices each) reads two Philox streams, both with
+counter ``[0, c, 0, 0]``.  The attempt stream, keyed by ``(seed, 0)``, is a
+sequence of attempts of n uniforms each: n-1 map linearly onto the
+eigenvalue box, and the attempt is accepted iff u * M < eigenvalue factor for
+its last uniform u.  Sample j of the chunk takes the eigenvalue angles of the
+j-th accepted attempt, and its n^2-n coset angles from row j of the coset
+stream, keyed by ``(seed, 1)``, through the coset inverse CDFs.  Rejection
+runs in rounds of ``batch_size`` (2) attempts per index still pending, but
+the attempt stream carries on across rounds and is read in order, so the
+bytes depend neither on the round size nor on ``count``: every count prefix
+gives the same bytes.  ``total_proposals`` counts the attempts examined, up
+to and including the last accepted one of each chunk.  ``sample_chunks``
+yields the chunks one at a time, in index order, for callers that reduce or
+write them as they come; ``sample`` concatenates them.
 
-This is sampler stream version 3: version 2 gave each sample index its own
-Philox stream keyed by ``(seed, index)``, and version 1 proposed uniformly on
-the full angle box against an envelope estimated from a grid.
+This is sampler stream version 4.  Version 3 keyed one stream per round,
+``(seed, round)``, and drew all n^2 uniforms of four attempts per pending
+index, so its bytes depended on that block size; version 2 gave each sample
+index its own stream keyed by ``(seed, index)``; version 1 proposed uniformly
+on the full angle box against an envelope estimated from a grid.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .euler import EIGEN_RANGES, coset_unitary_batch, density_batch
 from .measure import EIGEN_FACTOR_SUP, coset_angles_from_uniforms, eigen_measure_factor
 
 _INDEX_CHUNK = 16384          # sample indices per chunk (bounds memory)
-_BLOCK = 4                    # attempts per round per pending sample
+_BLOCK = 2                    # attempts per round per pending sample
 
 
 class EnvelopeViolationError(RuntimeError):
@@ -58,7 +64,7 @@ class SampleBatch:
     seed: int
     params: np.ndarray        # (count, d) angle rows, read-only
     envelope: float
-    batch_size: int           # attempts per round per pending sample
+    batch_size: int           # attempts per round per pending sample (cost only)
     total_proposals: int = field(repr=False, default=0)   # attempts examined
 
     @property
@@ -81,42 +87,40 @@ class SampleBatch:
         return coset_unitary_batch(self.n, self.params[:, self.n - 1:])
 
 
+def _stream(seed: int, stream: int, chunk: int) -> np.random.Generator:
+    """Philox stream ``stream`` (0: attempts, 1: coset uniforms) of index chunk ``chunk``."""
+    # counter[0] steps once per four doubles and carries into counter[1] =
+    # chunk only after 2**64 steps, so two chunks never share a counter
+    key = np.array([seed, stream], dtype=np.uint64)   # a list would cast 2**64-1 to 0
+    return np.random.Generator(np.random.Philox(key=key, counter=[0, chunk, 0, 0]))
+
+
 def _rejection_chunk(n: int, env: float, seed: int, chunk: int,
                      count: int) -> tuple[np.ndarray, int]:
     """Run rejection for the ``count`` sample indices of index chunk ``chunk``."""
     k = n - 1
-    d = n * n - 1
     lower, upper = np.array(EIGEN_RANGES[n]).T
     span = upper - lower
-    out = np.empty((count, d))
-    pend = np.arange(count)
-    proposals = 0
-    rnd = 0
-    while pend.size:
-        # a round draws at most _INDEX_CHUNK * _BLOCK * 9 doubles, four per
-        # counter step, so counter[0] stays below 16384 * 4 * 9 / 4, never
-        # carries into counter[1] = chunk, and two chunks never share a counter
-        key = np.array([seed, rnd], dtype=np.uint64)   # a list would cast 2**64-1 to 0
-        gen = np.random.Generator(np.random.Philox(key=key, counter=[0, chunk, 0, 0]))
-        arr = gen.random((pend.size, _BLOCK, n * n))
-        eigen = lower + arr[..., :k] * span
+    out = np.empty((count, n * n - 1))
+    attempts = _stream(seed, 0, chunk)
+    done = proposals = 0
+    while done < count:
+        # the stream is read in order, so the bytes do not depend on _BLOCK
+        u = attempts.random(((count - done) * _BLOCK, n))
+        eigen = lower + u[:, :k] * span
         dens = eigen_measure_factor(n, eigen)
         if np.any(dens > env):
-            r, c = np.unravel_index(int(np.argmax(dens)), dens.shape)
+            r = int(np.argmax(dens))
             raise EnvelopeViolationError(
-                f"eigenvalue factor {dens[r, c]:.6g} exceeds its bound {env:.6g} "
-                f"at point {eigen[r, c].tolist()}; the bound is invalid")
-        acc = arr[..., d] * env < dens
-        hit = acc.any(axis=1)
-        first = np.argmax(acc, axis=1)
-        # attempts examined: up to the accepted one, or the whole block
-        proposals += int(np.where(hit, first + 1, _BLOCK).sum())
-        rows = np.flatnonzero(hit)
-        won = arr[rows, first[rows]]
-        out[pend[rows], :k] = eigen[rows, first[rows]]
-        out[pend[rows], k:] = coset_angles_from_uniforms(n, won[:, k:d])
-        pend = pend[~hit]
-        rnd += 1
+                f"eigenvalue factor {dens[r]:.6g} exceeds its bound {env:.6g} "
+                f"at point {eigen[r].tolist()}; the bound is invalid")
+        won = np.flatnonzero(u[:, k] * env < dens)[:count - done]
+        out[done:done + won.size, :k] = eigen[won]
+        done += won.size
+        # attempts examined: the whole round, or up to the last one taken
+        proposals += int(won[-1]) + 1 if done == count else len(u)
+    coset = _stream(seed, 1, chunk).random((count, n * n - n))
+    out[:, k:] = coset_angles_from_uniforms(n, coset)
     return out, proposals
 
 

@@ -18,6 +18,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+# the fewest points per axis an error estimate accepts: from 4 up, its
+# coarser rerun (half the points for ``integrate``, two fewer for ``volume``)
+# is a rule of at least 2 points that differs from the one it checks
+MIN_POINTS = 4
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:

