@@ -55,8 +55,15 @@ def _powers():
 
 @functools.cache
 def _text():
-    """Each 4-digit group and each exponent suffix as one little-endian uint32."""
-    four = np.frombuffer("".join(map("%04d".__mod__, range(10_000))).encode(), "<u4")
+    """Each 4-digit group and each exponent suffix as one little-endian uint32.
+
+    Group i is the ASCII of ``"%04d" % i``: its thousands digit in the low
+    byte, its units digit in the high byte, each plus ``"0"``.
+    """
+    i = np.arange(10_000, dtype=np.uint32)
+    four = i // 1000 | i // 100 % 10 << 8 | i // 10 % 10 << 16 | i % 10 << 24
+    four += 0x30303030                              # "0000"
+    four.flags.writeable = False
     exps = range(_E_MIN, _E_MAX + 2)                # E + 1 for a carry
     return four, np.frombuffer("".join("e%+03d" % e for e in exps).encode(), "<u4")
 

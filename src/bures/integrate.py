@@ -33,21 +33,12 @@ class IntegrationResult:
     std_error: float | None = None
 
 
-def _evaluator(functional):
-    if isinstance(functional, FunctionalId):
-        return lambda lam: from_eigenvalues(functional, lam)
-    if callable(functional):
-        return functional
-    raise TypeError("functional must be a FunctionalId or a callable on "
-                    "stacked eigenvalue rows")
-
-
-def integrate(n: int, functional, spec: QuadratureSpec | None = None) -> IntegrationResult:
+def integrate(n: int, functional: FunctionalId,
+              spec: QuadratureSpec | None = None) -> IntegrationResult:
     """Quadrature of E[f(rho)] under the normalized Bures measure.
 
-    ``functional`` is a FunctionalId, or any callable mapping stacked
-    eigenvalue rows (N, n) to values (N,) (spectral functionals only).
-    Such an f does not depend on the coset angles, so the exact coset
+    ``functional`` is a FunctionalId (anything else is a TypeError).  Its f
+    is spectral, so it does not depend on the coset angles: the exact coset
     integral cancels and E[f] = Q[f e] / Q[e], with e the eigenvalue factor
     and Q the Gauss-Legendre rule on the (n-1)-dimensional eigenvalue box.
     The error estimate compares against a half-resolution rerun.
@@ -59,11 +50,13 @@ def integrate(n: int, functional, spec: QuadratureSpec | None = None) -> Integra
     if spec.points_per_axis < MIN_POINTS:
         raise ValueError(f"points_per_axis must be >= {MIN_POINTS}, "
                          f"got {spec.points_per_axis}")
-    evaluate = _evaluator(functional)
+    if not isinstance(functional, FunctionalId):
+        raise TypeError("quadrature needs a FunctionalId")
     lower, upper = zip(*EIGEN_RANGES[n])
 
     def fn(eig: np.ndarray) -> np.ndarray:
-        return evaluate(diag_eigenvalues_batch(n, eig)) * eigen_measure_factor(n, eig)
+        lam = diag_eigenvalues_batch(n, eig)
+        return from_eigenvalues(functional, lam) * eigen_measure_factor(n, eig)
 
     def mean(s: QuadratureSpec) -> float:
         return tensor_quadrature(fn, lower, upper, s) / _eigen_integral(n, s.points_per_axis)

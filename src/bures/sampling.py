@@ -29,6 +29,7 @@ on the full angle box against an envelope estimated from a grid.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -47,12 +48,16 @@ class EnvelopeViolationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SamplerSpec:
-    """Rejection-sampler configuration."""
+    """Rejection-sampler configuration.
+
+    ``seed`` is an integer in [0, 2**64); a float or a string is a TypeError,
+    not truncated to the integer below it.
+    """
 
     seed: int
 
     def __post_init__(self):
-        if not (0 <= int(self.seed) < 2 ** 64):
+        if not (0 <= operator.index(self.seed) < 2 ** 64):
             raise ValueError("seed must fit an unsigned 64-bit integer")
 
 

@@ -293,14 +293,14 @@ class TestOutputContract:
                             "theta=0.7853981633974483,alpha=0,beta=0")
         assert "7.8539816339744828e-01" in out
 
-    def test_batch_size_does_not_change_bytes(self, capsys):
-        # the size of the requested batch: 20 rows are a prefix of 50
-        outs = [run_cli(capsys, "sample", "--n", "2", "--count", "50", "--seed", "4",
-                        "--format", "csv")[1] for _ in range(2)]
-        assert outs[0] == outs[1]
+    def test_csv_count_prefix_bytes(self, capsys):
+        # the 20-row CSV of a seed is the header and first 20 rows of its 50-row CSV
+        _, full, _ = run_cli(capsys, "sample", "--n", "2", "--count", "50", "--seed", "4",
+                             "--format", "csv")
         _, prefix, _ = run_cli(capsys, "sample", "--n", "2", "--count", "20",
                                "--seed", "4", "--format", "csv")
-        assert outs[0].split("\n")[:21] == prefix.split("\n")[:21]
+        assert prefix.count("\n") == 21
+        assert full.startswith(prefix)
 
     @pytest.mark.parametrize("n", [2, 3])
     # CSV also at 16385 and 32771, which cross the sampler's 16384-row chunks:
@@ -394,6 +394,9 @@ class TestOutputContract:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+_BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
 class TestSubprocessEntry:
     def test_module_invocation_deterministic(self):
         cmd = [sys.executable, "-m", "bures", "sample", "--n", "2",
@@ -402,6 +405,51 @@ class TestSubprocessEntry:
         r2 = subprocess.run(cmd, capture_output=True, text=True)
         assert r1.returncode == 0
         assert r1.stdout == r2.stdout
+
+    # the process entry ends with os._exit once the CLI has its status; these
+    # pin that every byte is out first, and that a profiler still reports.
+    # They run with stdout block-buffered, as it is for a pipe by default
+    def test_piped_csv_equals_in_process_bytes(self, capsys):
+        # about 12 MB through a pipe: far more than the pipe and stdout buffer
+        argv = ["sample", "--n", "3", "--count", "20000", "--seed", "5", "--format", "csv"]
+        r = subprocess.run([sys.executable, "-m", "bures", *argv], capture_output=True,
+                           env=_BUFFERED_ENV)
+        assert r.returncode == 0, r.stderr
+        _, out, _ = run_cli(capsys, *argv)
+        assert r.stdout == out.encode()
+
+    def test_argparse_error_exits_2_with_usage(self):
+        r = subprocess.run([sys.executable, "-m", "bures", "integrate", "--n", "4"],
+                           capture_output=True, text=True, env=_BUFFERED_ENV)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.startswith("usage: bures integrate ")
+        assert "argument --n: invalid choice" in r.stderr
+
+    def test_help_exits_0_with_the_full_text(self, capsys, monkeypatch):
+        # argparse raises SystemExit with the help text still in stdout's buffer
+        monkeypatch.setenv("COLUMNS", "80")     # the same wrapping in both processes
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["integrate", "--help"])
+        assert exc.value.code == 0
+        want = capsys.readouterr().out
+        assert want.startswith("usage: bures integrate ") and "--functional" in want
+        r = subprocess.run([sys.executable, "-m", "bures", "integrate", "--help"],
+                           capture_output=True, text=True,
+                           env={**_BUFFERED_ENV, "COLUMNS": "80"})
+        assert r.returncode == 0
+        assert r.stdout == want
+        assert r.stderr == ""
+
+    def test_profiler_still_reports(self):
+        # under a profiler the entry exits through the interpreter, so cProfile
+        # prints its table after the record
+        r = subprocess.run([sys.executable, "-m", "cProfile", "-m", "bures", "volume",
+                            "--n", "2"], capture_output=True, text=True, env=_BUFFERED_ENV)
+        assert r.returncode == 0, r.stderr
+        record, _, table = r.stdout.partition("\n")
+        assert json.loads(record)["quantity"] == "volume"
+        assert "function calls" in table and "Ordered by" in table
 
     @pytest.mark.parametrize("command", [
         # more than 10 000 nodes: OpenBLAS splits the quadrature's dot product

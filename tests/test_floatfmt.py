@@ -96,6 +96,13 @@ def test_empty_table_and_field_count():
         floatfmt.format_rows(_ROW, np.zeros((2, 7)))
 
 
+def test_digit_table_is_percent_04d():
+    # the 4-digit groups are built with numpy; % on each group is the reference
+    four, exp_text = floatfmt._text()
+    assert four.tobytes() == "".join("%04d" % i for i in range(10_000)).encode()
+    assert exp_text.tobytes() == "".join("e%+03d" % e for e in range(-30, 4)).encode()
+
+
 def test_ties_and_out_of_range_take_the_fallback():
     rng = np.random.default_rng(5)
     _, _, back = floatfmt._decimal(_ties(rng, 10_000))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bures.euler import density_batch
-from bures.functionals import FunctionalId, from_eigenvalues, from_matrices
+from bures.functionals import FunctionalId, from_matrices
 from bures.integrate import IntegrationResult, integrate, integrate_mc
 from bures.sampling import SamplerSpec, sample
 from bures.tensorgrid import QuadratureSpec
@@ -35,14 +35,6 @@ class TestQuadrature2:
     def test_mean_entropy(self):
         res = integrate(2, ENTROPY)
         assert abs(res.value - MEAN_ENTROPY_2) <= 1e-5
-
-    def test_linearity(self):
-        a, b = 2.5, -0.75
-        combo = lambda lam: (a * from_eigenvalues(ENTROPY, lam)
-                             + b * from_eigenvalues(PURITY, lam))
-        lhs = integrate(2, combo).value
-        rhs = a * integrate(2, ENTROPY).value + b * integrate(2, PURITY).value
-        assert abs(lhs - rhs) <= 1e-10
 
     def test_result_metadata(self):
         res = integrate(2, PURITY, QuadratureSpec(16))
@@ -132,3 +124,6 @@ class TestValidation:
     def test_bad_functional(self):
         with pytest.raises(TypeError):
             integrate(2, "purity")
+        # nor a callable on eigenvalue rows: quadrature takes a FunctionalId
+        with pytest.raises(TypeError):
+            integrate(2, lambda lam: lam.sum(axis=-1))

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import runpy
@@ -113,12 +114,19 @@ def test_cli_import_registers_the_subcommand_modules():
 
 
 def test_console_script_runs_the_module_entry():
+    # the console script calls the function that `python -m bures` calls
+    # under its main guard, and that is the process entry, not main
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:
         entry = tomllib.load(fh)["project"]["scripts"]["bures"]
     module, _, attr = entry.partition(":")
+    assert (module, attr) == ("bures.__main__", "run")
     fn = getattr(importlib.import_module(module), attr)
     # the file `python -m bures` executes, run here without its main guard
     script = importlib.util.find_spec("bures.__main__").origin
     assert Path(fn.__code__.co_filename).resolve() == Path(script).resolve()
-    assert fn.__code__ == runpy.run_path(script)["main"].__code__
+    assert fn.__code__ == runpy.run_path(script)[attr].__code__
+    tree = ast.parse(Path(script).read_text())
+    guard = [node for node in tree.body if isinstance(node, ast.If)
+             and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(node) for node in guard[0].body] == [f"{attr}()"]

@@ -236,6 +236,17 @@ class TestValidation:
             SamplerSpec(seed=2 ** 64)
         SamplerSpec(seed=2 ** 64 - 1)
 
+    @pytest.mark.parametrize("seed", [1.5, 7.9, 7.0, "7", np.float64(7.0)])
+    def test_non_integral_seed_rejected(self, seed):
+        # int() would truncate these onto the streams of seeds 1 and 7
+        with pytest.raises(TypeError):
+            SamplerSpec(seed=seed)
+
+    def test_numpy_integer_seed_is_its_value(self):
+        a = sample(2, 16, SamplerSpec(seed=np.uint64(2 ** 64 - 1)))
+        b = sample(2, 16, SamplerSpec(seed=2 ** 64 - 1))
+        assert a.params.tobytes() == b.params.tobytes()
+
     def test_negative_count(self):
         with pytest.raises(ValueError):
             sample(2, -1, SamplerSpec(seed=1))

@@ -68,6 +68,16 @@ class TestTensorQuadrature:
         ref = (np.outer(w0, w1).ravel() * fn(pts)).sum()
         assert abs(got - ref) <= 1e-14
 
+    def test_linear_in_the_integrand(self):
+        # a weighted sum over the nodes: Q[a f + b g] = a Q[f] + b Q[g]
+        a, b = 2.5, -0.75
+        spec, lo, hi = QuadratureSpec(32), [0.0, 0.0], [1.0, 2.0]
+        f = lambda p: np.exp(-p[:, 0] * p[:, 1])
+        g = lambda p: p[:, 0] ** 2 + np.sin(p[:, 1])
+        lhs = tensor_quadrature(lambda p: a * f(p) + b * g(p), lo, hi, spec)
+        rhs = a * tensor_quadrature(f, lo, hi, spec) + b * tensor_quadrature(g, lo, hi, spec)
+        assert abs(lhs - rhs) <= 1e-12
+
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             tensor_quadrature(lambda p: p[:, 0], [0, 0], [1], QuadratureSpec(3))
