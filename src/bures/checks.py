@@ -339,7 +339,10 @@ def check_sampler_determinism() -> CheckResult:
 def check_float_format_exact() -> CheckResult:
     """The vectorized sample-row formatter against CPython's ``%``, value by value.
 
-    The deviation is the number of values printed differently.
+    Edge values go through it one per row; a 1024-row n=3 sample table goes
+    through the writer ``sample`` uses, with its Hermitian layout (lower
+    cells mirrored from the upper ones, the diagonal's im parts from the
+    template).  The deviation is the number of rows printed differently.
     """
     rng = np.random.default_rng(112)
     tens = np.array([float(f"1e{p}") for p in range(-31, 4)]).view(np.int64)
@@ -354,15 +357,18 @@ def check_float_format_exact() -> CheckResult:
         ties, [1 + 2.0 ** -17, 1 + 3 * 2.0 ** -17],
         rng.integers(1, 2 ** 52, 1_000, dtype=np.int64).view(np.float64),   # subnormal
         [0.0, 1e3, np.inf, np.nan]])
+    values = np.concatenate([
+        rng.integers(0, 2 ** 64, 20_000, dtype=np.uint64).view(np.float64),
+        magnitudes, -magnitudes])
     params = sample(3, 1024, SamplerSpec(seed=112)).params
     table = np.concatenate([params, density_batch(3, params[:, :2], params[:, 2:])
                             .view(np.float64).reshape(len(params), -1)], axis=1)
-    values = np.concatenate([
-        rng.integers(0, 2 ** 64, 20_000, dtype=np.uint64).view(np.float64),
-        magnitudes, -magnitudes, table.ravel()])
-    row = floatfmt.FIELD + "\n"
-    got = floatfmt.format_rows(row, values[:, None])
-    want = (row * len(values)) % tuple(values.tolist())
+    one = floatfmt.FIELD + "\n"
+    row = ",".join([floatfmt.FIELD] * table.shape[1]) + "\n"
+    writer = floatfmt.RowWriter(row, len(table), hermitian=(8, 3))
+    got = floatfmt.format_rows(one, values[:, None]) + writer.format(table).decode("ascii")
+    want = ((one * len(values)) % tuple(values.tolist())
+            + (row * len(table)) % tuple(table.ravel().tolist()))
     mismatches = 0 if got == want else sum(map(str.__ne__, got.split("\n"),
                                                want.split("\n")))
     return _result("float_format_exact", mismatches, 0.0)

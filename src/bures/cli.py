@@ -5,11 +5,8 @@ The ``bures`` command and ``python -m bures`` enter through
 output bytes do not depend on the core count, and once ``main`` here has
 returned its status (or argparse has raised ``SystemExit`` for ``--help`` or
 a usage error) it flushes stdout and stderr and ends the process with
-``os._exit``.  That skips interpreter teardown, about 30 ms of every command
-that loads numpy, which the commands do not need: their output is flushed and
-they hold no other file, thread or child process.  A tracer or profiler, an
-uncaught exception or a failed flush still gets the interpreter's normal
-exit, and ``main`` returns the status to an in-process caller.  This module
+``os._exit``, skipping interpreter teardown (see ``bures.__main__``);
+``main`` returns the status to an in-process caller.  This module
 imports only the standard library and registers the package's modules
 unexecuted; each subcommand imports the modules it runs, so numpy loads only
 once a subcommand runs, still after that thread count is set, and ``--help``
@@ -29,12 +26,12 @@ pending index in one round, which changes the cost but not the bytes, and
 ``total_proposals`` counts the attempts examined up to and including the
 last accepted one.  A sample row is its
 angles, then re and im of each matrix cell, the matrix from the closed-form
-kernel ``euler.density_batch``; both formats print rows from one float table
-through one ``%.16e`` row template (for JSON, the JSON writer's own output
-with its floats made fields), 1024 rows per write.  ``floatfmt.format_rows``
-fills the template a block at a time with numpy, byte-identical to ``%``, and
-hands the few floats it cannot round with certainty (possible ties, very
-large or small magnitudes, inf and nan) to ``%`` itself.  CSV writes each of
+kernel ``kernels.density_batch``.  Both formats print rows through one
+``%.16e`` row template (for JSON, the JSON writer's own output with its
+floats made fields) and one ``floatfmt.RowWriter`` per command, 1024 rows per
+write, as bytes.  The matrix is Hermitian, so the writer formats only the
+angles and the diagonal and upper cells, with numpy, byte-identical to ``%``
+(see ``floatfmt``).  CSV writes each of
 the sampler's 16384-index chunks as it is drawn, so its memory does not grow
 with ``--count``; the JSON record gives ``total_proposals`` before the
 samples, so JSON draws them all first.  Quadrature has one rule,
@@ -44,7 +41,7 @@ field.  ``integrate`` rejects an option of the method it does not run
 quadrature).  ``--points`` is in [4, 1024] per axis: from 4 up the error
 estimate's coarser rerun is another rule, and the cap bounds the quadrature
 grid's memory.  A reader that closes stdout early ends the command quietly;
-any other failure to write stdout exits 1 with a message, and an interrupt
+any other failure to write stdout (a closed fd 1 too) exits 1 with a message, and an interrupt
 (Ctrl-C) exits 130 without a traceback.
 """
 
@@ -67,11 +64,10 @@ DEFAULT_SEED = 0
 RULE = "gauss-legendre"     # the records' "rule" field; the only quadrature rule
 
 
-# "%.16e": 17 significant digits, a lossless round-trip for binary64.  Sample
-# rows go through floatfmt.format_rows, a vectorized form of this format (its
-# FIELD) that falls back to ``%`` for the floats it cannot round with certainty
+# "%.16e": 17 significant digits, a lossless round-trip for binary64; sample
+# rows get it from floatfmt, a vectorized form of this format (its FIELD)
 _FLOAT = "%.16e"
-_WRITE_ROWS = 1024      # sample rows per write; keeps each block's string under 1 MB
+_WRITE_ROWS = 1024      # sample rows per write; keeps each block under 1 MB
 
 
 def _register_lazily(names: tuple[str, ...]) -> None:
@@ -99,7 +95,7 @@ def _register_lazily(names: tuple[str, ...]) -> None:
 
 
 _register_lazily(("euler", "floatfmt", "functionals", "generators", "integrate",
-                  "linalg", "measure", "sampling", "tensorgrid"))
+                  "kernels", "linalg", "measure", "sampling", "tensorgrid"))
 
 
 def dumps_record(obj) -> str:
@@ -149,7 +145,7 @@ def _write_json(obj, parts: list[str]) -> None:
 
 
 def _param_names(n: int) -> tuple[str, ...]:
-    from .euler import COSET_NAMES, EIGEN_NAMES
+    from .kernels import COSET_NAMES, EIGEN_NAMES
 
     return EIGEN_NAMES[n] + COSET_NAMES[n]
 
@@ -227,8 +223,8 @@ def cmd_density(args) -> int:
 def cmd_sample(args) -> int:
     import numpy as np
 
-    from .euler import density_batch
-    from .floatfmt import format_rows
+    from .floatfmt import RowWriter, byte_writer
+    from .kernels import density_batch
     from .sampling import SamplerSpec, sample, sample_chunks
 
     if args.count < 0:
@@ -266,9 +262,11 @@ def cmd_sample(args) -> int:
         row = dumps_record({"params": dict.fromkeys(names, 0.0),
                             "matrix": [[0.0, 0.0]] * (n * n)}).replace(_FLOAT % 0.0, _FLOAT)
         sep, tail = ", ", "]}\n"
-    out = sys.stdout
-    out.write(head)
-    first = True
+    # sep leads every row but the first
+    writer = RowWriter(sep + row, min(args.count, _WRITE_ROWS), hermitian=(len(names), n))
+    write = byte_writer(sys.stdout)
+    write(head.encode())
+    skip = len(sep)
     # a sampler chunk (16384 rows) holds a whole number of write blocks, so
     # rows fall into the same blocks as in one concatenated batch
     for chunk in chunks:
@@ -277,10 +275,9 @@ def cmd_sample(args) -> int:
             mats = density_batch(n, params[:, :k], params[:, k:])
             table = np.concatenate([params, mats.view(np.float64).reshape(len(params), -1)],
                                    axis=1)
-            text = format_rows(sep + row, table)      # sep leads every row but the first
-            out.write(text[len(sep):] if first else text)
-            first = False
-    out.write(tail)
+            write(writer.format(table)[skip:])
+            skip = 0
+    write(tail.encode())
     return 0
 
 
@@ -331,7 +328,7 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_volume(args) -> int:
-    from .measure import REFERENCE_POINTS, normalization_constant
+    from .kernels import REFERENCE_POINTS, normalization_constant
 
     points = _points(args, REFERENCE_POINTS[args.n])
     value = normalization_constant(args.n, points_per_axis=points)
@@ -460,6 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if sys.stdout is None:             # fd 1 was closed when Python started
+        print("error: cannot write output: stdout is closed", file=sys.stderr)
+        return OUTPUT_FAILURE
     try:
         code = args.fn(args)
         sys.stdout.flush()

@@ -16,11 +16,13 @@ rightmost diagonal factors (gamma for n=2; c and phi for n=3) that commute
 with the diagonal matrix and drop out of rho; ``euler_unitary`` keeps them so
 the invariance is testable, ``coset_unitary`` pins them to zero.
 
-The batch kernels write U's entries in closed form (Byrd, J. Math. Phys. 39
-(1998) 6125), and rho's directly for n=2; the scalar maps multiply generator
-exponentials instead and are the independent check on those kernels.  They
-import ``generators`` and ``linalg`` when called, so the batch kernels load
-neither.
+This module holds the typed scalar API: range-checked coordinates, the maps
+that multiply generator exponentials, and the checks and inverse map on
+density matrices.  The fast batch forms (``diag_eigenvalues_batch``,
+``coset_unitary_batch``, ``density_batch``), which write U's entries in
+closed form (Byrd, J. Math. Phys. 39 (1998) 6125) and rho's directly, live in
+``kernels`` and are re-exported here; the scalar maps are the independent
+check on them.
 """
 
 from __future__ import annotations
@@ -31,17 +33,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-THETA2_MAX = float(np.arccos(1.0 / np.sqrt(3.0)))
+from .generators import gell_mann, pauli
+from .kernels import (COSET_NAMES, COSET_RANGES, EIGEN_NAMES, EIGEN_RANGES,  # noqa: F401
+                      THETA2_MAX, check_n, coset_unitary_batch, density_batch,
+                      diag_eigenvalues_batch)
+from .linalg import as_square, eig_hermitian, expm_i_generator, frobenius_norm
 
-EIGEN_NAMES = {2: ("theta",), 3: ("theta1", "theta2")}
-COSET_NAMES = {2: ("alpha", "beta"), 3: ("alpha", "beta", "gamma", "theta_big", "a", "b")}
-
-_HALF_PI = math.pi / 2
-EIGEN_RANGES = {2: ((0.0, math.pi / 4),),
-                3: ((0.0, math.pi / 4), (0.0, THETA2_MAX))}
-COSET_RANGES = {2: ((0.0, math.pi), (0.0, _HALF_PI)),
-                3: ((0.0, math.pi), (0.0, _HALF_PI), (0.0, math.pi),
-                    (0.0, _HALF_PI), (0.0, math.pi), (0.0, _HALF_PI))}
 
 class AngleRangeError(ValueError):
     """An angle lies outside its closed coordinate range."""
@@ -49,12 +46,6 @@ class AngleRangeError(ValueError):
 
 class NotADensityMatrixError(ValueError):
     """Input failed a density-matrix validity check."""
-
-
-def _check_n(n: int) -> int:
-    if n not in (2, 3):
-        raise ValueError(f"only n in {{2, 3}} is supported, got {n}")
-    return n
 
 
 def _check_ranges(n: int, names, ranges, angles) -> tuple[float, ...]:
@@ -75,7 +66,7 @@ class EigenvalueAngles:
     angles: tuple[float, ...]
 
     def __post_init__(self):
-        _check_n(self.n)
+        check_n(self.n)
         object.__setattr__(self, "angles",
                            _check_ranges(self.n, EIGEN_NAMES[self.n],
                                          EIGEN_RANGES[self.n], self.angles))
@@ -89,7 +80,7 @@ class CosetAngles:
     angles: tuple[float, ...]
 
     def __post_init__(self):
-        _check_n(self.n)
+        check_n(self.n)
         object.__setattr__(self, "angles",
                            _check_ranges(self.n, COSET_NAMES[self.n],
                                          COSET_RANGES[self.n], self.angles))
@@ -104,7 +95,7 @@ class DensityMatrixParams:
     coset: CosetAngles
 
     def __post_init__(self):
-        _check_n(self.n)
+        check_n(self.n)
         if self.eigen.n != self.n or self.coset.n != self.n:
             raise ValueError("component dimensions disagree")
 
@@ -122,7 +113,7 @@ class DensityMatrixParams:
 def params_from_values(n: int, values) -> DensityMatrixParams:
     """Build DensityMatrixParams from a flat coordinate vector
     (eigenvalue angles first, then coset angles)."""
-    _check_n(n)
+    check_n(n)
     vals = tuple(float(x) for x in values)
     k = n - 1
     if len(vals) != n * n - 1:
@@ -139,18 +130,6 @@ def diag_eigenvalues(eigen: EigenvalueAngles) -> np.ndarray:
     return diag_eigenvalues_batch(eigen.n, np.asarray(eigen.angles)[None, :])[0]
 
 
-def diag_eigenvalues_batch(n: int, angles: np.ndarray) -> np.ndarray:
-    """Vectorized spectrum map; ``angles`` has shape (..., n-1)."""
-    angles = np.asarray(angles, dtype=np.float64)
-    if n == 2:
-        t = angles[..., 0]
-        return np.stack([np.cos(t) ** 2, np.sin(t) ** 2], axis=-1)
-    t1, t2 = angles[..., 0], angles[..., 1]
-    s2 = np.sin(t2) ** 2
-    return np.stack([np.cos(t1) ** 2 * s2, np.sin(t1) ** 2 * s2, np.cos(t2) ** 2],
-                    axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # Euler products
 # ---------------------------------------------------------------------------
@@ -158,8 +137,6 @@ def diag_eigenvalues_batch(n: int, angles: np.ndarray) -> np.ndarray:
 def factor_chain(n: int, angles):
     """(generator, factor angle) pairs of the full Euler product, left to
     right; the truncated (coset) product is its first n^2 - n pairs."""
-    from .generators import gell_mann, pauli     # the scalar maps only
-
     if n == 2:
         al, be, ga = angles
         return [(pauli(3), al), (pauli(2), be), (pauli(3), ga)]
@@ -175,13 +152,11 @@ def euler_unitary(n: int, angles) -> np.ndarray:
     The rightmost factor for n=3 is exp(i * lambda_8 * phi/sqrt(3)).
     No range checks: this is the whole-group map.
     """
-    _check_n(n)
+    check_n(n)
     vals = tuple(float(x) for x in angles)
     want = 3 if n == 2 else 8
     if len(vals) != want:
         raise ValueError(f"expected {want} angles for n={n}, got {len(vals)}")
-    from .linalg import expm_i_generator
-
     u = np.eye(n, dtype=np.complex128)
     for g, x in factor_chain(n, vals):
         u = u @ expm_i_generator(g, x)
@@ -201,96 +176,11 @@ def density_from_params(p: DensityMatrixParams) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# vectorized kernels (hot paths: measures, quadrature, sampling)
-# ---------------------------------------------------------------------------
-
-def _coset_entries(n: int, angles: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
-    """The rows of ``coset_unitary`` entry by entry, each entry an (N,) array."""
-    al, be, *rest = np.atleast_2d(np.asarray(angles, dtype=np.float64)).T
-    if n == 2:
-        ea, cb, sb = np.exp(1j * al), np.cos(be), np.sin(be)
-        return (ea * cb, ea * sb), (-ea.conj() * sb, ea.conj() * cb)
-    ga, th, a, b = rest
-    eal, ega, ea = np.exp(1j * al), np.exp(1j * ga), np.exp(1j * a)
-    cbe, sbe = np.cos(be), np.sin(be)
-    ct, st = np.cos(th), np.sin(th)
-    cb, sb = np.cos(b), np.sin(b)
-    # The conjugates are named so that every complex product keeps the
-    # operand order it is written in: from 16384 rows up numpy reuses a
-    # temporary right operand in place, which swaps the operands, and the
-    # SIMD complex multiply is not bitwise commutative.
-    ealc, egac, eac = eal.conj(), ega.conj(), ea.conj()
-    # L = P(alpha) R01(beta) P(gamma) acts on rows and columns 0, 1 only
-    l00, l01 = eal * cbe * ega, eal * sbe * egac
-    l10, l11 = -ealc * sbe * ega, ealc * cbe * egac
-    # M = L R02(theta) P(a); R01(b) then mixes M's columns 0 and 1
-    m00, m01, m10, m11 = l00 * ct * ea, l01 * eac, l10 * ct * ea, l11 * eac
-    m20 = -st * ea
-    return ((m00 * cb - m01 * sb, m00 * sb + m01 * cb, l00 * st),
-            (m10 * cb - m11 * sb, m10 * sb + m11 * cb, l10 * st),
-            (m20 * cb, m20 * sb, ct))
-
-
-def coset_unitary_batch(n: int, angles: np.ndarray) -> np.ndarray:
-    """Vectorized ``coset_unitary``, entry by entry; ``angles`` has shape
-    (N, 2) or (N, 6)."""
-    _check_n(n)
-    rows = _coset_entries(n, angles)
-    u = np.empty((len(rows[0][0]), n, n), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        for j, entry in enumerate(row):
-            u[:, i, j] = entry
-    return u
-
-
-def density_batch(n: int, eigen_angles: np.ndarray, coset_angles: np.ndarray) -> np.ndarray:
-    """Vectorized ``density_from_params`` for stacked angle rows.
-
-    Each entry is written from its own closed form, so rho_ji = conj(rho_ij)
-    bit for bit and the diagonal is exactly real.
-    """
-    lam = diag_eigenvalues_batch(n, eigen_angles)
-    if n == 3:
-        # rho_ij = sum_k lam_k U_ik conj(U_jk), in real arithmetic
-        rows = _coset_entries(3, coset_angles)
-        re_u = [[np.real(x) for x in row] for row in rows]
-        im_u = [[np.imag(x) for x in row] for row in rows]
-        rho = np.empty((lam.shape[0], 3, 3), dtype=np.complex128)
-        re, im = rho.real, rho.imag
-        for i in range(3):
-            a = [lam[:, k] * re_u[i][k] for k in range(3)]
-            b = [lam[:, k] * im_u[i][k] for k in range(3)]
-            for j in range(i, 3):
-                t = [a[k] * re_u[j][k] + b[k] * im_u[j][k] for k in range(3)]
-                re[:, i, j] = re[:, j, i] = t[0] + t[1] + t[2]
-                if i == j:
-                    im[:, i, i] = 0.0
-                else:
-                    t = [b[k] * re_u[j][k] - a[k] * im_u[j][k] for k in range(3)]
-                    im[:, i, j] = t[0] + t[1] + t[2]
-                    im[:, j, i] = -im[:, i, j]
-        return rho
-    l1, l2 = lam.T
-    al, be = np.atleast_2d(np.asarray(coset_angles, dtype=np.float64)).T
-    cb, sb = np.cos(be), np.sin(be)
-    c2, s2 = cb * cb, sb * sb
-    off = (l2 - l1) * sb * cb
-    rho = np.empty((lam.shape[0], 2, 2), dtype=np.complex128)
-    rho[:, 0, 0] = l1 * c2 + l2 * s2
-    rho[:, 1, 1] = l1 * s2 + l2 * c2
-    rho[:, 0, 1] = off * np.exp(2j * al)
-    rho[:, 1, 0] = rho[:, 0, 1].conj()
-    return rho
-
-
-# ---------------------------------------------------------------------------
 # validation and the n=2 inverse map
 # ---------------------------------------------------------------------------
 
 def validate_density(rho, n: int | None = None, tol: float = 1e-10) -> np.ndarray:
     """Check Hermiticity, unit trace and positive semidefiniteness."""
-    from .linalg import as_square, frobenius_norm
-
     m = as_square(rho, "rho")
     if n is not None and m.shape[0] != n:
         raise NotADensityMatrixError(f"expected {n}x{n}, got {m.shape[0]}x{m.shape[0]}")
@@ -323,8 +213,6 @@ def params_from_density_2(rho) -> Inverse2Result:
     eigenvalues are degenerate (gap <= 1e-10) the coset angles are not
     identifiable; they are set to zero and ``degenerate`` is flagged.
     """
-    from .linalg import eig_hermitian
-
     m = validate_density(rho, n=2, tol=1e-10)
     w, v = eig_hermitian(m)
     lam_max = min(max(float(w[0]), 0.5), 1.0)

@@ -7,8 +7,6 @@ from enum import Enum
 
 import numpy as np
 
-from .euler import validate_density
-
 
 class FunctionalKind(Enum):
     VON_NEUMANN_ENTROPY = "entropy"
@@ -102,16 +100,24 @@ def from_matrices(fid: FunctionalId, rhos: np.ndarray) -> np.ndarray:
     return from_eigenvalues(fid, np.clip(spectrum_batch(rhos), 0.0, None))
 
 
+def _validated(rho, tol: float) -> np.ndarray:
+    # the scalar functionals only: the batch evaluators, which integrate
+    # runs, need nothing of euler's typed API
+    from .euler import validate_density
+
+    return validate_density(rho, tol=tol)
+
+
 def von_neumann_entropy(rho, tol: float = 1e-10) -> float:
     """-sum lam_i ln(lam_i) over the spectrum (natural log, 0 ln 0 := 0)."""
-    m = validate_density(rho, tol=tol)
+    m = _validated(rho, tol)
     lam = np.clip(np.linalg.eigvalsh(m), 0.0, None)
     return max(0.0, float(-_xlogx(lam).sum()))
 
 
 def purity(rho, tol: float = 1e-10) -> float:
     """Tr(rho^2), in (0, 1]."""
-    m = validate_density(rho, tol=tol)
+    m = _validated(rho, tol)
     return float((np.abs(m) ** 2).sum())
 
 
@@ -119,6 +125,6 @@ def eigenvalue_moment(rho, k: int, tol: float = 1e-10) -> float:
     """sum lam_i^k over the spectrum, k >= 1."""
     if k < 1:
         raise ValueError("moment order must be >= 1")
-    m = validate_density(rho, tol=tol)
+    m = _validated(rho, tol)
     lam = np.clip(np.linalg.eigvalsh(m), 0.0, None)
     return float((lam ** k).sum())

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .euler import EIGEN_RANGES, density_batch, diag_eigenvalues_batch
 from .functionals import FunctionalId, from_eigenvalues, from_matrices
-from .measure import _eigen_integral, eigen_measure_factor
+from .kernels import (EIGEN_RANGES, _eigen_integral, density_batch,
+                      diag_eigenvalues_batch, eigen_measure_factor)
 from .tensorgrid import MIN_POINTS, QuadratureSpec, tensor_quadrature
 
 # n=3: 64 points/axis is 4096 nodes on the 2-D eigenvalue box (~10 ms); the

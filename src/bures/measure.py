@@ -14,22 +14,31 @@ The first two factors have an integrable 1/sqrt(lam) singularity against a
 vanishing Jacobian at spectrum boundaries; ``*_measure_factor`` composes them
 analytically so the product stays finite there.  The normalization constant
 is a Gauss-Legendre quadrature of the eigenvalue factor over its box times
-the exact coset integral.  Everything is exposed both as scalar operations on
-the typed coordinates and as vectorized kernels.
+the exact coset integral.
+
+This module holds the scalar API on the typed coordinates and the check
+forms (``hall_density``, ``eigenvalue_jacobian``, ``haar_coset_density``).
+The fast vectorized factors (``eigen_measure_factor`` and its exact sup
+``EIGEN_FACTOR_SUP``, ``coset_measure_factor`` and its inverse CDFs
+``coset_angles_from_uniforms``) and the normalization constants live in
+``kernels`` and are re-exported here.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .euler import (EIGEN_RANGES, CosetAngles, DensityMatrixParams, EigenvalueAngles,
-                    factor_chain)
-from .tensorgrid import QuadratureSpec, tensor_quadrature
+from .euler import CosetAngles, DensityMatrixParams, EigenvalueAngles, factor_chain
+from .generators import generator_set
+from .kernels import (EIGEN_FACTOR_SUP, REFERENCE_POINTS, _eigen_integral,  # noqa: F401
+                      coset_angles_from_uniforms, coset_measure_factor,
+                      coset_normalization_constant, eigen_measure_factor,
+                      normalization_constant)
+from .linalg import dagger, expm_i_generator, matmul
 
 
 class NormalizationMode(Enum):
@@ -81,40 +90,6 @@ def eigenvalue_jacobian(eigen: EigenvalueAngles) -> float:
     return abs(math.sin(2 * t1) * math.sin(t2) ** 2 * math.sin(2 * t2))
 
 
-def eigen_measure_factor(n: int, angles: np.ndarray) -> np.ndarray:
-    """Eigenvalue density times Jacobian, composed analytically.
-
-    n=2: 8 cos^2(2t).  n=3: the only vanishing pair denominator
-    (lam_1 + lam_2 = sin^2 t2) cancels against the Jacobian, leaving an
-    explicit product with denominators bounded below by 1/3.
-    Finite on the whole closed box; ``angles`` has shape (..., n-1).
-    """
-    angles = np.asarray(angles, dtype=np.float64)
-    if n == 2:
-        t = angles[..., 0]
-        return 8.0 * np.cos(2 * t) ** 2
-    t1, t2 = angles[..., 0], angles[..., 1]
-    s2 = np.sin(t2) ** 2
-    l1 = np.cos(t1) ** 2 * s2
-    l2 = np.sin(t1) ** 2 * s2
-    l3 = np.cos(t2) ** 2
-    return (256.0 * np.sin(t2) ** 3 * np.cos(2 * t1) ** 2
-            * (l1 - l3) ** 2 * (l2 - l3) ** 2 / ((l1 + l3) * (l2 + l3)))
-
-
-def _eigen_sup_3() -> float:
-    # on the edge t1 = 0 the factor is 256 x^{3/2} (1-x) (1-2x)^2 with
-    # x = sin^2 t2; its derivative vanishes at the root of 18x^2 - 19x + 3
-    # inside the box (x <= 2/3), and the maximum over the box lies on that edge
-    x = (19.0 - math.sqrt(145.0)) / 36.0
-    return 256.0 * x ** 1.5 * (1.0 - x) * (1.0 - 2.0 * x) ** 2
-
-
-# exact sup of ``eigen_measure_factor`` over the eigenvalue box: 8 at t = 0
-# for n=2, 6.6037001945013625 for n=3; the sampler's rejection bound M
-EIGEN_FACTOR_SUP = {2: 8.0, 3: _eigen_sup_3()}
-
-
 # ---------------------------------------------------------------------------
 # coset factor
 # ---------------------------------------------------------------------------
@@ -126,9 +101,6 @@ def haar_coset_density(coset: CosetAngles) -> float:
     that factor replaced by its exact derivative (i g_k) e^{i g_k x_k}; the
     rows of C are the coset-generator coefficients of -i U^dag dU/dx_k.
     """
-    from .generators import generator_set     # the check only
-    from .linalg import dagger, expm_i_generator, matmul
-
     n = coset.n
     chain = factor_chain(n, coset.angles + (0.0,) * (n - 1))[:len(coset.angles)]
     factors = [expm_i_generator(g, x) for g, x in chain]
@@ -145,38 +117,6 @@ def haar_coset_density(coset: CosetAngles) -> float:
         x = -1j * matmul(udag, du)
         rows.append([0.5 * np.trace(x @ t).real for t in coset_gens])
     return abs(float(np.linalg.det(np.array(rows))))
-
-
-def coset_measure_factor(n: int, angles: np.ndarray) -> np.ndarray:
-    """Invariant coset density in closed form; ``angles`` has shape (N, 2|6).
-
-    n=2: |sin 2beta|.  n=3: |sin 2beta sin 2b sin^3(theta) cos(theta)|, the
-    Haar measure of SU(3) in Euler angles (Byrd, J. Math. Phys. 39 (1998)
-    6125) on the coset.  Equal to ``haar_coset_density`` to roundoff.
-    """
-    angles = np.atleast_2d(np.asarray(angles, dtype=np.float64))
-    dens = np.abs(np.sin(2 * angles[:, 1]))
-    if n == 3:
-        th = angles[:, 3]
-        dens *= np.abs(np.sin(2 * angles[:, 5]) * np.sin(th) ** 3 * np.cos(th))
-    return dens
-
-
-def coset_angles_from_uniforms(n: int, u: np.ndarray) -> np.ndarray:
-    """Map uniforms on [0, 1) to coset angles with density proportional to
-    ``coset_measure_factor``; ``u`` has shape (..., 2|6).
-
-    The closed form is a product of one-angle factors, so each angle is its
-    own inverse CDF: alpha, gamma and a are uniform on [0, pi); beta and b
-    have cdf (1 - cos 2x)/2; theta_big has cdf sin^4.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    out = math.pi * u
-    out[..., 1] = 0.5 * np.arccos(1.0 - 2.0 * u[..., 1])
-    if n == 3:
-        out[..., 3] = np.arcsin(u[..., 3] ** 0.25)
-        out[..., 5] = 0.5 * np.arccos(1.0 - 2.0 * u[..., 5])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -200,40 +140,3 @@ def bures_joint_density(p: DensityMatrixParams,
     normalized = mode is NormalizationMode.NORMALIZED
     value = float(joint_density_batch(p.n, p.values(), normalized)[0])
     return MeasureValue(value, mode, p.n)
-
-
-# reference resolutions of the eigenvalue-box quadrature (Gauss-Legendre);
-# convergence is geometric, so these are already stable to ~1e-12
-REFERENCE_POINTS = {2: 64, 3: 10}
-
-# exact integral of the coset factor over the coset box: pi from alpha, and
-# for n=3 pi^3 from the three free diagonal angles times 1/4 from the rest
-_COSET_VOLUME = {2: math.pi, 3: math.pi ** 3 / 4}
-
-
-@functools.cache
-def _eigen_integral(n: int, pts: int) -> float:
-    """Cached Gauss-Legendre quadrature of the eigenvalue factor over its box."""
-    lower, upper = zip(*EIGEN_RANGES[n])
-    return tensor_quadrature(lambda p: eigen_measure_factor(n, p), lower, upper,
-                             QuadratureSpec(pts))
-
-
-def normalization_constant(n: int, points_per_axis: int | None = None) -> float:
-    """Integral of the RAW joint density over the angle box (cached).
-
-    The RAW density is an eigenvalue-angle factor times the coset factor, so
-    the integral is the eigenvalue-box quadrature times the exact coset
-    integral ``coset_normalization_constant(n)``.
-    """
-    if n not in (2, 3):
-        raise ValueError(f"only n in {{2, 3}} is supported, got {n}")
-    pts = REFERENCE_POINTS[n] if points_per_axis is None else int(points_per_axis)
-    return _eigen_integral(n, pts) * coset_normalization_constant(n)
-
-
-def coset_normalization_constant(n: int) -> float:
-    """Integral of the coset density over the coset box: pi (n=2), pi^3/4 (n=3)."""
-    if n not in (2, 3):
-        raise ValueError(f"only n in {{2, 3}} is supported, got {n}")
-    return _COSET_VOLUME[n]

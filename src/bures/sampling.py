@@ -35,8 +35,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .euler import EIGEN_RANGES, coset_unitary_batch, density_batch
-from .measure import EIGEN_FACTOR_SUP, coset_angles_from_uniforms, eigen_measure_factor
+from .kernels import (EIGEN_FACTOR_SUP, EIGEN_RANGES, coset_angles_from_uniforms,
+                      coset_unitary_batch, density_batch, eigen_measure_factor)
 
 _INDEX_CHUNK = 16384          # sample indices per chunk (bounds memory)
 _BLOCK = 2                    # attempts per round per pending sample

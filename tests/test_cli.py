@@ -511,6 +511,21 @@ class TestSubprocessEntry:
         assert r.stderr.startswith("error: cannot write output:")
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.skipif(os.name != "posix", reason="needs POSIX file descriptors")
+    @pytest.mark.parametrize("command", [
+        ["volume", "--n", "2"],
+        ["sample", "--n", "2", "--count", "3", "--seed", "1"],
+    ])
+    def test_closed_stdout_exits_1(self, command):
+        # fd 1 closed before the interpreter starts (`bures ... >&-`), so
+        # sys.stdout is None
+        r = subprocess.run([sys.executable, "-m", "bures", *command],
+                           preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE,
+                           text=True)
+        assert r.returncode == 1
+        assert r.stderr.startswith("error: cannot write output:")
+        assert "Traceback" not in r.stderr
+
     @pytest.mark.parametrize("command", [
         ["integrate", "--n", "2", "--functional", "purity", "--points", "0"],
         ["volume", "--n", "2", "--points", "0"],

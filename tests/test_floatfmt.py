@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -125,3 +127,92 @@ def test_sample_table_mostly_vectorized(n):
     assert back.sum() <= 4
     template = ",".join([floatfmt.FIELD] * table.shape[1]) + "\n"
     assert floatfmt.format_rows(template, table) == _as_percent(template, table)
+
+
+# values that take the % fallback (ties, |x| < 1e-30, |x| >= 1e3) or sit at
+# its edges, planted in the upper cells a lower cell mirrors
+_MIRRORED = np.array([1e-31, -1e-31, 1 + 2.0 ** -17, -(1 + 2.0 ** -17), 0.0, -0.0,
+                      1e3, -1e3, np.nextafter(1e3, 0), -np.nextafter(1e3, 0),
+                      np.nextafter(1e3, np.inf), -np.nextafter(1e3, np.inf), 1e-30,
+                      -1e-30, 5e-324, -5e-324])
+
+
+def _hermitian_table(n: int, rows: int, rng: np.random.Generator) -> np.ndarray:
+    """Angle columns, then re and im of each cell of a Hermitian matrix as
+    ``density_batch`` writes it: lower cells the exact conjugates of the
+    upper ones, the diagonal's im parts +0.0; a third of the upper parts
+    are drawn from ``_MIRRORED``."""
+    upper = rng.normal(size=(rows, n, n, 2))
+    planted = rng.random(upper.shape) < 1 / 3
+    upper[planted] = rng.choice(_MIRRORED, planted.sum())
+    upper[0, 0, 1] = 1 + 2.0 ** -17, -1e-31         # a fallback in every block
+    rho = np.zeros((rows, n, n), np.complex128)
+    for i in range(n):
+        rho[:, i, i] = upper[:, i, i, 0]
+        for j in range(i + 1, n):
+            rho[:, i, j] = upper[:, i, j, 0] + 1j * upper[:, i, j, 1]
+            rho[:, j, i] = rho[:, i, j].conj()
+    table = np.concatenate([rng.uniform(0.0, np.pi, (rows, n * n - 1)),
+                            rho.view(np.float64).reshape(rows, -1)], axis=1)
+    assert not np.signbit(rho.imag[:, range(n), range(n)]).any()
+    return table
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("sep", ["", ", "])
+def test_hermitian_rows_match_percent(n, sep):
+    # one writer formats blocks of 1024, 1 and 1023 rows in turn, as the CLI
+    # does, so a slot that took the fallback in one block is reused in the next
+    rng = np.random.default_rng(100 * n + len(sep))
+    fields = 2 * n * n + n * n - 1
+    template = sep + "[" + ",".join([floatfmt.FIELD] * fields) + "]\n"
+    writer = floatfmt.RowWriter(template, 1024, hermitian=(n * n - 1, n))
+    for rows in (1024, 1, 1023, 1024):
+        table = _hermitian_table(n, rows, rng)
+        _, _, back = floatfmt._decimal(table.ravel())
+        assert back.sum() >= max(4, rows // 10)     # the fallback is exercised
+        got = writer.format(table).decode("ascii").splitlines()
+        want = _as_percent(template, table).splitlines()
+        bad = [(g, w) for g, w in zip(got, want) if g != w]
+        assert len(got) == len(want) == rows and not bad, bad[:2]
+
+
+def test_writer_checks_its_layout():
+    # NUL marks the bytes a slot does not use, so the template may not hold one
+    with pytest.raises(ValueError):
+        floatfmt.RowWriter("\0" + floatfmt.FIELD, 4)
+    with pytest.raises(ValueError):
+        floatfmt.RowWriter(",".join([floatfmt.FIELD] * 25), 4, hermitian=(8, 3))
+    writer = floatfmt.RowWriter(",".join([floatfmt.FIELD] * 11), 4, hermitian=(3, 2))
+    with pytest.raises(ValueError):
+        writer.format(np.zeros((5, 11)))
+
+
+def test_byte_writer_finishes_partial_writes():
+    # under PYTHONUNBUFFERED stdout is a text layer straight over a raw
+    # FileIO, whose write may take only part of the data
+    class Partial(io.RawIOBase):
+        def __init__(self):
+            self.data = bytearray()
+
+        def writable(self):
+            return True
+
+        def write(self, data):
+            self.data += bytes(data[:7])
+            return min(len(data), 7)
+
+    for buffered in (False, True):
+        # buffered: the text layer holds "head," until it is flushed
+        raw = Partial()
+        out = io.TextIOWrapper(io.BufferedWriter(raw) if buffered else raw,
+                               encoding="ascii", write_through=not buffered)
+        out.write("head,")
+        write = floatfmt.byte_writer(out)
+        write(b"x" * 100)
+        write(b"tail\n")
+        out.flush()
+        assert bytes(raw.data) == b"head," + b"x" * 100 + b"tail\n"
+    text_only = io.StringIO()           # no binary layer: it takes the text
+    floatfmt.byte_writer(text_only)(b"1.0\n")
+    assert text_only.getvalue() == "1.0\n"

@@ -62,8 +62,12 @@ print(json.dumps(sorted(name for name, module in sys.modules.items()
 """
 
 _CLI = {"bures", "bures.__main__", "bures.cli"}
+# the modules that define the typed scalar API (EigenvalueAngles,
+# DensityMatrixParams, MeasureValue and the check forms on them): the batch
+# commands run none of them
+_SCALAR_API = {"bures.euler", "bures.measure"}
 _QUADRATURE_UNUSED = {"bures.sampling", "bures.floatfmt", "bures.generators",
-                      "bures.linalg", "bures.checks", "numpy.random"}
+                      "bures.linalg", "bures.checks", "numpy.random"} | _SCALAR_API
 
 
 @pytest.mark.parametrize("argv,needed,unused", [
@@ -71,16 +75,16 @@ _QUADRATURE_UNUSED = {"bures.sampling", "bures.floatfmt", "bures.generators",
     (["integrate", "--help"], set(), None),
     (["integrate", "--n", "4", "--functional", "entropy"], set(), None),
     (["integrate", "--n", "3", "--functional", "entropy", "--points", "8"],
-     {"bures.integrate", "bures.tensorgrid"}, _QUADRATURE_UNUSED),
-    (["volume", "--n", "3", "--points", "4"], {"bures.measure", "bures.tensorgrid"},
+     {"bures.integrate", "bures.kernels", "bures.tensorgrid"}, _QUADRATURE_UNUSED),
+    (["volume", "--n", "3", "--points", "4"], {"bures.kernels", "bures.tensorgrid"},
      _QUADRATURE_UNUSED | {"bures.integrate", "bures.functionals"}),
     (["integrate", "--n", "2", "--functional", "purity", "--method", "mc",
-      "--samples", "100"], {"bures.integrate", "bures.sampling"},
-     {"bures.floatfmt", "bures.generators", "bures.linalg", "bures.checks"}),
+      "--samples", "100"], {"bures.integrate", "bures.kernels", "bures.sampling"},
+     {"bures.floatfmt", "bures.generators", "bures.linalg", "bures.checks"} | _SCALAR_API),
     (["sample", "--n", "3", "--count", "10", "--seed", "1"],
-     {"bures.sampling", "bures.floatfmt"},
+     {"bures.sampling", "bures.kernels", "bures.floatfmt"},
      {"bures.integrate", "bures.functionals", "bures.generators", "bures.linalg",
-      "bures.checks"}),
+      "bures.checks", "bures.tensorgrid"} | _SCALAR_API),
 ], ids=["help", "integrate-help", "usage-error", "quadrature", "volume", "mc", "sample"])
 def test_each_command_runs_only_what_it_needs(argv, needed, unused):
     # --help and usage errors end before numpy loads (unused None: nothing
@@ -103,7 +107,7 @@ def test_cli_import_registers_the_subcommand_modules():
     # each one a subcommand runs, and runs it on first use
     code = ("import sys, bures.cli, bures\n"
             "names = ('euler', 'floatfmt', 'functionals', 'generators', 'integrate',\n"
-            "         'linalg', 'measure', 'sampling', 'tensorgrid')\n"
+            "         'kernels', 'linalg', 'measure', 'sampling', 'tensorgrid')\n"
             "assert all('bures.' + n in sys.modules for n in names)\n"
             "assert 'numpy' not in sys.modules\n"
             "assert bures.sampling.sample.__module__ == 'bures.sampling'\n"
