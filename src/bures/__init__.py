@@ -25,20 +25,19 @@ __all__ = [
     "NonHermitianError", "NormalizationMode", "NotADensityMatrixError",
     "QuadratureSpec", "SampleBatch", "SamplerSpec", "THETA2_MAX",
     "bures_joint_density", "coset_normalization_constant", "coset_unitary",
-    "dagger", "density_from_params", "diag_eigenvalues", "eig_hermitian",
+    "density_from_params", "diag_eigenvalues", "eig_hermitian",
     "eigenvalue_jacobian", "eigenvalue_moment", "euler_unitary",
     "expm_i_generator", "gell_mann", "generator_set", "haar_coset_density",
-    "hall_density", "integrate", "integrate_mc", "matmul",
-    "normalization_constant", "params_from_density_2", "params_from_values",
-    "pauli", "purity", "sample", "tensor_quadrature", "trace",
-    "validate_density", "von_neumann_entropy",
+    "hall_density", "integrate", "integrate_mc", "normalization_constant",
+    "params_from_density_2", "params_from_values", "pauli", "purity", "sample",
+    "tensor_quadrature", "validate_density", "von_neumann_entropy",
 ]
 
 # public name -> the submodule that defines it
 _SOURCE = {name: module for module, names in {
     "generators": ("GeneratorSet", "gell_mann", "generator_set", "pauli"),
-    "linalg": ("HermitianEigenResult", "NonHermitianError", "dagger",
-               "eig_hermitian", "expm_i_generator", "matmul", "trace"),
+    "linalg": ("HermitianEigenResult", "NonHermitianError", "eig_hermitian",
+               "expm_i_generator"),
     "euler": ("THETA2_MAX", "AngleRangeError", "CosetAngles", "DensityMatrixParams",
               "EigenvalueAngles", "Inverse2Result", "NotADensityMatrixError",
               "coset_unitary", "density_from_params", "diag_eigenvalues",

@@ -22,7 +22,7 @@ from .euler import (COSET_RANGES, EIGEN_RANGES, CosetAngles,
                     params_from_density_2, params_from_values)
 from .functionals import FunctionalId, FunctionalKind, spectrum_batch
 from .integrate import integrate, integrate_mc
-from .linalg import dagger, eig_hermitian, expm_i_generator, frobenius_norm
+from .linalg import eig_hermitian, expm_i_generator, frobenius_norm
 from .measure import (coset_measure_factor, eigen_measure_factor,
                       eigenvalue_jacobian, haar_coset_density,
                       normalization_constant)
@@ -109,7 +109,7 @@ def check_expm_unitarity_group_law() -> CheckResult:
             h = h + h.conj().T
             s, t = rng.uniform(-3, 3, 2)
             u = expm_i_generator(h, t)
-            dev = max(dev, frobenius_norm(u @ dagger(u) - eye))
+            dev = max(dev, frobenius_norm(u @ u.conj().T - eye))
             dev = max(dev, frobenius_norm(
                 expm_i_generator(h, s + t) - expm_i_generator(h, s) @ u))
             det_dev = abs(np.linalg.det(u) - np.exp(1j * t * np.trace(h)))

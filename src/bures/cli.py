@@ -34,15 +34,22 @@ angles and the diagonal and upper cells, with numpy, byte-identical to ``%``
 (see ``floatfmt``).  CSV writes each of
 the sampler's 16384-index chunks as it is drawn, so its memory does not grow
 with ``--count``; the JSON record gives ``total_proposals`` before the
-samples, so JSON draws them all first.  Quadrature has one rule,
-Gauss-Legendre on the eigenvalue box, and records name it in their ``rule``
-field.  ``integrate`` rejects an option of the method it does not run
+samples, so JSON draws them all first.  ``density`` prints rho from the
+same kernel on its one row, and the eigenvalues from the closed-form spectrum
+(``kernels.diag_eigenvalues_batch``), in descending order.  Quadrature has
+one rule, Gauss-Legendre on the eigenvalue box, and records name it in their
+``rule`` field.  ``tensorgrid`` evaluates it on whole rows of the box in
+blocks of at most 8192 nodes, sums each block pairwise with numpy and adds
+the block sums in index order, so its memory does not grow with ``--points``
+and its bytes do not depend on the BLAS library, kernel or thread count.
+``integrate`` rejects an option of the method it does not run
 (``--points`` with ``--method mc``, ``--samples``/``--seed`` with
 quadrature).  ``--points`` is in [4, 1024] per axis: from 4 up the error
-estimate's coarser rerun is another rule, and the cap bounds the quadrature
-grid's memory.  A reader that closes stdout early ends the command quietly;
-any other failure to write stdout (a closed fd 1 too) exits 1 with a message, and an interrupt
-(Ctrl-C) exits 130 without a traceback.
+estimate's coarser rerun is another rule, and the cap bounds the time of the
+rule's construction and of the 1024^2-node grid.  A reader that closes
+stdout early ends the command quietly; any other failure to write stdout (a
+closed fd 1 too) exits 1 with a message, and an interrupt (Ctrl-C) exits 130
+without a traceback.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ USAGE_ERROR = 2
 CHECK_FAILURE = 1
 OUTPUT_FAILURE = 1
 INTERRUPTED = 130       # 128 + SIGINT, as a shell reports it
-MAX_POINTS = 1024       # the n=3 grid holds about 100 * P**2 bytes: 104 MB here
+MAX_POINTS = 1024       # the n=3 rule: P**2 nodes, about 0.7 s at the cap
 DEFAULT_SAMPLES = 1_000_000
 DEFAULT_SEED = 0
 RULE = "gauss-legendre"     # the records' "rule" field; the only quadrature rule
@@ -196,13 +203,13 @@ def _points(args, default: int) -> int:
 def cmd_density(args) -> int:
     import numpy as np
 
-    from .euler import density_from_params
-    from .linalg import eig_hermitian
+    from .kernels import density_batch, diag_eigenvalues_batch
     from .measure import NormalizationMode, bures_joint_density
 
     params = parse_params(args.n, args.params)
-    rho = density_from_params(params)
-    eigvals = eig_hermitian(rho).eigenvalues
+    eigen = np.array(params.eigen.angles)[None, :]
+    rho = density_batch(args.n, eigen, np.array(params.coset.angles)[None, :])[0]
+    eigvals = np.sort(diag_eigenvalues_batch(args.n, eigen)[0])[::-1]
     mode = (NormalizationMode.NORMALIZED if args.mode == "normalized"
             else NormalizationMode.RAW)
     dens = bures_joint_density(params, mode)
@@ -284,7 +291,6 @@ def cmd_sample(args) -> int:
 def cmd_integrate(args) -> int:
     from .functionals import FunctionalId
     from .integrate import DEFAULT_POINTS, integrate, integrate_mc
-    from .tensorgrid import QuadratureSpec
 
     fid = FunctionalId.parse(args.functional)
     # each method takes only its own options; the defaults are set here so
@@ -305,6 +311,8 @@ def cmd_integrate(args) -> int:
         "method": args.method,
     }
     if args.method == "quadrature":
+        from .tensorgrid import QuadratureSpec
+
         res = integrate(args.n, fid, QuadratureSpec(_points(args, DEFAULT_POINTS[args.n])))
         record.update({
             "value": res.value,
@@ -495,5 +503,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _discard_stdout() -> None:
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    finally:
+        os.close(devnull)
 

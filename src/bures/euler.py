@@ -37,7 +37,7 @@ from .generators import gell_mann, pauli
 from .kernels import (COSET_NAMES, COSET_RANGES, EIGEN_NAMES, EIGEN_RANGES,  # noqa: F401
                       THETA2_MAX, check_n, coset_unitary_batch, density_batch,
                       diag_eigenvalues_batch)
-from .linalg import as_square, eig_hermitian, expm_i_generator, frobenius_norm
+from .linalg import as_square, expm_i_generator, frobenius_norm
 
 
 class AngleRangeError(ValueError):
@@ -207,22 +207,32 @@ DEGENERACY_GAP = 1e-10
 def params_from_density_2(rho) -> Inverse2Result:
     """Recover (theta, alpha, beta) from a 2x2 density matrix.
 
-    theta = arccos(sqrt(lambda_max)).  The leading eigenvector fixes
-    (alpha, beta) through its component moduli and relative phase, with the
-    global-phase/sign freedom folded so alpha lands in [0, pi).  When the
-    eigenvalues are degenerate (gap <= 1e-10) the coset angles are not
-    identifiable; they are set to zero and ``degenerate`` is flagged.
+    theta = arccos(sqrt(lambda_max)), with lambda_max = m + h as in
+    ``functionals.spectrum_batch``.  The leading eigenvector, in closed form
+    (rho01, lambda_max - rho00) or (lambda_max - rho11, rho10), whichever is
+    longer, fixes (alpha, beta) through its component moduli and relative
+    phase, with the global-phase/sign freedom folded so alpha lands in
+    [0, pi).  When the eigenvalues are degenerate (gap 2h <= 1e-10) the coset
+    angles are not identifiable; they are set to zero and ``degenerate`` is
+    flagged.
     """
     m = validate_density(rho, n=2, tol=1e-10)
-    w, v = eig_hermitian(m)
-    lam_max = min(max(float(w[0]), 0.5), 1.0)
-    theta = math.acos(math.sqrt(lam_max))
-    degenerate = bool(w[0] - w[1] <= DEGENERACY_GAP)
+    a, d, off = m[0, 0].real, m[1, 1].real, complex(m[0, 1])
+    h = math.hypot(0.5 * (a - d), abs(off))
+    lam_max = 0.5 * (a + d) + h
+    theta = math.acos(math.sqrt(min(max(lam_max, 0.5), 1.0)))
+    degenerate = 2.0 * h <= DEGENERACY_GAP
     if degenerate:
         alpha, beta = 0.0, 0.0
     else:
-        lead = v[:, 0]
-        r1, r2 = abs(lead[0]), abs(lead[1])
+        # both solve (rho - lambda_max) v = 0; the longer one is the one
+        # that does not cancel, as lambda_max - rho00 does when rho00 > rho11
+        if a > d:
+            lead = (lam_max - d, off.conjugate())
+        else:
+            lead = (off, lam_max - a)
+        norm = math.hypot(abs(lead[0]), abs(lead[1]))
+        r1, r2 = abs(lead[0]) / norm, abs(lead[1]) / norm
         beta = math.atan2(r2, r1)
         if r1 < 1e-12 or r2 < 1e-12:
             alpha = 0.0           # rho is diagonal; alpha is pure gauge

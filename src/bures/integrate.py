@@ -10,13 +10,16 @@ density matrices), which keeps the two paths independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .functionals import FunctionalId, from_eigenvalues, from_matrices
 from .kernels import (EIGEN_RANGES, _eigen_integral, density_batch,
                       diag_eigenvalues_batch, eigen_measure_factor)
-from .tensorgrid import MIN_POINTS, QuadratureSpec, tensor_quadrature
+
+if TYPE_CHECKING:
+    from .tensorgrid import QuadratureSpec
 
 # n=3: 64 points/axis is 4096 nodes on the 2-D eigenvalue box (~10 ms); the
 # half-resolution error estimate of the mean entropy there is ~2e-10
@@ -43,6 +46,9 @@ def integrate(n: int, functional: FunctionalId,
     and Q the Gauss-Legendre rule on the (n-1)-dimensional eigenvalue box.
     The error estimate compares against a half-resolution rerun.
     """
+    # Monte Carlo runs no quadrature, so only this route loads the rule
+    from .tensorgrid import MIN_POINTS, QuadratureSpec, tensor_quadrature
+
     if n not in (2, 3):
         raise ValueError(f"only n in {{2, 3}} is supported, got {n}")
     if spec is None:

@@ -1,9 +1,11 @@
-"""Complex matrix arithmetic for 2x2 and 3x3 matrices.
+"""Validation and spectral operations for 2x2 and 3x3 matrices.
 
-Thin, validated wrappers around numpy plus the two spectral operations the
-rest of the package is built on: the unitary exp(i*g*t) of a Hermitian
-generator and a deterministic Hermitian eigendecomposition (descending
-eigenvalues, index-ordered tie-breaking in degenerate subspaces).
+Shape and Hermiticity checks, and the two spectral operations of the check
+forms: the unitary exp(i*g*t) of a Hermitian generator, which the
+generator-exponential chain in ``euler`` multiplies, and a Hermitian
+eigendecomposition (descending eigenvalues, phase-fixed eigenvectors).  No
+command runs either: the batch kernels write U and rho in closed form, and
+the n=2 inverse map takes its eigenvector in closed form too.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from typing import NamedTuple
 import numpy as np
 
 HERMITICITY_RTOL = 1e-10
-# eigenvalues closer than this (relative to scale) are treated as one cluster
-_DEGENERACY_RTOL = 2e-14
 
 
 class NonHermitianError(ValueError):
@@ -29,23 +29,6 @@ def as_square(a, name: str = "matrix") -> np.ndarray:
     if m.shape[0] not in (2, 3):
         raise ValueError(f"{name} must be 2x2 or 3x3, got {m.shape[0]}x{m.shape[0]}")
     return m
-
-
-def matmul(a, b) -> np.ndarray:
-    a = as_square(a, "a")
-    b = as_square(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a @ b
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_square(a).conj().T
-
-
-def trace(a) -> complex:
-    return complex(np.trace(as_square(a)))
 
 
 def frobenius_norm(a) -> float:
@@ -67,51 +50,17 @@ class HermitianEigenResult(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def _canonical_cluster_basis(vecs: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of span(vecs): Gram-Schmidt of the
-    projector's columns in index order (basis-independent, so LAPACK's
-    arbitrary choice inside a degenerate subspace is removed)."""
-    proj = vecs @ vecs.conj().T
-    size = vecs.shape[1]
-    basis: list[np.ndarray] = []
-    for k in range(proj.shape[0]):
-        x = proj[:, k].copy()
-        for b in basis:
-            x -= b * (b.conj() @ x)
-        nrm = np.linalg.norm(x)
-        if nrm > 1e-6:
-            x /= nrm
-            for b in basis:  # second pass for orthogonality at roundoff level
-                x -= b * (b.conj() @ x)
-            x /= np.linalg.norm(x)
-            basis.append(x)
-        if len(basis) == size:
-            break
-    return np.column_stack(basis)
-
-
 def eig_hermitian(a) -> HermitianEigenResult:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix (LAPACK ``eigh``).
 
-    Eigenvalues are returned in descending order.  Within numerically
-    degenerate clusters the eigenvector basis is re-fixed deterministically
-    (see ``_canonical_cluster_basis``), and every eigenvector is phased so
-    its largest-magnitude component is real positive; equal inputs therefore
-    give equal outputs, and diagonal inputs give standard-basis vectors.
+    Eigenvalues are returned in descending order, and every eigenvector is
+    phased so its largest-magnitude component is real positive.  Within a
+    degenerate eigenspace the basis is LAPACK's.
     """
     m = _require_hermitian(a, "matrix")
     w, v = np.linalg.eigh(m)
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
-    tol = _DEGENERACY_RTOL * max(1.0, float(np.abs(w).max()))
-    i = 0
-    while i < len(w):
-        j = i + 1
-        while j < len(w) and abs(w[j] - w[j - 1]) <= tol:
-            j += 1
-        if j - i > 1:
-            v[:, i:j] = _canonical_cluster_basis(v[:, i:j])
-        i = j
     for j in range(v.shape[1]):
         k = int(np.argmax(np.abs(v[:, j])))
         pivot = v[k, j]

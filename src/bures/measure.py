@@ -38,7 +38,7 @@ from .kernels import (EIGEN_FACTOR_SUP, REFERENCE_POINTS, _eigen_integral,  # no
                       coset_angles_from_uniforms, coset_measure_factor,
                       coset_normalization_constant, eigen_measure_factor,
                       normalization_constant)
-from .linalg import dagger, expm_i_generator, matmul
+from .linalg import expm_i_generator
 
 
 class NormalizationMode(Enum):
@@ -107,14 +107,14 @@ def haar_coset_density(coset: CosetAngles) -> float:
     coset_gens = generator_set(n).coset_generators()
     u = np.eye(n, dtype=np.complex128)
     for f in factors:
-        u = matmul(u, f)
-    udag = dagger(u)
+        u = u @ f
+    udag = u.conj().T
     rows = []
     for k, (g, _) in enumerate(chain):
         du = np.eye(n, dtype=np.complex128)
         for j, f in enumerate(factors):
-            du = matmul(du, matmul(1j * g, f) if j == k else f)
-        x = -1j * matmul(udag, du)
+            du = du @ ((1j * g) @ f if j == k else f)
+        x = -1j * (udag @ du)
         rows.append([0.5 * np.trace(x @ t).real for t in coset_gens])
     return abs(float(np.linalg.det(np.array(rows))))
 

@@ -1,19 +1,17 @@
-"""Gauss-Legendre tensor-product quadrature over rectangular boxes.
+"""Gauss-Legendre tensor-product quadrature over 1-D and 2-D boxes.
 
 The package's integrals run over the 1-D (n=2) or 2-D (n=3) eigenvalue box,
 where the integrands are smooth and Gauss-Legendre converges geometrically,
-so it is the only rule.  The node grid is small and is built densely in one
-array; its memory grows as points_per_axis ** d.  Each rule on [-1, 1] is
-built once per point count per process: numpy's ``leggauss`` finds the nodes
-with a dense O(P^3) eigensolve (the Golub-Welsch construction, Math. Comp. 23
-(1969) 221), which at 1024 points is about as slow as the 1024^2-node
-quadrature it feeds.
+so it is the only rule.  Each rule on [-1, 1] is built once per point count
+per process: numpy's ``leggauss`` finds the nodes with a dense O(P^3)
+eigensolve (the Golub-Welsch construction, Math. Comp. 23 (1969) 221), which
+at 1024 points is about as slow as the 1024^2-node quadrature it feeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,6 +20,9 @@ import numpy as np
 # coarser rerun (half the points for ``integrate``, two fewer for ``volume``)
 # is a rule of at least 2 points that differs from the one it checks
 MIN_POINTS = 4
+
+# nodes per integrand call: whole rows of the first axis, as many as fit
+_BLOCK_NODES = 8192
 
 
 @dataclass(frozen=True)
@@ -54,22 +55,37 @@ def axis_rule(points: int, lo: float, hi: float):
 def tensor_quadrature(fn: Callable[[np.ndarray], np.ndarray],
                       lower: Sequence[float], upper: Sequence[float],
                       spec: QuadratureSpec) -> float:
-    """Integrate ``fn`` over the box [lower, upper] with a tensor-product rule.
+    """Integrate ``fn`` over the 1-D or 2-D box [lower, upper] with a
+    tensor-product rule.
 
-    ``fn`` receives all points_per_axis ** d nodes at once as an (N, d) array
-    and returns (N,) values.  The weighted sum is one BLAS dot product, which
-    OpenBLAS (as bundled with numpy 2.4) splits over its threads above 10 000
-    nodes, so a library result over more nodes can differ in its last bits
-    with numpy's BLAS thread count.  The CLI runs BLAS on one thread, so its
-    output does not.
+    ``fn`` receives the nodes as an (N, d) array and returns (N,) values.  It
+    is called on whole rows of the first axis (each row runs over the second
+    axis), in blocks of at most 8192 nodes, or one row where a row alone is
+    longer.  Each block's weighted sum is ``np.add.reduce(w * f)``, numpy's
+    pairwise sum, and the block sums are added in index order, so memory does
+    not grow with the grid and the result is the same for any BLAS library,
+    kernel or thread count.
     """
     lower = np.asarray(lower, dtype=np.float64)
     upper = np.asarray(upper, dtype=np.float64)
     if lower.shape != upper.shape or lower.ndim != 1:
         raise ValueError("lower/upper must be 1-D and of equal length")
-    rules = [axis_rule(spec.points_per_axis, lo, hi)
-             for lo, hi in zip(lower, upper)]
-    pts = np.column_stack([g.ravel() for g in
-                           np.meshgrid(*(x for x, _ in rules), indexing="ij")])
-    wgt = reduce(np.multiply.outer, (w for _, w in rules)).ravel()
-    return float(np.dot(wgt, fn(pts)))
+    if lower.size not in (1, 2):
+        raise ValueError(f"boxes of dimension 1 or 2 only, got {lower.size}")
+    x0, w0 = axis_rule(spec.points_per_axis, lower[0], upper[0])
+    if lower.size == 1:
+        step = _BLOCK_NODES
+    else:
+        x1, w1 = axis_rule(spec.points_per_axis, lower[1], upper[1])
+        step = max(1, _BLOCK_NODES // len(x1))
+    total = 0.0
+    for start in range(0, len(x0), step):
+        rows = slice(start, start + step)
+        if lower.size == 1:
+            pts, w = x0[rows, None], w0[rows]
+        else:
+            t0 = x0[rows]
+            pts = np.column_stack([np.repeat(t0, len(x1)), np.tile(x1, len(t0))])
+            w = np.multiply.outer(w0[rows], w1).ravel()
+        total += float(np.add.reduce(w * fn(pts)))
+    return total

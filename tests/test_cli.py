@@ -367,23 +367,23 @@ class TestOutputContract:
 
     @pytest.mark.parametrize("argv,digest", [
         (("integrate", "--n", "2", "--functional", "entropy"),
-         "19aeb6a086b1ba3c1f07f5de4e681fe40b40f3359b14ab926fd4ad1e60e19d1f"),
+         "95ab23026113a22db2e3b737849713610006682e918bb5e60b8033894ce76c1a"),
         (("integrate", "--n", "3", "--functional", "entropy"),
-         "a3f1f1456df8b23dc7da5eb1000468b4bf4b01137186278591200667ea0a7dc2"),
+         "0c80c8891605e4995d90148fea7a3449c1301728afef8816745c00e031cc43d6"),
         (("integrate", "--n", "3", "--functional", "entropy", "--points", "6"),
-         "15eafaacf4dda05cd0bc7e2a9164b55a0c6391a4453d79f49e55e57c62da430f"),
+         "aecc6b7cd11aef08298cfc4f5292504a357ec00e9ddf4a299b0e377ee7f18423"),
         (("integrate", "--n", "3", "--functional", "purity", "--points", "5"),
-         "0a13ed52c4135d6ad9b3de5f649c040bdbd5f51a287ef929b68bc14ad4b0e5c9"),
+         "d8b84584ef57bf2e23ca187771db10f40003acdc2eac3cbb750a3e7bce367060"),
         (("volume", "--n", "2"),
-         "0007f92cb024405b6346054e60621d5c0c1004387467cc55b5ea2187e0882afc"),
+         "4d33bdc79e8c3f8d9c694f2b464a2d52b905a0410ad439ed5a9738c294588ca9"),
         (("volume", "--n", "3", "--points", "4"),
-         "f5f2b787157b2b22c06ff96abe11cb915497f5cb2d05e2611525c3db5867f566"),
+         "c91a8140549ac733d5cae5d54a05ee5aebcb9fe094d9d996fb92e94566bd8f35"),
         (("density", "--n", "3", "--params", "theta1=0.3,theta2=0.5,alpha=1,beta=0.2,"
           "gamma=0.4,theta_big=0.6,a=1.1,b=0.3", "--mode", "normalized"),
-         "d65eddc7eb2086655572a5fb09eb0b4cc0c5c7b0ed8ea8f5355a0c68880cb77a"),
+         "7ede5b38c2d8b3657a2442971bc2817988d10b160bd6e7b882e7cf347bb4329d"),
         (("density", "--n", "2", "--params", "theta=0.5,alpha=1.0,beta=0.7",
           "--mode", "raw"),
-         "aa36fe1e3d831876fe4f10d506b9ceffb2ba1078c6813c12fd59c9e711587b40"),
+         "0d18fcd08d6d6d25a22b6f188e8296275e41beedfacc01b0f459ffff08a3f2dd"),
     ], ids=["integrate-n2", "integrate-n3", "integrate-n3-p6", "integrate-n3-purity-p5",
             "volume-n2", "volume-n3-p4", "density-n3-normalized", "density-n2-raw"])
     def test_scalar_records_pinned(self, capsys, argv, digest):
@@ -452,8 +452,8 @@ class TestSubprocessEntry:
         assert "function calls" in table and "Ordered by" in table
 
     @pytest.mark.parametrize("command", [
-        # more than 10 000 nodes: OpenBLAS splits the quadrature's dot product
-        # over its threads there, which rounds differently
+        # more than 10 000 nodes, where OpenBLAS would split a dot product
+        # over its threads and round differently
         ["integrate", "--n", "3", "--functional", "entropy", "--points", "256"],
         ["volume", "--n", "3", "--points", "1024"],
     ])
@@ -468,6 +468,41 @@ class TestSubprocessEntry:
             assert r.returncode == 0, r.stderr
             outs.append(r.stdout)
         assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("argv", [
+        ["-m", "bures", "integrate", "--n", "3", "--functional", "entropy",
+         "--points", "256"],
+        ["-m", "bures", "volume", "--n", "3", "--points", "200"],
+        ["-m", "bures", "density", "--n", "3", "--params", N3_PARAMS, "--mode",
+         "normalized"],
+        # the library, which leaves the BLAS thread count to the environment
+        ["-c", "import bures\n"
+               "r = bures.integrate(3, bures.FunctionalId.parse('entropy'),\n"
+               "                    bures.QuadratureSpec(256))\n"
+               "print(r.value.hex(), r.error_estimate.hex())"],
+    ], ids=["integrate", "volume", "density", "library"])
+    def test_quadrature_bytes_do_not_depend_on_blas(self, argv):
+        # the quadrature sums in a fixed order with numpy alone, and density
+        # builds rho in closed form, so neither OpenBLAS's thread count nor
+        # the kernel it picks for the CPU shows
+        base = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
+        outs = set()
+        for blas in ({}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"},
+                     {"OPENBLAS_CORETYPE": "Haswell"}, {"OPENBLAS_CORETYPE": "Nehalem"}):
+            r = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                               env={**base, **blas})
+            assert r.returncode == 0, r.stderr
+            outs.add(r.stdout)
+        assert len(outs) == 1, outs
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+    def test_discarding_stdout_leaves_no_descriptor_open(self, tmp_path, monkeypatch):
+        with open(tmp_path / "out", "w") as out:
+            monkeypatch.setattr(sys, "stdout", out)
+            before = len(os.listdir("/proc/self/fd"))
+            cli._discard_stdout()
+            cli._discard_stdout()
+            assert len(os.listdir("/proc/self/fd")) == before
 
     def test_closed_pipe_ends_quietly(self):
         # the output (~4 MB) outgrows the pipe buffer, so the CLI is still

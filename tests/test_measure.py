@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from bures.measure import (MeasureValue, NormalizationMode, bures_joint_density,
                            eigenvalue_jacobian, haar_coset_density,
                            hall_density, joint_density_batch,
                            normalization_constant)
-from bures.tensorgrid import QuadratureSpec, tensor_quadrature
+from bures.tensorgrid import QuadratureSpec, axis_rule, tensor_quadrature
 from conftest import random_box_points
 
 # independent high-resolution evaluations (frozen; see also pi^2 and pi^3/4)
@@ -200,8 +201,14 @@ class TestNormalization:
                                  lower, upper, QuadratureSpec(10))
 
     def test_coset_constant_3state(self):
-        # pi^3 from the three free diagonal angles, 1/4 from the rest
-        quad = self._coset_quadrature(3)
+        # pi^3 from the three free diagonal angles, 1/4 from the rest; the
+        # production rule takes 1-D and 2-D boxes only, so the 6-D
+        # tensor-product rule (10^6 nodes) is built here from the axis rules
+        rules = [axis_rule(10, lo, hi) for lo, hi in COSET_RANGES[3]]
+        grid = np.meshgrid(*(x for x, _ in rules), indexing="ij")
+        nodes = np.stack([g.ravel() for g in grid], axis=-1)
+        weights = functools.reduce(np.multiply.outer, (w for _, w in rules)).ravel()
+        quad = float(np.add.reduce(weights * coset_measure_factor(3, nodes)))
         assert abs(quad - math.pi ** 3 / 4) <= 1e-9
         assert abs(coset_normalization_constant(3) - quad) <= 1e-9
 

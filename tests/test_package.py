@@ -80,7 +80,8 @@ _QUADRATURE_UNUSED = {"bures.sampling", "bures.floatfmt", "bures.generators",
      _QUADRATURE_UNUSED | {"bures.integrate", "bures.functionals"}),
     (["integrate", "--n", "2", "--functional", "purity", "--method", "mc",
       "--samples", "100"], {"bures.integrate", "bures.kernels", "bures.sampling"},
-     {"bures.floatfmt", "bures.generators", "bures.linalg", "bures.checks"} | _SCALAR_API),
+     {"bures.floatfmt", "bures.generators", "bures.linalg", "bures.checks",
+      "bures.tensorgrid"} | _SCALAR_API),
     (["sample", "--n", "3", "--count", "10", "--seed", "1"],
      {"bures.sampling", "bures.kernels", "bures.floatfmt"},
      {"bures.integrate", "bures.functionals", "bures.generators", "bures.linalg",

@@ -51,10 +51,34 @@ class TestAxisRules:
 class TestTensorQuadrature:
     def test_separable_product(self):
         spec = QuadratureSpec(16)
-        got = tensor_quadrature(
-            lambda p: np.sin(p[:, 0]) * np.cos(p[:, 1]) * p[:, 2] ** 2,
-            [0, 0, 0], [math.pi, math.pi / 2, 1.0], spec)
-        assert abs(got - 2.0 * 1.0 * (1 / 3)) <= 1e-12
+        got = tensor_quadrature(lambda p: np.sin(p[:, 0]) * np.cos(p[:, 1]) * p[:, 1] ** 2,
+                                [0, 0], [math.pi, math.pi / 2], spec)
+        # int_0^pi sin = 2; int_0^(pi/2) x^2 cos x dx = pi^2/4 - 2
+        assert abs(got - 2.0 * (math.pi ** 2 / 4 - 2)) <= 1e-12
+
+    def test_three_dimensional_box_rejected(self):
+        with pytest.raises(ValueError, match="dimension 1 or 2"):
+            tensor_quadrature(lambda p: p[:, 0], [0, 0, 0], [1, 1, 1], QuadratureSpec(3))
+
+    def test_block_sums_added_in_index_order(self):
+        # 100 points per axis: 81 whole rows (8100 nodes) fill the first
+        # block and 19 the second; each block is one pairwise sum
+        spec, lo, hi = QuadratureSpec(100), [0.0, -1.0], [1.0, 2.0]
+        fn = lambda p: np.exp(-p[:, 0] * p[:, 1]) + p[:, 0]
+        x0, w0 = axis_rule(100, lo[0], hi[0])
+        x1, w1 = axis_rule(100, lo[1], hi[1])
+        want = 0.0
+        for rows in (slice(0, 81), slice(81, 100)):
+            g0, g1 = np.meshgrid(x0[rows], x1, indexing="ij")
+            pts = np.column_stack([g0.ravel(), g1.ravel()])
+            want += float(np.add.reduce(np.outer(w0[rows], w1).ravel() * fn(pts)))
+        assert tensor_quadrature(fn, lo, hi, spec) == want
+
+    def test_integrand_sees_bounded_blocks(self):
+        sizes = []
+        tensor_quadrature(lambda p: sizes.append(len(p)) or np.ones(len(p)),
+                          [0.0, 0.0], [1.0, 1.0], QuadratureSpec(1000))
+        assert sizes == [8000] * 125
 
     def test_matches_dense_reference(self):
         spec = QuadratureSpec(5)
