@@ -414,8 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "stream of attempts, keyed by (seed, 0), and one of coset "
                     "uniforms, keyed by (seed, 1), in order, so every count "
                     "prefix of a seed's output is the same. 'batch_size' is the "
-                    "attempts drawn per pending sample in one round (a cost "
-                    "choice that leaves the samples as they are); "
+                    "attempts drawn per pending sample in one round, up to "
+                    "4096 attempts a round (a cost choice that leaves the "
+                    "samples as they are); "
                     "'total_proposals' counts the attempts examined up to and "
                     "including the last accepted one. For n=3 the paper's box "
                     "counts some spectra twice, so the samples differ from the "

@@ -207,8 +207,13 @@ DEGENERACY_GAP = 1e-10
 def params_from_density_2(rho) -> Inverse2Result:
     """Recover (theta, alpha, beta) from a 2x2 density matrix.
 
-    theta = arccos(sqrt(lambda_max)), with lambda_max = m + h as in
-    ``functionals.spectrum_batch``.  The leading eigenvector, in closed form
+    theta = atan2(sqrt(lambda_min), sqrt(lambda_max)), with lambda_max = m + h
+    as in ``functionals.spectrum_batch`` and lambda_min = det(rho) /
+    lambda_max, so theta keeps its relative accuracy near a pure state, where
+    arccos(sqrt(lambda_max)) would amplify the rounding of lambda_max near 1.
+    Below theta of about 1e-8, sin^2 theta is under the rounding of the
+    matrix entries and no formula recovers it: theta = 1e-9 comes back as 0.
+    The leading eigenvector, in closed form
     (rho01, lambda_max - rho00) or (lambda_max - rho11, rho10), whichever is
     longer, fixes (alpha, beta) through its component moduli and relative
     phase, with the global-phase/sign freedom folded so alpha lands in
@@ -220,7 +225,8 @@ def params_from_density_2(rho) -> Inverse2Result:
     a, d, off = m[0, 0].real, m[1, 1].real, complex(m[0, 1])
     h = math.hypot(0.5 * (a - d), abs(off))
     lam_max = 0.5 * (a + d) + h
-    theta = math.acos(math.sqrt(min(max(lam_max, 0.5), 1.0)))
+    lam_min = min(max((a * d - abs(off) ** 2) / lam_max, 0.0), lam_max)
+    theta = math.atan2(math.sqrt(lam_min), math.sqrt(lam_max))
     degenerate = 2.0 * h <= DEGENERACY_GAP
     if degenerate:
         alpha, beta = 0.0, 0.0

@@ -81,10 +81,12 @@ def integrate_mc(n: int, functional: FunctionalId, samples: int,
     The functional is evaluated from the sampled density matrices themselves
     (not from the sampled angles), so this path is independent of the
     spectrum bookkeeping used by the quadrature route.  The samples are
-    reduced one sampler index chunk (16384 rows) at a time: each chunk's
-    count, mean and sum of squared deviations are merged in index order by
-    the pairwise update of Chan, Golub & LeVeque (Am. Stat. 37 (1983) 242),
-    so memory does not grow with ``samples``.
+    reduced one sampler index chunk (16384 rows) at a time: the matrices and
+    their values are formed one slab (4096 rows) at a time into the chunk's
+    value array, and each chunk's count, mean and sum of squared deviations
+    are merged in index order by the pairwise update of Chan, Golub &
+    LeVeque (Am. Stat. 37 (1983) 242), so memory does not grow with
+    ``samples``.
     """
     if n not in (2, 3):
         raise ValueError(f"only n in {{2, 3}} is supported, got {n}")
@@ -93,12 +95,16 @@ def integrate_mc(n: int, functional: FunctionalId, samples: int,
     if samples < 2:
         raise ValueError(f"samples must be >= 2 (the standard error needs two), "
                          f"got {samples}")
-    from .sampling import SamplerSpec, sample_chunks
+    from .sampling import _SLAB, SamplerSpec, sample_chunks
 
     k = n - 1
     count, mean, m2 = 0, 0.0, 0.0
     for params, _ in sample_chunks(n, samples, SamplerSpec(seed=seed)):
-        vals = from_matrices(functional, density_batch(n, params[:, :k], params[:, k:]))
+        vals = np.empty(len(params))
+        for a in range(0, len(params), _SLAB):
+            rows = params[a:a + _SLAB]
+            vals[a:a + _SLAB] = from_matrices(functional,
+                                              density_batch(n, rows[:, :k], rows[:, k:]))
         size, chunk_mean = len(vals), float(vals.mean())
         chunk_m2 = float(np.square(vals - chunk_mean).sum())
         delta = chunk_mean - mean

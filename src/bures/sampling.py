@@ -12,9 +12,11 @@ eigenvalue box, and the attempt is accepted iff u * M < eigenvalue factor for
 its last uniform u.  Sample j of the chunk takes the eigenvalue angles of the
 j-th accepted attempt, and its n^2-n coset angles from row j of the coset
 stream, keyed by ``(seed, 1)``, through the coset inverse CDFs.  Rejection
-runs in rounds of ``batch_size`` (2) attempts per index still pending, but
-the attempt stream carries on across rounds and is read in order, so the
-bytes depend neither on the round size nor on ``count``: every count prefix
+runs in rounds of ``batch_size`` (2) attempts per index still pending, and a
+round draws at most one slab (4096 rows) of attempts, as the coset uniforms
+are drawn one slab at a time, so no kernel call sees more than a slab.  Both
+streams carry on across rounds and slabs and are read in order, so the bytes
+depend neither on the round or slab size nor on ``count``: every count prefix
 gives the same bytes.  ``total_proposals`` counts the attempts examined, up
 to and including the last accepted one of each chunk.  ``sample_chunks``
 yields the chunks one at a time, in index order, for callers that reduce or
@@ -40,6 +42,7 @@ from .kernels import (EIGEN_FACTOR_SUP, EIGEN_RANGES, coset_angles_from_uniforms
 
 _INDEX_CHUNK = 16384          # sample indices per chunk (bounds memory)
 _BLOCK = 2                    # attempts per round per pending sample
+_SLAB = 4096                  # rows per kernel call (bounds the work arrays)
 
 
 class EnvelopeViolationError(RuntimeError):
@@ -110,8 +113,9 @@ def _rejection_chunk(n: int, env: float, seed: int, chunk: int,
     attempts = _stream(seed, 0, chunk)
     done = proposals = 0
     while done < count:
-        # the stream is read in order, so the bytes do not depend on _BLOCK
-        u = attempts.random(((count - done) * _BLOCK, n))
+        # the stream is read in order, so the bytes depend on neither _BLOCK
+        # nor _SLAB
+        u = attempts.random((min((count - done) * _BLOCK, _SLAB), n))
         eigen = lower + u[:, :k] * span
         dens = eigen_measure_factor(n, eigen)
         if np.any(dens > env):
@@ -124,8 +128,10 @@ def _rejection_chunk(n: int, env: float, seed: int, chunk: int,
         done += won.size
         # attempts examined: the whole round, or up to the last one taken
         proposals += int(won[-1]) + 1 if done == count else len(u)
-    coset = _stream(seed, 1, chunk).random((count, n * n - n))
-    out[:, k:] = coset_angles_from_uniforms(n, coset)
+    coset = _stream(seed, 1, chunk)
+    for a in range(0, count, _SLAB):
+        b = min(a + _SLAB, count)
+        out[a:b, k:] = coset_angles_from_uniforms(n, coset.random((b - a, n * n - n)))
     return out, proposals
 
 

@@ -277,6 +277,12 @@ class TestInverse2:
             assert 0 <= alpha <= math.pi
             assert 0 <= beta <= math.pi / 2
 
+    @pytest.mark.parametrize("theta, tol", [(1e-2, 2e-13), (1e-4, 1e-8)])
+    def test_theta_near_pure_state(self, theta, tol):
+        # arccos(sqrt(lambda_max)) read 1.3e-12 and 2.0e-8 relative here
+        rec = params_from_density_2(density_from_params(params2(theta, 0.4, 0.3)))
+        assert abs(rec.params.values()[0] - theta) <= tol * theta
+
     def test_rejects_non_density(self):
         with pytest.raises(NotADensityMatrixError):
             params_from_density_2(np.diag([0.9, 0.3]).astype(complex))

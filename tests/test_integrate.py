@@ -1,3 +1,5 @@
+import importlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,8 +8,10 @@ import pytest
 from bures.euler import density_batch
 from bures.functionals import FunctionalId, from_matrices
 from bures.integrate import IntegrationResult, integrate, integrate_mc
-from bures.sampling import SamplerSpec, sample
+from bures import sampling
+from bures.sampling import SamplerSpec, sample, sample_chunks
 from bures.tensorgrid import QuadratureSpec
+from conftest import cli_usage
 
 ENTROPY = FunctionalId.parse("entropy")
 PURITY = FunctionalId.parse("purity")
@@ -101,6 +105,30 @@ class TestMonteCarlo:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_kernels_see_bounded_slabs(self, monkeypatch):
+        # every batch kernel on the sampler and MC paths gets at most one
+        # slab of rows, however large the index chunk
+        rows, mc = {}, importlib.import_module("bures.integrate")
+        calls = [(sampling, "eigen_measure_factor"), (sampling, "coset_angles_from_uniforms"),
+                 (mc, "density_batch"), (mc, "from_matrices")]
+        for module, name in calls:
+            def spy(first, batch, *rest, _fn=getattr(module, name), _name=name):
+                rows.setdefault(_name, []).append(len(batch))
+                return _fn(first, batch, *rest)
+            monkeypatch.setattr(module, name, spy)
+        for _ in sample_chunks(3, 40_000, SamplerSpec(seed=3)):
+            pass
+        integrate_mc(3, ENTROPY, 40_000, seed=3)
+        assert {name: max(sizes) for name, sizes in rows.items()} == {
+            name: sampling._SLAB for _, name in calls}
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss units and posix_spawn")
+    def test_cli_peak_rss_does_not_grow_with_samples(self):
+        argv = ("integrate", "--n", "2", "--functional", "entropy", "--method", "mc")
+        small, _ = cli_usage(*argv, "--samples", "2")
+        large, _ = cli_usage(*argv, "--samples", "200000")
+        assert large - small <= 2048, (small, large)      # KiB
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -54,8 +54,10 @@ class TestDeterminism:
     def test_matches_row_by_row_reference(self, n, monkeypatch):
         # stream version 4 read literally: one draw per attempt from the
         # attempt stream, one per index from the coset stream; small index
-        # chunks put several chunks into a short run
+        # chunks put several chunks into a short run, and a smaller slab puts
+        # slab edges inside each chunk
         monkeypatch.setattr(sampling, "_INDEX_CHUNK", 16)
+        monkeypatch.setattr(sampling, "_SLAB", 5)
         count, seed = 50, 2 ** 64 - 5
         lower, upper = np.array(EIGEN_RANGES[n]).T
         span = upper - lower
@@ -79,10 +81,12 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_bytes_do_not_depend_on_round_size(self, n, monkeypatch):
-        # 20 000 indices cross a chunk boundary
-        got = set()
-        for block in (1, 2, 5):
+        # 20 000 indices cross a chunk boundary; a round draws at most one
+        # slab of attempts, so the slab bounds the round size too
+        got, default = set(), sampling._SLAB
+        for block, slab in ((1, default), (2, default), (5, default), (2, 1), (2, 7)):
             monkeypatch.setattr(sampling, "_BLOCK", block)
+            monkeypatch.setattr(sampling, "_SLAB", slab)
             batch = sample(n, 20_000, SamplerSpec(seed=17))
             assert batch.batch_size == block
             got.add((batch.params.tobytes(), batch.total_proposals))
