@@ -18,40 +18,26 @@ import types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AngleRangeError", "CosetAngles", "DensityMatrixParams", "EigenvalueAngles",
-    "EnvelopeViolationError", "FunctionalId", "FunctionalKind", "GeneratorSet",
-    "HermitianEigenResult", "IntegrationResult", "Inverse2Result", "MeasureValue",
-    "NonHermitianError", "NormalizationMode", "NotADensityMatrixError",
-    "QuadratureSpec", "SampleBatch", "SamplerSpec", "THETA2_MAX",
-    "bures_joint_density", "coset_normalization_constant", "coset_unitary",
-    "density_from_params", "diag_eigenvalues", "eig_hermitian",
-    "eigenvalue_jacobian", "eigenvalue_moment", "euler_unitary",
-    "expm_i_generator", "gell_mann", "generator_set", "haar_coset_density",
-    "hall_density", "integrate", "integrate_mc", "normalization_constant",
-    "params_from_density_2", "params_from_values", "pauli", "purity", "sample",
-    "tensor_quadrature", "validate_density", "von_neumann_entropy",
-]
-
 # public name -> the submodule that defines it
 _SOURCE = {name: module for module, names in {
     "generators": ("GeneratorSet", "gell_mann", "generator_set", "pauli"),
-    "linalg": ("HermitianEigenResult", "NonHermitianError", "eig_hermitian",
-               "expm_i_generator"),
+    "linalg": ("NonHermitianError", "expm_i_generator"),
     "euler": ("THETA2_MAX", "AngleRangeError", "CosetAngles", "DensityMatrixParams",
               "EigenvalueAngles", "Inverse2Result", "NotADensityMatrixError",
               "coset_unitary", "density_from_params", "diag_eigenvalues",
               "euler_unitary", "params_from_density_2", "params_from_values",
               "validate_density"),
-    "measure": ("MeasureValue", "NormalizationMode", "bures_joint_density",
-                "coset_normalization_constant", "eigenvalue_jacobian",
-                "haar_coset_density", "hall_density", "normalization_constant"),
+    "measure": ("bures_joint_density", "coset_normalization_constant",
+                "eigenvalue_jacobian", "haar_coset_density", "hall_density",
+                "normalization_constant"),
     "functionals": ("FunctionalId", "FunctionalKind", "eigenvalue_moment",
                     "purity", "von_neumann_entropy"),
     "tensorgrid": ("QuadratureSpec", "tensor_quadrature"),
     "integrate": ("IntegrationResult", "integrate", "integrate_mc"),
-    "sampling": ("EnvelopeViolationError", "SampleBatch", "SamplerSpec", "sample"),
+    "sampling": ("EnvelopeViolationError", "SampleBatch", "sample"),
 }.items() for name in names}
+
+__all__ = sorted(_SOURCE)
 
 
 def __getattr__(name: str):

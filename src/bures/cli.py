@@ -15,28 +15,19 @@ or a usage error never loads it.
 Subcommands: density, sample, integrate, volume, check.  Output is a single
 JSON record (or a CSV stream for ``sample --format csv``) with schema_version
 "1"; every float is printed with 17 significant digits so serialized output
-round-trips byte-for-byte.  Angles are radians only.  ``sample`` draws the
-coset angles exactly and rejects on the eigenvalue box against the exact
-sup of the eigenvalue factor, which the record reports as ``envelope``.  Its
-random streams (sampler stream version 4) are two Philox streams per
-16384-index chunk, keyed by ``(seed, 0)`` for the attempts and ``(seed, 1)``
-for the coset uniforms and read in order, so every count prefix of a seed's
-output is the same; the record's ``batch_size`` is the attempts drawn per
-pending index in one round, which changes the cost but not the bytes, and
-``total_proposals`` counts the attempts examined up to and including the
-last accepted one.  A sample row is its
-angles, then re and im of each matrix cell, the matrix from the closed-form
-kernel ``kernels.density_batch``.  Both formats print rows through one
-``%.16e`` row template (for JSON, the JSON writer's own output with its
-floats made fields) and one ``floatfmt.RowWriter`` per command, 1024 rows per
-write, as bytes.  The matrix is Hermitian, so the writer formats only the
-angles and the diagonal and upper cells, with numpy, byte-identical to ``%``
-(see ``floatfmt``).  CSV writes each of
-the sampler's 16384-index chunks as it is drawn, so its memory does not grow
-with ``--count``; the JSON record gives ``total_proposals`` before the
-samples, so JSON draws them all first.  ``density`` prints rho from the
-same kernel on its one row, and the eigenvalues from the closed-form spectrum
-(``kernels.diag_eigenvalues_batch``), in descending order.  Quadrature has
+round-trips byte-for-byte.  Angles are radians only.  ``sample`` prints the
+draws of ``sampling.sample`` (its docstring gives the contract of sampler
+stream version 4), each row its angles, then re and im of each matrix cell,
+the matrix from the closed-form kernel ``kernels.density_batch``.  Both
+formats print rows through one ``%.16e`` row template (for JSON, the JSON
+writer's own output with its floats made fields) and one
+``floatfmt.RowWriter`` per command, 1024 rows per write, byte-identical to
+``%`` (see ``floatfmt``).  CSV writes each of the sampler's 16384-index
+chunks as it is drawn, so its memory does not grow with ``--count``; the JSON
+record gives ``total_proposals`` before the samples, so JSON draws them all
+first.  ``density`` prints rho from the same kernel on its one row, and the
+eigenvalues from the closed-form spectrum (``kernels.diag_eigenvalues_batch``),
+in descending order.  Quadrature has
 one rule, Gauss-Legendre on the eigenvalue box, and records name it in their
 ``rule`` field.  ``tensorgrid`` evaluates it on whole rows of the box in
 blocks of at most 8192 nodes, sums each block pairwise with numpy and adds
@@ -204,24 +195,21 @@ def cmd_density(args) -> int:
     import numpy as np
 
     from .kernels import density_batch, diag_eigenvalues_batch
-    from .measure import NormalizationMode, bures_joint_density
+    from .measure import bures_joint_density
 
     params = parse_params(args.n, args.params)
     eigen = np.array(params.eigen.angles)[None, :]
     rho = density_batch(args.n, eigen, np.array(params.coset.angles)[None, :])[0]
     eigvals = np.sort(diag_eigenvalues_batch(args.n, eigen)[0])[::-1]
-    mode = (NormalizationMode.NORMALIZED if args.mode == "normalized"
-            else NormalizationMode.RAW)
-    dens = bures_joint_density(params, mode)
     record = {
         "schema_version": SCHEMA_VERSION,
         "kind": "density",
         "n": args.n,
-        "mode": mode.value,
+        "mode": args.mode,
         "params": {k: float(v) for k, v in params.as_dict().items()},
         "matrix": rho.view(np.float64).reshape(-1, 2).tolist(),   # [re, im] pairs
         "eigenvalues": [float(w) for w in eigvals],
-        "bures_density": float(dens.value),
+        "bures_density": bures_joint_density(params, args.mode == "normalized"),
     }
     print(dumps_record(record))
     return 0
@@ -232,18 +220,17 @@ def cmd_sample(args) -> int:
 
     from .floatfmt import RowWriter, byte_writer
     from .kernels import density_batch
-    from .sampling import SamplerSpec, sample, sample_chunks
+    from .sampling import sample, sample_chunks
 
     if args.count < 0:
         raise ValueError("--count must be >= 0")
     n, k = args.n, args.n - 1
-    spec = SamplerSpec(seed=args.seed)
     names = _param_names(n)
     # a row is the angles, then re and im of each matrix cell in row-major
     # order; both formats print it through one template of _FLOAT fields
     if args.format == "csv":
         # each index chunk of the sampler is written as it is drawn
-        chunks = (params for params, _ in sample_chunks(n, args.count, spec))
+        chunks = (params for params, _ in sample_chunks(n, args.count, args.seed))
         cells = [f"m{i}{j}_{part}" for i in range(n) for j in range(n)
                  for part in ("re", "im")]
         head = ",".join(names + tuple(cells)) + "\n"
@@ -252,7 +239,7 @@ def cmd_sample(args) -> int:
     else:
         # the record gives total_proposals before the samples, so JSON draws
         # the whole batch first
-        batch = sample(n, args.count, spec)
+        batch = sample(n, args.count, args.seed)
         chunks = [batch.params]
         head = dumps_record({
             "schema_version": SCHEMA_VERSION,

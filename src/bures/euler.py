@@ -37,7 +37,7 @@ from .generators import gell_mann, pauli
 from .kernels import (COSET_NAMES, COSET_RANGES, EIGEN_NAMES, EIGEN_RANGES,  # noqa: F401
                       THETA2_MAX, check_n, coset_unitary_batch, density_batch,
                       diag_eigenvalues_batch)
-from .linalg import as_square, expm_i_generator, frobenius_norm
+from .linalg import as_square, expm_i_generator
 
 
 class AngleRangeError(ValueError):
@@ -180,11 +180,14 @@ def density_from_params(p: DensityMatrixParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def validate_density(rho, n: int | None = None, tol: float = 1e-10) -> np.ndarray:
-    """Check Hermiticity, unit trace and positive semidefiniteness."""
+    """Check finite entries, Hermiticity, unit trace and positive semidefiniteness."""
     m = as_square(rho, "rho")
     if n is not None and m.shape[0] != n:
         raise NotADensityMatrixError(f"expected {n}x{n}, got {m.shape[0]}x{m.shape[0]}")
-    if frobenius_norm(m - m.conj().T) > tol:
+    # a NaN fails no tolerance test below, so non-finite entries go first
+    if not np.isfinite(m).all():
+        raise NotADensityMatrixError("entries must be finite")
+    if np.linalg.norm(m - m.conj().T) > tol:
         raise NotADensityMatrixError("not Hermitian to tolerance")
     if abs(np.trace(m).real - 1.0) > tol or abs(np.trace(m).imag) > tol:
         raise NotADensityMatrixError(f"trace is {np.trace(m):.12g}, expected 1")

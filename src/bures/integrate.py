@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .functionals import FunctionalId, from_eigenvalues, from_matrices
-from .kernels import (EIGEN_RANGES, _eigen_integral, density_batch,
+from .kernels import (EIGEN_RANGES, _eigen_integral, check_n, density_batch,
                       diag_eigenvalues_batch, eigen_measure_factor)
 
 if TYPE_CHECKING:
@@ -49,8 +49,7 @@ def integrate(n: int, functional: FunctionalId,
     # Monte Carlo runs no quadrature, so only this route loads the rule
     from .tensorgrid import MIN_POINTS, QuadratureSpec, tensor_quadrature
 
-    if n not in (2, 3):
-        raise ValueError(f"only n in {{2, 3}} is supported, got {n}")
+    check_n(n)
     if spec is None:
         spec = QuadratureSpec(DEFAULT_POINTS[n])
     if spec.points_per_axis < MIN_POINTS:
@@ -88,18 +87,17 @@ def integrate_mc(n: int, functional: FunctionalId, samples: int,
     LeVeque (Am. Stat. 37 (1983) 242), so memory does not grow with
     ``samples``.
     """
-    if n not in (2, 3):
-        raise ValueError(f"only n in {{2, 3}} is supported, got {n}")
+    check_n(n)
     if not isinstance(functional, FunctionalId):
         raise TypeError("Monte Carlo integration needs a FunctionalId")
     if samples < 2:
         raise ValueError(f"samples must be >= 2 (the standard error needs two), "
                          f"got {samples}")
-    from .sampling import _SLAB, SamplerSpec, sample_chunks
+    from .sampling import _SLAB, sample_chunks
 
     k = n - 1
     count, mean, m2 = 0, 0.0, 0.0
-    for params, _ in sample_chunks(n, samples, SamplerSpec(seed=seed)):
+    for params, _ in sample_chunks(n, samples, seed):
         vals = np.empty(len(params))
         for a in range(0, len(params), _SLAB):
             rows = params[a:a + _SLAB]

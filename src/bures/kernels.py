@@ -43,6 +43,7 @@ def check_n(n: int) -> int:
 
 def diag_eigenvalues_batch(n: int, angles: np.ndarray) -> np.ndarray:
     """Vectorized spectrum map; ``angles`` has shape (..., n-1)."""
+    check_n(n)
     angles = np.asarray(angles, dtype=np.float64)
     if n == 2:
         t = angles[..., 0]
@@ -98,6 +99,7 @@ def density_batch(n: int, eigen_angles: np.ndarray, coset_angles: np.ndarray) ->
     Each entry is written from its own closed form, so rho_ji = conj(rho_ij)
     bit for bit and the diagonal's imaginary parts are exactly +0.0.
     """
+    check_n(n)
     lam = diag_eigenvalues_batch(n, eigen_angles)
     if n == 3:
         # rho_ij = sum_k lam_k U_ik conj(U_jk), in real arithmetic
@@ -144,6 +146,7 @@ def eigen_measure_factor(n: int, angles: np.ndarray) -> np.ndarray:
     explicit product with denominators bounded below by 1/3.
     Finite on the whole closed box; ``angles`` has shape (..., n-1).
     """
+    check_n(n)
     angles = np.asarray(angles, dtype=np.float64)
     if n == 2:
         t = angles[..., 0]
@@ -178,6 +181,7 @@ def coset_measure_factor(n: int, angles: np.ndarray) -> np.ndarray:
     Haar measure of SU(3) in Euler angles (Byrd, J. Math. Phys. 39 (1998)
     6125) on the coset.  Equal to ``measure.haar_coset_density`` to roundoff.
     """
+    check_n(n)
     angles = np.atleast_2d(np.asarray(angles, dtype=np.float64))
     dens = np.abs(np.sin(2 * angles[:, 1]))
     if n == 3:
@@ -194,6 +198,7 @@ def coset_angles_from_uniforms(n: int, u: np.ndarray) -> np.ndarray:
     own inverse CDF: alpha, gamma and a are uniform on [0, pi); beta and b
     have cdf (1 - cos 2x)/2; theta_big has cdf sin^4.
     """
+    check_n(n)
     u = np.asarray(u, dtype=np.float64)
     out = math.pi * u
     out[..., 1] = 0.5 * np.arccos(1.0 - 2.0 * u[..., 1])
@@ -233,14 +238,11 @@ def normalization_constant(n: int, points_per_axis: int | None = None) -> float:
     the integral is the eigenvalue-box quadrature times the exact coset
     integral ``coset_normalization_constant(n)``.
     """
-    if n not in (2, 3):
-        raise ValueError(f"only n in {{2, 3}} is supported, got {n}")
+    check_n(n)
     pts = REFERENCE_POINTS[n] if points_per_axis is None else int(points_per_axis)
     return _eigen_integral(n, pts) * coset_normalization_constant(n)
 
 
 def coset_normalization_constant(n: int) -> float:
     """Integral of the coset density over the coset box: pi (n=2), pi^3/4 (n=3)."""
-    if n not in (2, 3):
-        raise ValueError(f"only n in {{2, 3}} is supported, got {n}")
-    return _COSET_VOLUME[n]
+    return _COSET_VOLUME[check_n(n)]

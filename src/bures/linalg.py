@@ -1,16 +1,12 @@
-"""Validation and spectral operations for 2x2 and 3x3 matrices.
+"""Validation and the generator exponential for 2x2 and 3x3 matrices.
 
-Shape and Hermiticity checks, and the two spectral operations of the check
+Shape and Hermiticity checks, and the one spectral operation of the check
 forms: the unitary exp(i*g*t) of a Hermitian generator, which the
-generator-exponential chain in ``euler`` multiplies, and a Hermitian
-eigendecomposition (descending eigenvalues, phase-fixed eigenvectors).  No
-command runs either: the batch kernels write U and rho in closed form, and
-the n=2 inverse map takes its eigenvector in closed form too.
+generator-exponential chain in ``euler`` multiplies.  No command runs it:
+the batch kernels write U and rho in closed form.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,44 +27,12 @@ def as_square(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
-
-
 def _require_hermitian(a, name: str) -> np.ndarray:
     m = as_square(a, name)
-    dev = frobenius_norm(m - m.conj().T)
-    if dev > HERMITICITY_RTOL * max(1.0, frobenius_norm(m)):
+    dev = np.linalg.norm(m - m.conj().T)
+    if dev > HERMITICITY_RTOL * max(1.0, np.linalg.norm(m)):
         raise NonHermitianError(f"{name} is not Hermitian (||a - a^dag||_F = {dev:.3e})")
     return m
-
-
-class HermitianEigenResult(NamedTuple):
-    """Eigenvalues in descending order; eigenvectors as matrix columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eig_hermitian(a) -> HermitianEigenResult:
-    """Eigendecomposition of a Hermitian matrix (LAPACK ``eigh``).
-
-    Eigenvalues are returned in descending order, and every eigenvector is
-    phased so its largest-magnitude component is real positive.  Within a
-    degenerate eigenspace the basis is LAPACK's.
-    """
-    m = _require_hermitian(a, "matrix")
-    w, v = np.linalg.eigh(m)
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    for j in range(v.shape[1]):
-        k = int(np.argmax(np.abs(v[:, j])))
-        pivot = v[k, j]
-        if pivot != 0:
-            v[:, j] *= pivot.conjugate() / abs(pivot)
-    w.flags.writeable = False
-    v.flags.writeable = False
-    return HermitianEigenResult(w, v)
 
 
 def expm_i_generator(g, angle: float) -> np.ndarray:

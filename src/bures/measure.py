@@ -27,32 +27,16 @@ The fast vectorized factors (``eigen_measure_factor`` and its exact sup
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .euler import CosetAngles, DensityMatrixParams, EigenvalueAngles, factor_chain
 from .generators import generator_set
 from .kernels import (EIGEN_FACTOR_SUP, REFERENCE_POINTS, _eigen_integral,  # noqa: F401
-                      coset_angles_from_uniforms, coset_measure_factor,
+                      check_n, coset_angles_from_uniforms, coset_measure_factor,
                       coset_normalization_constant, eigen_measure_factor,
                       normalization_constant)
 from .linalg import expm_i_generator
-
-
-class NormalizationMode(Enum):
-    RAW = "raw"
-    NORMALIZED = "normalized"
-
-
-@dataclass(frozen=True)
-class MeasureValue:
-    """A nonnegative coordinate density with its normalization convention."""
-
-    value: float
-    normalization_mode: NormalizationMode
-    n: int
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +109,7 @@ def haar_coset_density(coset: CosetAngles) -> float:
 
 def joint_density_batch(n: int, points: np.ndarray, normalized: bool = False) -> np.ndarray:
     """RAW (or normalized) joint density on stacked full-coordinate rows."""
+    check_n(n)
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     k = n - 1
     dens = (eigen_measure_factor(n, points[:, :k])
@@ -134,9 +119,6 @@ def joint_density_batch(n: int, points: np.ndarray, normalized: bool = False) ->
     return dens
 
 
-def bures_joint_density(p: DensityMatrixParams,
-                        mode: NormalizationMode = NormalizationMode.RAW) -> MeasureValue:
-    """Joint coordinate density at one parameter point."""
-    normalized = mode is NormalizationMode.NORMALIZED
-    value = float(joint_density_batch(p.n, p.values(), normalized)[0])
-    return MeasureValue(value, mode, p.n)
+def bures_joint_density(p: DensityMatrixParams, normalized: bool = False) -> float:
+    """RAW (or normalized) joint coordinate density at one parameter point."""
+    return float(joint_density_batch(p.n, p.values(), normalized)[0])

@@ -37,8 +37,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .kernels import (EIGEN_FACTOR_SUP, EIGEN_RANGES, coset_angles_from_uniforms,
-                      coset_unitary_batch, density_batch, eigen_measure_factor)
+from .kernels import (EIGEN_FACTOR_SUP, EIGEN_RANGES, check_n,
+                      coset_angles_from_uniforms, coset_unitary_batch, density_batch,
+                      eigen_measure_factor)
 
 _INDEX_CHUNK = 16384          # sample indices per chunk (bounds memory)
 _BLOCK = 2                    # attempts per round per pending sample
@@ -47,21 +48,6 @@ _SLAB = 4096                  # rows per kernel call (bounds the work arrays)
 
 class EnvelopeViolationError(RuntimeError):
     """A proposed point's eigenvalue factor exceeded the rejection bound M."""
-
-
-@dataclass(frozen=True)
-class SamplerSpec:
-    """Rejection-sampler configuration.
-
-    ``seed`` is an integer in [0, 2**64); a float or a string is a TypeError,
-    not truncated to the integer below it.
-    """
-
-    seed: int
-
-    def __post_init__(self):
-        if not (0 <= operator.index(self.seed) < 2 ** 64):
-            raise ValueError("seed must fit an unsigned 64-bit integer")
 
 
 @dataclass(frozen=True)
@@ -135,33 +121,37 @@ def _rejection_chunk(n: int, env: float, seed: int, chunk: int,
     return out, proposals
 
 
-def sample_chunks(n: int, count: int,
-                  spec: SamplerSpec) -> Iterator[tuple[np.ndarray, int]]:
-    """The rows of ``sample(n, count, spec)`` one index chunk at a time.
+def sample_chunks(n: int, count: int, seed: int) -> Iterator[tuple[np.ndarray, int]]:
+    """The rows of ``sample(n, count, seed)`` one index chunk at a time.
 
     Yields ``(params, proposals)`` for each chunk of up to 16384 sample
     indices, in index order, drawing a chunk only when it is asked for; the
     rows are the same bytes ``sample`` returns, so a caller that reduces or
     writes each chunk holds one chunk at a time, however large ``count``.
+    ``seed`` is an integer in [0, 2**64); a float or a string is a TypeError,
+    not truncated to the integer below it.  The arguments are checked at the
+    call, before any chunk is drawn.
     """
-    if n not in (2, 3):
-        raise ValueError(f"only n in {{2, 3}} is supported, got {n}")
+    seed = operator.index(seed)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("seed must fit an unsigned 64-bit integer")
+    check_n(n)
     if count < 0:
         raise ValueError("count must be >= 0")
-    env, seed = EIGEN_FACTOR_SUP[n], int(spec.seed)
+    env = EIGEN_FACTOR_SUP[n]
     return (_rejection_chunk(n, env, seed, c, min(_INDEX_CHUNK, count - a))
             for c, a in enumerate(range(0, count, _INDEX_CHUNK)))
 
 
-def sample(n: int, count: int, spec: SamplerSpec) -> SampleBatch:
+def sample(n: int, count: int, seed: int) -> SampleBatch:
     """Draw i.i.d. parameter points from the normalized Bures density."""
-    chunks = list(sample_chunks(n, count, spec))
+    chunks = list(sample_chunks(n, count, seed))
     if chunks:
         params = np.concatenate([c[0] for c in chunks], axis=0)
     else:
         params = np.empty((0, n * n - 1))
     params.flags.writeable = False
-    return SampleBatch(n=n, seed=int(spec.seed), params=params,
+    return SampleBatch(n=n, seed=int(seed), params=params,
                        envelope=EIGEN_FACTOR_SUP[n], batch_size=_BLOCK,
                        total_proposals=sum(c[1] for c in chunks))
 

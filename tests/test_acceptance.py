@@ -18,7 +18,7 @@ from bures.generators import generator_set
 from bures.integrate import integrate, integrate_mc
 from bures.measure import joint_density_batch, normalization_constant
 from bures.euler import CosetAngles
-from bures.sampling import SamplerSpec, sample
+from bures.sampling import sample
 from conftest import random_box_points
 
 KS_CRIT_1PCT = 1.6276
@@ -121,10 +121,10 @@ def test_criterion_5_normalization_constants():
 
 def test_criterion_6_pushforward_columns():
     crit = KS_CRIT_1PCT / math.sqrt(100_000)
-    b2 = sample(2, 100_000, SamplerSpec(seed=1006))
+    b2 = sample(2, 100_000, seed=1006)
     u11 = np.abs(b2.unitaries()[:, 0, 0]) ** 2
     d2 = ks_statistic(u11, lambda t: np.clip(t, 0, 1))
-    b3 = sample(3, 100_000, SamplerSpec(seed=1007))
+    b3 = sample(3, 100_000, seed=1007)
     col = np.abs(b3.unitaries()[:, :, 0]) ** 2
     beta12 = lambda t: 1.0 - (1.0 - np.clip(t, 0, 1)) ** 2
     d3 = max(ks_statistic(col[:, j], beta12) for j in range(3))
@@ -182,9 +182,9 @@ def test_criterion_9_determinism(capsys):
     # 40 000 samples span three index chunks; the 20 000 prefix ends inside
     # the second
     for n, count, prefix in ((2, 40_000, 20_000), (3, 200, 150)):
-        a = sample(n, count, SamplerSpec(seed=1010 + n))
-        b = sample(n, count, SamplerSpec(seed=1010 + n))
-        c = sample(n, prefix, SamplerSpec(seed=1010 + n))
+        a = sample(n, count, seed=1010 + n)
+        b = sample(n, count, seed=1010 + n)
+        c = sample(n, prefix, seed=1010 + n)
         same = (a.params.tobytes() == b.params.tobytes()
                 and a.params[:prefix].tobytes() == c.params.tobytes())
         ok = ok and same

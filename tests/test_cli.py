@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from bures import cli
-from bures.sampling import SamplerSpec, sample
+from bures.sampling import sample
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schema" / "output_record.v1.json")
@@ -313,7 +313,7 @@ class TestOutputContract:
         # with CPython's % on every float, as the CLI printed it before its
         # rows were formatted a block at a time.  The whole batch's matrices
         # are the cells the CLI forms in 1024-row blocks, bit for bit
-        batch = sample(n, count, SamplerSpec(seed=21))
+        batch = sample(n, count, seed=21)
         cells = batch.matrices().view(np.float64).reshape(count, 2 * n * n)
         names = cli._param_names(n)
         if fmt == "csv":

@@ -12,6 +12,7 @@ from bures.euler import (THETA2_MAX, AngleRangeError, CosetAngles,
                          diag_eigenvalues_batch, euler_unitary,
                          params_from_density_2, params_from_values,
                          validate_density)
+from bures.functionals import eigenvalue_moment, purity, von_neumann_entropy
 from conftest import random_box_points
 
 
@@ -236,6 +237,20 @@ class TestValidateDensity:
     def test_dimension_mismatch(self):
         with pytest.raises(NotADensityMatrixError):
             validate_density(np.eye(3) / 3, n=2)
+
+    @pytest.mark.parametrize("rho", [
+        np.full((2, 2), math.nan),
+        [[math.nan, 0.0], [0.0, 1.0]],
+        [[0.5, math.nan], [math.nan, 0.5]],
+        [[0.5, math.inf], [math.inf, 0.5]],
+    ], ids=["all-nan", "diagonal-nan", "off-diagonal-nan", "off-diagonal-inf"])
+    def test_rejects_non_finite(self, rho):
+        # a NaN fails every tolerance comparison, so only an explicit
+        # finiteness check rejects these
+        for fn in (validate_density, von_neumann_entropy, purity,
+                   lambda m: eigenvalue_moment(m, 2), params_from_density_2):
+            with pytest.raises(NotADensityMatrixError, match="finite"):
+                fn(np.array(rho, dtype=complex))
 
 
 class TestInverse2:

@@ -5,7 +5,7 @@ import pytest
 
 from bures import floatfmt
 from bures.euler import density_batch
-from bures.sampling import SamplerSpec, sample
+from bures.sampling import sample
 
 PER_CLASS = 1_000_000
 _ROW = ",".join([floatfmt.FIELD] * 8) + "\n"     # a CSV row of 8 fields
@@ -119,7 +119,7 @@ def test_ties_and_out_of_range_take_the_fallback():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_sample_table_mostly_vectorized(n):
-    params = sample(n, 4096, SamplerSpec(seed=11)).params
+    params = sample(n, 4096, seed=11).params
     mats = density_batch(n, params[:, :n - 1], params[:, n - 1:])
     table = np.concatenate([params, mats.view(np.float64).reshape(len(params), -1)],
                            axis=1)

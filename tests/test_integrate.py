@@ -9,7 +9,7 @@ from bures.euler import density_batch
 from bures.functionals import FunctionalId, from_matrices
 from bures.integrate import IntegrationResult, integrate, integrate_mc
 from bures import sampling
-from bures.sampling import SamplerSpec, sample, sample_chunks
+from bures.sampling import sample, sample_chunks
 from bures.tensorgrid import QuadratureSpec
 from conftest import cli_usage
 
@@ -86,7 +86,7 @@ class TestMonteCarlo:
     def test_chunked_reduction_matches_whole_array(self, n, fid):
         # 40 000 samples span three sampler chunks; the reference holds them all
         samples, seed = 40_000, 19
-        params = sample(n, samples, SamplerSpec(seed=seed)).params
+        params = sample(n, samples, seed=seed).params
         vals = from_matrices(fid, density_batch(n, params[:, :n - 1], params[:, n - 1:]))
         want_se = vals.std(ddof=1) / np.sqrt(samples)
         res = integrate_mc(n, fid, samples, seed=seed)
@@ -117,7 +117,7 @@ class TestMonteCarlo:
                 rows.setdefault(_name, []).append(len(batch))
                 return _fn(first, batch, *rest)
             monkeypatch.setattr(module, name, spy)
-        for _ in sample_chunks(3, 40_000, SamplerSpec(seed=3)):
+        for _ in sample_chunks(3, 40_000, seed=3):
             pass
         integrate_mc(3, ENTROPY, 40_000, seed=3)
         assert {name: max(sizes) for name, sizes in rows.items()} == {

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bures.generators import gell_mann, pauli
-from bures.linalg import (HermitianEigenResult, NonHermitianError, as_square,
-                          eig_hermitian, expm_i_generator)
+from bures.linalg import NonHermitianError, as_square, expm_i_generator
 from conftest import random_hermitian
 
 
@@ -83,63 +82,3 @@ class TestExpm:
         rhs = expm_i_generator(h, s) @ expm_i_generator(h, t)
         assert np.abs(lhs - rhs).max() <= 1e-13
 
-
-class TestEigHermitian:
-    def test_diagonal_input(self):
-        res = eig_hermitian(np.diag([1.0, 0.0]).astype(complex))
-        assert isinstance(res, HermitianEigenResult)
-        assert np.array_equal(res.eigenvalues, [1.0, 0.0])
-        assert np.array_equal(res.eigenvectors, np.eye(2, dtype=complex))
-
-    def test_pauli1_spectrum(self):
-        w, v = eig_hermitian(pauli(1))
-        assert np.abs(w - np.array([1.0, -1.0])).max() <= 1e-15
-        assert np.abs(v.conj().T @ v - np.eye(2)).max() <= 1e-15
-
-    def test_descending_order(self, rng):
-        for _ in range(20):
-            w, _ = eig_hermitian(random_hermitian(3, rng))
-            assert np.all(np.diff(w) <= 0)
-
-    def test_roundtrip_and_orthonormality(self, rng):
-        for n in (2, 3):
-            for _ in range(50):
-                h = random_hermitian(n, rng)
-                h *= 10.0 / max(1.0, np.linalg.norm(h))
-                w, v = eig_hermitian(h)
-                assert np.linalg.norm((v * w) @ v.conj().T - h) <= 1e-12
-                assert np.linalg.norm(v.conj().T @ v - np.eye(n)) <= 1e-13
-
-    def test_conjugation_preserves_spectrum(self, rng):
-        lam = np.array([0.5, 0.3, 0.2])
-        u = expm_i_generator(random_hermitian(3, rng), 0.9)
-        rho = (u * lam) @ u.conj().T
-        w, _ = eig_hermitian(rho)
-        assert np.abs(w - lam).max() <= 1e-12
-
-    def test_degenerate_identity_input(self):
-        # any orthonormal basis spans the one eigenspace; LAPACK's is kept
-        w, v = eig_hermitian(0.5 * np.eye(2, dtype=complex))
-        assert np.array_equal(w, [0.5, 0.5])
-        assert np.abs(v.conj().T @ v - np.eye(2)).max() <= 1e-15
-
-    def test_degenerate_deterministic(self, rng):
-        # permutation-symmetric matrix with a repeated eigenvalue
-        h = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]], dtype=complex)
-        r1 = eig_hermitian(h)
-        r2 = eig_hermitian(h.copy())
-        assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
-        assert np.array_equal(r1.eigenvectors, r2.eigenvectors)
-        assert np.linalg.norm((r1.eigenvectors * r1.eigenvalues)
-                              @ r1.eigenvectors.conj().T - h) <= 1e-13
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(NonHermitianError):
-            eig_hermitian(np.array([[0, 1], [2, 0]], dtype=complex))
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1))
-    def test_roundtrip_property(self, seed):
-        h = random_hermitian(3, np.random.default_rng(seed), scale=3.0)
-        w, v = eig_hermitian(h)
-        assert np.linalg.norm((v * w) @ v.conj().T - h) <= 1e-12

@@ -6,9 +6,9 @@ import pytest
 
 from bures.euler import (COSET_NAMES, COSET_RANGES, EIGEN_NAMES, EIGEN_RANGES,
                          THETA2_MAX, CosetAngles, EigenvalueAngles, coset_unitary,
-                         diag_eigenvalues_batch, params_from_values)
+                         density_batch, diag_eigenvalues_batch, params_from_values)
 from bures.generators import generator_set
-from bures.measure import (MeasureValue, NormalizationMode, bures_joint_density,
+from bures.measure import (bures_joint_density, coset_angles_from_uniforms,
                            coset_measure_factor, coset_normalization_constant,
                            eigen_measure_factor,
                            eigenvalue_jacobian, haar_coset_density,
@@ -148,7 +148,7 @@ class TestJointDensity:
     def test_degenerate_point_vanishes(self):
         # cos(2 theta)^2 at theta = float(pi/4); zero up to roundoff of pi/2
         p = params_from_values(2, [math.pi / 4, 0.3, 0.4])
-        assert bures_joint_density(p).value <= 1e-30
+        assert bures_joint_density(p) <= 1e-30
 
     def test_two_state_analytic(self, rng):
         pts = random_box_points(2, 100, rng)
@@ -158,7 +158,7 @@ class TestJointDensity:
 
     def test_three_state_pinned_point(self):
         p = params_from_values(3, JOINT3_PINNED_POINT)
-        got = bures_joint_density(p).value
+        got = bures_joint_density(p)
         assert abs(got - JOINT3_PINNED_VALUE) <= 1e-10
 
     def test_nonnegative_everywhere(self, rng):
@@ -167,18 +167,17 @@ class TestJointDensity:
 
     def test_modes(self):
         p = params_from_values(2, [0.3, 0.5, 0.7])
-        raw = bures_joint_density(p, NormalizationMode.RAW)
-        norm = bures_joint_density(p, NormalizationMode.NORMALIZED)
-        assert isinstance(raw, MeasureValue)
-        assert raw.normalization_mode is NormalizationMode.RAW
-        assert norm.normalization_mode is NormalizationMode.NORMALIZED
-        assert abs(norm.value - raw.value / normalization_constant(2)) <= 1e-15
+        raw = bures_joint_density(p)
+        norm = bures_joint_density(p, normalized=True)
+        assert type(raw) is float and type(norm) is float
+        assert raw == bures_joint_density(p, normalized=False)
+        assert abs(norm - raw / normalization_constant(2)) <= 1e-15
 
     def test_scalar_matches_batch(self, rng):
         for n in (2, 3):
             row = random_box_points(n, 1, rng)[0]
             p = params_from_values(n, row)
-            assert abs(bures_joint_density(p).value
+            assert abs(bures_joint_density(p)
                        - joint_density_batch(n, row[None, :]).item()) <= 1e-12
 
 
@@ -223,6 +222,26 @@ class TestNormalization:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             normalization_constant(4)
+
+
+# each batch kernel on rows shaped for n=3, which an unchecked n would run
+# through the n=3 formulas
+_ROW8, _ROW6, _ROW2 = np.full((1, 8), 0.3), np.full((1, 6), 0.3), np.full((1, 2), 0.3)
+_BATCH_KERNELS = {
+    "joint_density_batch": lambda n: joint_density_batch(n, _ROW8),
+    "diag_eigenvalues_batch": lambda n: diag_eigenvalues_batch(n, _ROW2),
+    "density_batch": lambda n: density_batch(n, _ROW2, _ROW6),
+    "eigen_measure_factor": lambda n: eigen_measure_factor(n, _ROW2),
+    "coset_measure_factor": lambda n: coset_measure_factor(n, _ROW6),
+    "coset_angles_from_uniforms": lambda n: coset_angles_from_uniforms(n, _ROW6),
+}
+
+
+@pytest.mark.parametrize("n", [1, 4, 7])
+@pytest.mark.parametrize("kernel", list(_BATCH_KERNELS))
+def test_batch_kernels_reject_unsupported_n(kernel, n):
+    with pytest.raises(ValueError, match=r"only n in \{2, 3\} is supported"):
+        _BATCH_KERNELS[kernel](n)
 
 
 class TestAngleBox:

@@ -63,8 +63,8 @@ print(json.dumps(sorted(name for name, module in sys.modules.items()
 
 _CLI = {"bures", "bures.__main__", "bures.cli"}
 # the modules that define the typed scalar API (EigenvalueAngles,
-# DensityMatrixParams, MeasureValue and the check forms on them): the batch
-# commands run none of them
+# DensityMatrixParams and the check forms on them): the batch commands run
+# none of them
 _SCALAR_API = {"bures.euler", "bures.measure"}
 _QUADRATURE_UNUSED = {"bures.sampling", "bures.floatfmt", "bures.generators",
                       "bures.linalg", "bures.checks", "numpy.random"} | _SCALAR_API
@@ -86,7 +86,13 @@ _QUADRATURE_UNUSED = {"bures.sampling", "bures.floatfmt", "bures.generators",
      {"bures.sampling", "bures.kernels", "bures.floatfmt"},
      {"bures.integrate", "bures.functionals", "bures.generators", "bures.linalg",
       "bures.checks", "bures.tensorgrid"} | _SCALAR_API),
-], ids=["help", "integrate-help", "usage-error", "quadrature", "volume", "mc", "sample"])
+    (["density", "--n", "3", "--params",
+      "theta1=0.31,theta2=0.77,alpha=2.13,beta=0.95,gamma=0.41,theta_big=1.02,a=2.9,b=0.2"],
+     {"bures.kernels"} | _SCALAR_API,
+     {"bures.sampling", "bures.floatfmt", "bures.integrate", "bures.functionals",
+      "bures.tensorgrid", "bures.checks", "numpy.random"}),
+], ids=["help", "integrate-help", "usage-error", "quadrature", "volume", "mc", "sample",
+        "density"])
 def test_each_command_runs_only_what_it_needs(argv, needed, unused):
     # --help and usage errors end before numpy loads (unused None: nothing
     # beyond the CLI runs); a subcommand runs the modules it needs only
