@@ -22,12 +22,12 @@ the matrix from the closed-form kernel ``kernels.density_batch``.  Both
 formats print rows through one ``%.16e`` row template (for JSON, the JSON
 writer's own output with its floats made fields) and one
 ``floatfmt.RowWriter`` per command, 1024 rows per write, byte-identical to
-``%`` (see ``floatfmt``).  CSV writes each of the sampler's 16384-index
-chunks as it is drawn, so its memory does not grow with ``--count``; the JSON
-record gives ``total_proposals`` before the samples, so JSON draws them all
-first.  ``density`` prints rho from the same kernel on its one row, and the
-eigenvalues from the closed-form spectrum (``kernels.diag_eigenvalues_batch``),
-in descending order.  Quadrature has
+``%`` (see ``floatfmt``).  Both formats write each of the sampler's
+16384-index chunks as it is drawn, so memory does not grow with ``--count``;
+JSON, whose record gives ``total_proposals`` before the samples, first runs
+the sampler once to count them.  ``density`` prints rho from the same kernel
+on its one row, and the eigenvalues from the closed-form spectrum
+(``kernels.diag_eigenvalues_batch``), in descending order.  Quadrature has
 one rule, Gauss-Legendre on the eigenvalue box, and records name it in their
 ``rule`` field.  ``tensorgrid`` evaluates it on whole rows of the box in
 blocks of at most 8192 nodes, sums each block pairwise with numpy and adds
@@ -218,41 +218,37 @@ def cmd_density(args) -> int:
 def cmd_sample(args) -> int:
     import numpy as np
 
+    from . import sampling
     from .floatfmt import RowWriter, byte_writer
-    from .kernels import density_batch
-    from .sampling import sample, sample_chunks
+    from .kernels import EIGEN_FACTOR_SUP, density_batch
 
-    if args.count < 0:
-        raise ValueError("--count must be >= 0")
     n, k = args.n, args.n - 1
+    chunks = sampling.sample_chunks(n, args.count, args.seed)
     names = _param_names(n)
     # a row is the angles, then re and im of each matrix cell in row-major
     # order; both formats print it through one template of _FLOAT fields
     if args.format == "csv":
-        # each index chunk of the sampler is written as it is drawn
-        chunks = (params for params, _ in sample_chunks(n, args.count, args.seed))
         cells = [f"m{i}{j}_{part}" for i in range(n) for j in range(n)
                  for part in ("re", "im")]
         head = ",".join(names + tuple(cells)) + "\n"
         row = ",".join([_FLOAT] * (len(names) + len(cells))) + "\n"
         sep, tail = "", ""
     else:
-        # the record gives total_proposals before the samples, so JSON draws
-        # the whole batch first
-        batch = sample(n, args.count, args.seed)
-        chunks = [batch.params]
+        # the record gives total_proposals before the samples, so a first
+        # pass of the sampler counts them and the rows stream on a second
         head = dumps_record({
             "schema_version": SCHEMA_VERSION,
             "kind": "samples",
             "n": n,
             "seed": int(args.seed),
             "count": int(args.count),
-            "envelope": float(batch.envelope),
-            "batch_size": int(batch.batch_size),
-            "total_proposals": int(batch.total_proposals),
+            "envelope": float(EIGEN_FACTOR_SUP[n]),
+            "batch_size": sampling._BLOCK,
+            "total_proposals": sum(p for _, p in chunks),
             "params_order": list(names),
             "samples": [],
         })[:-2]                                      # open at "samples": [
+        chunks = sampling.sample_chunks(n, args.count, args.seed)
         row = dumps_record({"params": dict.fromkeys(names, 0.0),
                             "matrix": [[0.0, 0.0]] * (n * n)}).replace(_FLOAT % 0.0, _FLOAT)
         sep, tail = ", ", "]}\n"
@@ -261,9 +257,9 @@ def cmd_sample(args) -> int:
     write = byte_writer(sys.stdout)
     write(head.encode())
     skip = len(sep)
-    # a sampler chunk (16384 rows) holds a whole number of write blocks, so
-    # rows fall into the same blocks as in one concatenated batch
-    for chunk in chunks:
+    # each sampler chunk is written as it is drawn; it holds a whole number of
+    # write blocks, so rows fall into the same blocks as in one batch
+    for chunk, _ in chunks:
         for start in range(0, len(chunk), _WRITE_ROWS):
             params = chunk[start:start + _WRITE_ROWS]
             mats = density_batch(n, params[:, :k], params[:, k:])

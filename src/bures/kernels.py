@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -236,10 +237,11 @@ def normalization_constant(n: int, points_per_axis: int | None = None) -> float:
 
     The RAW density is an eigenvalue-angle factor times the coset factor, so
     the integral is the eigenvalue-box quadrature times the exact coset
-    integral ``coset_normalization_constant(n)``.
+    integral ``coset_normalization_constant(n)``.  A float ``points_per_axis``
+    is a TypeError, not truncated to the rule below it.
     """
     check_n(n)
-    pts = REFERENCE_POINTS[n] if points_per_axis is None else int(points_per_axis)
+    pts = REFERENCE_POINTS[n] if points_per_axis is None else operator.index(points_per_axis)
     return _eigen_integral(n, pts) * coset_normalization_constant(n)
 
 

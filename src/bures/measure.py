@@ -52,6 +52,8 @@ def hall_density(lambdas) -> float:
     lam = np.asarray(lambdas, dtype=np.float64)
     if lam.ndim != 1 or lam.size not in (2, 3):
         raise ValueError(f"expected 2 or 3 eigenvalues, got shape {lam.shape}")
+    if not np.isfinite(lam).all():         # a NaN would pass the tests below
+        raise ValueError(f"eigenvalues must be finite, got {lam.tolist()}")
     if np.any(lam < 0):
         raise ValueError(f"eigenvalues must be nonnegative, got {lam.tolist()}")
     if abs(lam.sum() - 1.0) > 1e-12:

@@ -303,11 +303,12 @@ class TestOutputContract:
         assert full.startswith(prefix)
 
     @pytest.mark.parametrize("n", [2, 3])
-    # CSV also at 16385 and 32771, which cross the sampler's 16384-row chunks:
-    # it writes each chunk as it is drawn
+    # also at 16385 and 32771, which cross the sampler's 16384-row chunks:
+    # both formats write each chunk as it is drawn, and JSON's ", " separator
+    # must lead the first row of every chunk but the first
     @pytest.mark.parametrize("count,fmt", [
         (count, fmt) for fmt in ("json", "csv") for count in (0, 1, 1023, 1024, 1025, 2049)
-    ] + [(16385, "csv"), (32771, "csv")])
+    ] + [(16385, "csv"), (32771, "csv"), (16385, "json"), (32771, "json")])
     def test_sample_matches_percent_route(self, capsys, n, fmt, count):
         # the expected output is built from the sampler and the matrix kernel
         # with CPython's % on every float, as the CLI printed it before its

@@ -130,6 +130,17 @@ class TestMonteCarlo:
         large, _ = cli_usage(*argv, "--samples", "200000")
         assert large - small <= 2048, (small, large)      # KiB
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss units and posix_spawn")
+    def test_json_peak_rss_does_not_grow_with_count(self):
+        # the JSON record counts its proposals on a first pass of the sampler,
+        # then streams the rows chunk by chunk as CSV does.  The small run is
+        # one full sampler chunk: below it the working set of a chunk and of a
+        # 1024-row write block is not yet reached, in either format
+        argv = ("sample", "--n", "3", "--format", "json", "--seed", "1")
+        small, _ = cli_usage(*argv, "--count", "16384")
+        large, _ = cli_usage(*argv, "--count", "200000")
+        assert large - small <= 2048, (small, large)      # KiB
+
     def test_validation(self):
         with pytest.raises(ValueError):
             integrate_mc(2, PURITY, 0, seed=1)

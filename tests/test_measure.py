@@ -46,6 +46,14 @@ class TestHallDensity:
         with pytest.raises(ValueError, match="sum"):
             hall_density([0.6, 0.6])
 
+    @pytest.mark.parametrize("lam", [[math.nan, math.nan], [0.5, math.nan],
+                                     [math.inf, 0.0], [0.5, 0.5, -math.inf]],
+                             ids=["all-nan", "one-nan", "inf", "minus-inf"])
+    def test_rejects_non_finite(self, lam):
+        # a NaN compares false against the nonnegativity and unit-sum tests
+        with pytest.raises(ValueError, match="finite"):
+            hall_density(lam)
+
 
 class TestEigenvalueJacobian:
     def test_two_state_values(self):
@@ -222,6 +230,13 @@ class TestNormalization:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             normalization_constant(4)
+
+    def test_non_integral_points_rejected(self):
+        # int(3.7) would run the 3-point rule
+        with pytest.raises(TypeError):
+            normalization_constant(2, points_per_axis=3.7)
+        assert normalization_constant(2, points_per_axis=np.int64(32)) == \
+            normalization_constant(2, points_per_axis=32)
 
 
 # each batch kernel on rows shaped for n=3, which an unchecked n would run
