@@ -22,19 +22,19 @@ __version__ = "0.1.0"
 _SOURCE = {name: module for module, names in {
     "generators": ("GeneratorSet", "gell_mann", "generator_set", "pauli"),
     "linalg": ("NonHermitianError", "expm_i_generator"),
-    "euler": ("THETA2_MAX", "AngleRangeError", "CosetAngles", "DensityMatrixParams",
+    "kernels": ("THETA2_MAX", "coset_normalization_constant", "normalization_constant"),
+    "euler": ("AngleRangeError", "CosetAngles", "DensityMatrixParams",
               "EigenvalueAngles", "Inverse2Result", "NotADensityMatrixError",
               "coset_unitary", "density_from_params", "diag_eigenvalues",
               "euler_unitary", "params_from_density_2", "params_from_values",
               "validate_density"),
-    "measure": ("bures_joint_density", "coset_normalization_constant",
-                "eigenvalue_jacobian", "haar_coset_density", "hall_density",
-                "normalization_constant"),
+    "measure": ("bures_joint_density", "eigenvalue_jacobian", "haar_coset_density",
+                "hall_density"),
     "functionals": ("FunctionalId", "FunctionalKind", "eigenvalue_moment",
                     "purity", "von_neumann_entropy"),
     "tensorgrid": ("QuadratureSpec", "tensor_quadrature"),
     "integrate": ("IntegrationResult", "integrate", "integrate_mc"),
-    "sampling": ("EnvelopeViolationError", "SampleBatch", "sample"),
+    "sampling": ("EnvelopeViolationError", "sample"),
 }.items() for name in names}
 
 __all__ = sorted(_SOURCE)

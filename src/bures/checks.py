@@ -22,6 +22,7 @@ from .euler import (COSET_RANGES, EIGEN_RANGES, CosetAngles,
                     params_from_density_2, params_from_values)
 from .functionals import FunctionalId, FunctionalKind, spectrum_batch
 from .integrate import integrate, integrate_mc
+from .kernels import coset_unitary_batch
 from .linalg import expm_i_generator
 from .measure import (coset_measure_factor, eigen_measure_factor,
                       eigenvalue_jacobian, haar_coset_density,
@@ -314,8 +315,8 @@ def check_sampler_determinism() -> CheckResult:
     # n=2: prefixes that end inside the second index chunk and inside the
     # first; n=3: one that ends inside the first
     for n, count, prefixes in ((2, 40_000, (20_000, 100)), (3, 20_000, (1000,))):
-        rows = sample(n, count, 2024).params
-        same &= all(np.array_equal(rows[:m], sample(n, m, 2024).params) for m in prefixes)
+        rows = sample(n, count, 2024)
+        same &= all(np.array_equal(rows[:m], sample(n, m, 2024)) for m in prefixes)
     return _result("sampler_determinism", 0.0 if same else 1.0, 0.0)
 
 
@@ -343,7 +344,7 @@ def check_float_format_exact() -> CheckResult:
     values = np.concatenate([
         rng.integers(0, 2 ** 64, 20_000, dtype=np.uint64).view(np.float64),
         magnitudes, -magnitudes])
-    params = sample(3, 1024, seed=112).params
+    params = sample(3, 1024, seed=112)
     table = np.concatenate([params, density_batch(3, params[:, :2], params[:, 2:])
                             .view(np.float64).reshape(len(params), -1)], axis=1)
     one = floatfmt.FIELD + "\n"
@@ -369,16 +370,14 @@ def check_normalization_3state_consistency() -> CheckResult:
 
 
 def check_pushforward_uniform_2state() -> CheckResult:
-    batch = sample(2, 100_000, seed=501)
-    u11 = np.abs(batch.unitaries()[:, 0, 0]) ** 2
+    u11 = np.abs(coset_unitary_batch(2, sample(2, 100_000, seed=501)[:, 1:])[:, 0, 0]) ** 2
     d = ks_statistic(u11, lambda t: np.clip(t, 0.0, 1.0))
     return _result("pushforward_uniform_2state", d,
                    KS_CRITICAL_1PCT / math.sqrt(u11.size))
 
 
 def check_pushforward_dirichlet_3state() -> CheckResult:
-    batch = sample(3, 100_000, seed=502)
-    col = np.abs(batch.unitaries()[:, :, 0]) ** 2
+    col = np.abs(coset_unitary_batch(3, sample(3, 100_000, seed=502)[:, 2:])[:, :, 0]) ** 2
     # Dirichlet(1,1,1) marginals are Beta(1,2)
     beta12 = lambda t: 1.0 - (1.0 - np.clip(t, 0.0, 1.0)) ** 2
     d = max(ks_statistic(col[:, j], beta12) for j in range(3))
@@ -391,7 +390,7 @@ def check_mc_quadrature_agreement_2state() -> CheckResult:
     quad = integrate(2, fid)
     mc = integrate_mc(2, fid, 100_000, seed=503)
     gap = abs(quad.value - mc.value)
-    tol = 3.0 * math.hypot(mc.std_error, quad.error_estimate)
+    tol = 3.0 * math.hypot(mc.error_estimate, quad.error_estimate)
     return _result("mc_quadrature_agreement_2state", gap, tol)
 
 

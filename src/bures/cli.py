@@ -16,9 +16,10 @@ Subcommands: density, sample, integrate, volume, check.  Output is a single
 JSON record (or a CSV stream for ``sample --format csv``) with schema_version
 "1"; every float is printed with 17 significant digits so serialized output
 round-trips byte-for-byte.  Angles are radians only.  ``sample`` prints the
-draws of ``sampling.sample`` (its docstring gives the contract of sampler
-stream version 4), each row its angles, then re and im of each matrix cell,
-the matrix from the closed-form kernel ``kernels.density_batch``.  Both
+draws of ``sampling.sample_chunks`` (the ``sampling`` docstring gives the
+contract of sampler stream version 4), each row its angles, then re and im
+of each matrix cell, the matrix from the closed-form kernel
+``kernels.density_batch``.  Both
 formats print rows through one ``%.16e`` row template (for JSON, the JSON
 writer's own output with its floats made fields) and one
 ``floatfmt.RowWriter`` per command, 1024 rows per write, byte-identical to
@@ -56,7 +57,7 @@ USAGE_ERROR = 2
 CHECK_FAILURE = 1
 OUTPUT_FAILURE = 1
 INTERRUPTED = 130       # 128 + SIGINT, as a shell reports it
-MAX_POINTS = 1024       # the n=3 rule: P**2 nodes, about 0.7 s at the cap
+MAX_POINTS = 1024       # the n=3 rule: P**2 nodes; bounds the time (README, notes on cost)
 DEFAULT_SAMPLES = 1_000_000
 DEFAULT_SEED = 0
 RULE = "gauss-legendre"     # the records' "rule" field; the only quadrature rule
@@ -296,24 +297,17 @@ def cmd_integrate(args) -> int:
     if args.method == "quadrature":
         from .tensorgrid import QuadratureSpec
 
-        res = integrate(args.n, fid, QuadratureSpec(_points(args, DEFAULT_POINTS[args.n])))
-        record.update({
-            "value": res.value,
-            "error_estimate": res.error_estimate,
-            "points_per_axis": res.points_per_axis,
-            "rule": RULE,
-        })
+        points = _points(args, DEFAULT_POINTS[args.n])
+        res = integrate(args.n, fid, QuadratureSpec(points))
+        record.update(value=res.value, error_estimate=res.error_estimate,
+                      points_per_axis=points, rule=RULE)
     else:
         samples = DEFAULT_SAMPLES if args.samples is None else args.samples
         seed = DEFAULT_SEED if args.seed is None else args.seed
         res = integrate_mc(args.n, fid, samples, seed=seed)
-        record.update({
-            "value": res.value,
-            "error_estimate": res.error_estimate,
-            "samples": res.samples,
-            "std_error": res.std_error,
-            "seed": int(seed),
-        })
+        # the record's std_error is the Monte Carlo error estimate, repeated
+        record.update(value=res.value, error_estimate=res.error_estimate,
+                      samples=samples, std_error=res.error_estimate, seed=int(seed))
     print(dumps_record(record))
     return 0
 

@@ -21,8 +21,7 @@ that multiply generator exponentials, and the checks and inverse map on
 density matrices.  The fast batch forms (``diag_eigenvalues_batch``,
 ``coset_unitary_batch``, ``density_batch``), which write U's entries in
 closed form (Byrd, J. Math. Phys. 39 (1998) 6125) and rho's directly, live in
-``kernels`` and are re-exported here; the scalar maps are the independent
-check on them.
+``kernels``; the scalar maps are the independent check on them.
 """
 
 from __future__ import annotations
@@ -34,9 +33,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .generators import gell_mann, pauli
+# density_batch is unused here: perfbench's tracer wraps it by this name
 from .kernels import (COSET_NAMES, COSET_RANGES, EIGEN_NAMES, EIGEN_RANGES,  # noqa: F401
-                      THETA2_MAX, check_n, coset_unitary_batch, density_batch,
-                      diag_eigenvalues_batch)
+                      check_n, density_batch, diag_eigenvalues_batch)
 from .linalg import as_square, expm_i_generator
 
 

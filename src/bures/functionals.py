@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,7 +21,8 @@ class FunctionalId:
 
     ``moment:0`` is accepted as an alias for the constant-1 functional
     (its mean under any normalized measure is exactly 1); genuine
-    eigenvalue moments sum(lam_i^k) require k >= 1.
+    eigenvalue moments sum(lam_i^k) require k >= 1.  The order is stored as
+    an int: a float order is a TypeError, and ``True`` is the order 1.
     """
 
     kind: FunctionalKind
@@ -28,8 +30,10 @@ class FunctionalId:
 
     def __post_init__(self):
         if self.kind is FunctionalKind.EIGENVALUE_MOMENT:
-            if self.order is None or self.order < 0:
+            order = -1 if self.order is None else operator.index(self.order)
+            if order < 0:
                 raise ValueError("moment order must be an integer >= 0")
+            object.__setattr__(self, "order", order)
         elif self.order is not None:
             raise ValueError(f"{self.kind.value} takes no order")
 
@@ -122,7 +126,8 @@ def purity(rho, tol: float = 1e-10) -> float:
 
 
 def eigenvalue_moment(rho, k: int, tol: float = 1e-10) -> float:
-    """sum lam_i^k over the spectrum, k >= 1."""
+    """sum lam_i^k over the spectrum, k an integer >= 1 (a float is a TypeError)."""
+    k = operator.index(k)
     if k < 1:
         raise ValueError("moment order must be >= 1")
     m = _validated(rho, tol)

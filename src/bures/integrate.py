@@ -29,11 +29,7 @@ DEFAULT_POINTS = {2: 32, 3: 64}
 @dataclass(frozen=True)
 class IntegrationResult:
     value: float
-    error_estimate: float
-    method: str                      # "quadrature" or "mc"
-    points_per_axis: int | None = None
-    samples: int | None = None
-    std_error: float | None = None
+    error_estimate: float            # Monte Carlo: the standard error
 
 
 def integrate(n: int, functional: FunctionalId,
@@ -68,9 +64,7 @@ def integrate(n: int, functional: FunctionalId,
 
     fine = mean(spec)
     coarse = mean(QuadratureSpec(spec.points_per_axis // 2))
-    return IntegrationResult(value=fine, error_estimate=abs(fine - coarse),
-                             method="quadrature",
-                             points_per_axis=spec.points_per_axis)
+    return IntegrationResult(value=fine, error_estimate=abs(fine - coarse))
 
 
 def integrate_mc(n: int, functional: FunctionalId, samples: int,
@@ -110,6 +104,5 @@ def integrate_mc(n: int, functional: FunctionalId, samples: int,
         mean += delta * size / total
         m2 += chunk_m2 + delta * delta * count * size / total
         count = total
-    se = float(np.sqrt(m2 / (count - 1) / count))
-    return IntegrationResult(value=mean, error_estimate=se, method="mc",
-                             samples=samples, std_error=se)
+    return IntegrationResult(value=mean,
+                             error_estimate=float(np.sqrt(m2 / (count - 1) / count)))

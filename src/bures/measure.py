@@ -21,7 +21,7 @@ forms (``hall_density``, ``eigenvalue_jacobian``, ``haar_coset_density``).
 The fast vectorized factors (``eigen_measure_factor`` and its exact sup
 ``EIGEN_FACTOR_SUP``, ``coset_measure_factor`` and its inverse CDFs
 ``coset_angles_from_uniforms``) and the normalization constants live in
-``kernels`` and are re-exported here.
+``kernels``.
 """
 
 from __future__ import annotations
@@ -32,9 +32,7 @@ import numpy as np
 
 from .euler import CosetAngles, DensityMatrixParams, EigenvalueAngles, factor_chain
 from .generators import generator_set
-from .kernels import (EIGEN_FACTOR_SUP, REFERENCE_POINTS, _eigen_integral,  # noqa: F401
-                      check_n, coset_angles_from_uniforms, coset_measure_factor,
-                      coset_normalization_constant, eigen_measure_factor,
+from .kernels import (check_n, coset_measure_factor, eigen_measure_factor,
                       normalization_constant)
 from .linalg import expm_i_generator
 

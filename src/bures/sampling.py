@@ -12,15 +12,17 @@ eigenvalue box, and the attempt is accepted iff u * M < eigenvalue factor for
 its last uniform u.  Sample j of the chunk takes the eigenvalue angles of the
 j-th accepted attempt, and its n^2-n coset angles from row j of the coset
 stream, keyed by ``(seed, 1)``, through the coset inverse CDFs.  Rejection
-runs in rounds of ``batch_size`` (2) attempts per index still pending, and a
-round draws at most one slab (4096 rows) of attempts, as the coset uniforms
-are drawn one slab at a time, so no kernel call sees more than a slab.  Both
+runs in rounds of ``_BLOCK`` (2, the ``sample`` record's ``batch_size``)
+attempts per index still pending, and a round draws at most one slab (4096
+rows) of attempts, as the coset uniforms are drawn one slab at a time, so no
+kernel call sees more than a slab.  Both
 streams carry on across rounds and slabs and are read in order, so the bytes
 depend neither on the round or slab size nor on ``count``: every count prefix
-gives the same bytes.  ``total_proposals`` counts the attempts examined, up
-to and including the last accepted one of each chunk.  ``sample_chunks``
-yields the chunks one at a time, in index order, for callers that reduce or
-write them as they come; ``sample`` concatenates them.
+gives the same bytes.  ``sample_chunks`` yields the chunks one at a time, in
+index order, each with its count of the attempts examined, up to and
+including its last accepted one (summed, the record's ``total_proposals``),
+for callers that reduce or write them as they come; ``sample`` concatenates
+the rows.
 
 This is sampler stream version 4.  Version 3 keyed one stream per round,
 ``(seed, round)``, and drew all n^2 uniforms of four attempts per pending
@@ -32,14 +34,12 @@ on the full angle box against an envelope estimated from a grid.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
 from .kernels import (EIGEN_FACTOR_SUP, EIGEN_RANGES, check_n,
-                      coset_angles_from_uniforms, coset_unitary_batch, density_batch,
-                      eigen_measure_factor)
+                      coset_angles_from_uniforms, eigen_measure_factor)
 
 _INDEX_CHUNK = 16384          # sample indices per chunk (bounds memory)
 _BLOCK = 2                    # attempts per round per pending sample
@@ -48,37 +48,6 @@ _SLAB = 4096                  # rows per kernel call (bounds the work arrays)
 
 class EnvelopeViolationError(RuntimeError):
     """A proposed point's eigenvalue factor exceeded the rejection bound M."""
-
-
-@dataclass(frozen=True)
-class SampleBatch:
-    """Accepted samples plus the run's bookkeeping."""
-
-    n: int
-    seed: int
-    params: np.ndarray        # (count, d) angle rows, read-only
-    envelope: float
-    batch_size: int           # attempts per round per pending sample (cost only)
-    total_proposals: int = field(repr=False, default=0)   # attempts examined
-
-    @property
-    def count(self) -> int:
-        return self.params.shape[0]
-
-    @property
-    def acceptance_rate(self) -> float:
-        if self.total_proposals == 0:
-            return 0.0
-        return self.count / self.total_proposals
-
-    def matrices(self) -> np.ndarray:
-        """Density matrices of the samples."""
-        k = self.n - 1
-        return density_batch(self.n, self.params[:, :k], self.params[:, k:])
-
-    def unitaries(self) -> np.ndarray:
-        """Coset unitaries of the samples."""
-        return coset_unitary_batch(self.n, self.params[:, self.n - 1:])
 
 
 def _stream(seed: int, stream: int, chunk: int) -> np.random.Generator:
@@ -143,15 +112,13 @@ def sample_chunks(n: int, count: int, seed: int) -> Iterator[tuple[np.ndarray, i
             for c, a in enumerate(range(0, count, _INDEX_CHUNK)))
 
 
-def sample(n: int, count: int, seed: int) -> SampleBatch:
-    """Draw i.i.d. parameter points from the normalized Bures density."""
-    chunks = list(sample_chunks(n, count, seed))
-    if chunks:
-        params = np.concatenate([c[0] for c in chunks], axis=0)
-    else:
-        params = np.empty((0, n * n - 1))
-    params.flags.writeable = False
-    return SampleBatch(n=n, seed=int(seed), params=params,
-                       envelope=EIGEN_FACTOR_SUP[n], batch_size=_BLOCK,
-                       total_proposals=sum(c[1] for c in chunks))
+def sample(n: int, count: int, seed: int) -> np.ndarray:
+    """Draw ``count`` i.i.d. parameter points from the normalized Bures density.
 
+    Returns the read-only ``(count, n**2 - 1)`` float64 array of angle rows,
+    eigenvalue angles first: the chunks of ``sample_chunks`` concatenated.
+    """
+    rows = np.concatenate([p for p, _ in sample_chunks(n, count, seed)]
+                          or [np.empty((0, n * n - 1))])
+    rows.flags.writeable = False
+    return rows

@@ -12,8 +12,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from bures import cli
-from bures.sampling import sample
+from bures import cli, kernels, sampling
+from bures.sampling import sample, sample_chunks
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schema" / "output_record.v1.json")
@@ -136,6 +136,19 @@ class TestSampleCommand:
         assert code == 0
         assert out.strip().split("\n") == ["theta,alpha,beta,m00_re,m00_im,m01_re,"
                                            "m01_im,m10_re,m10_im,m11_re,m11_im"]
+
+    @pytest.mark.parametrize("block", [1, 5])
+    def test_record_batch_size_is_the_round_size(self, capsys, monkeypatch, block):
+        # "batch_size" reads the sampler's attempts per round when the command
+        # runs; the samples and total_proposals do not depend on it
+        argv = ("sample", "--n", "3", "--count", "100", "--seed", "17", "--format", "json")
+        _, default, _ = run_cli(capsys, *argv)
+        field = '"batch_size": %d, ' % sampling._BLOCK
+        monkeypatch.setattr(sampling, "_BLOCK", block)
+        _, out, _ = run_cli(capsys, *argv)
+        assert record_of(out)["batch_size"] == block
+        assert out.replace('"batch_size": %d, ' % block, field) == default
+        assert out != default
 
     def test_negative_count_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "sample", "--n", "2", "--count", "-2", "--seed", "1")
@@ -314,26 +327,27 @@ class TestOutputContract:
         # with CPython's % on every float, as the CLI printed it before its
         # rows were formatted a block at a time.  The whole batch's matrices
         # are the cells the CLI forms in 1024-row blocks, bit for bit
-        batch = sample(n, count, seed=21)
-        cells = batch.matrices().view(np.float64).reshape(count, 2 * n * n)
+        rows = sample(n, count, seed=21)
+        cells = (kernels.density_batch(n, rows[:, :n - 1], rows[:, n - 1:])
+                 .view(np.float64).reshape(count, 2 * n * n))
         names = cli._param_names(n)
         if fmt == "csv":
             head = names + tuple(f"m{i}{j}_{part}" for i in range(n) for j in range(n)
                                  for part in ("re", "im"))
-            rows = np.concatenate([batch.params, cells], axis=1).tolist()
+            table = np.concatenate([rows, cells], axis=1).tolist()
             want = "".join(",".join(["%.16e"] * len(head)) % tuple(row) + "\n"
-                           for row in rows)
+                           for row in table)
             want = ",".join(head) + "\n" + want
         else:
             want = cli.dumps_record({
                 "schema_version": "1", "kind": "samples", "n": n, "seed": 21,
-                "count": count, "envelope": float(batch.envelope),
-                "batch_size": int(batch.batch_size),
-                "total_proposals": int(batch.total_proposals),
+                "count": count, "envelope": kernels.EIGEN_FACTOR_SUP[n],
+                "batch_size": sampling._BLOCK,
+                "total_proposals": sum(q for _, q in sample_chunks(n, count, 21)),
                 "params_order": list(names),
                 "samples": [{"params": dict(zip(names, p)),
                              "matrix": c.reshape(-1, 2).tolist()}
-                            for p, c in zip(batch.params.tolist(), cells)],
+                            for p, c in zip(rows.tolist(), cells)],
             }) + "\n"
         _, out, _ = run_cli(capsys, "sample", "--n", str(n), "--count", str(count),
                             "--seed", "21", "--format", fmt)
@@ -590,8 +604,7 @@ class TestSubprocessEntry:
         assert "Traceback" not in r.stderr
 
     def test_envelope_violation_exits_1(self, capsys, monkeypatch):
-        from bures import measure
-        monkeypatch.setitem(measure.EIGEN_FACTOR_SUP, 3, 1.0)
+        monkeypatch.setitem(kernels.EIGEN_FACTOR_SUP, 3, 1.0)
         code, out, err = run_cli(capsys, "sample", "--n", "3", "--count", "10",
                                  "--seed", "1")
         assert code == 1

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bures.euler import (THETA2_MAX, AngleRangeError, CosetAngles,
+from bures.euler import (AngleRangeError, CosetAngles,
                          DensityMatrixParams, EigenvalueAngles,
-                         NotADensityMatrixError, coset_unitary,
-                         coset_unitary_batch, density_batch,
+                         NotADensityMatrixError, coset_unitary, density_batch,
                          density_from_params, diag_eigenvalues,
                          diag_eigenvalues_batch, euler_unitary,
                          params_from_density_2, params_from_values,
                          validate_density)
 from bures.functionals import eigenvalue_moment, purity, von_neumann_entropy
+from bures.kernels import THETA2_MAX, coset_unitary_batch
 from conftest import random_box_points
 
 

@@ -119,7 +119,7 @@ def test_ties_and_out_of_range_take_the_fallback():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_sample_table_mostly_vectorized(n):
-    params = sample(n, 4096, seed=11).params
+    params = sample(n, 4096, seed=11)
     mats = density_batch(n, params[:, :n - 1], params[:, n - 1:])
     table = np.concatenate([params, mats.view(np.float64).reshape(len(params), -1)],
                            axis=1)

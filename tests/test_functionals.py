@@ -63,6 +63,13 @@ class TestMoments:
         with pytest.raises(ValueError):
             eigenvalue_moment(np.eye(2) / 2, 0)
 
+    @pytest.mark.parametrize("order", [2.5, 2.0, np.float64(2.0)],
+                             ids=["2.5", "2.0", "numpy-2.0"])
+    def test_float_order_rejected(self, order):
+        # sum lam^2.5 is no eigenvalue moment of integer order
+        with pytest.raises(TypeError):
+            eigenvalue_moment(np.eye(2) / 2, order)
+
 
 class TestFunctionalId:
     def test_parse(self):
@@ -81,6 +88,20 @@ class TestFunctionalId:
             FunctionalId(FunctionalKind.EIGENVALUE_MOMENT, -1)
         with pytest.raises(ValueError):
             FunctionalId(FunctionalKind.PURITY, 2)
+
+    @pytest.mark.parametrize("order", [2.5, 2.0, np.float64(2.0)],
+                             ids=["2.5", "2.0", "numpy-2.0"])
+    def test_float_order_rejected(self, order):
+        with pytest.raises(TypeError):
+            FunctionalId(FunctionalKind.EIGENVALUE_MOMENT, order)
+
+    @pytest.mark.parametrize("order,label", [(True, "moment:1"), (np.int64(3), "moment:3")],
+                             ids=["True", "numpy-3"])
+    def test_integer_order_stored_as_int(self, order, label):
+        fid = FunctionalId(FunctionalKind.EIGENVALUE_MOMENT, order)
+        assert type(fid.order) is int
+        assert fid.label == label
+        assert fid == FunctionalId.parse(label)
 
     def test_moment_zero_is_constant_one(self):
         fid = FunctionalId.parse("moment:0")

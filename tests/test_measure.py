@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from bures.euler import (COSET_NAMES, COSET_RANGES, EIGEN_NAMES, EIGEN_RANGES,
-                         THETA2_MAX, CosetAngles, EigenvalueAngles, coset_unitary,
+                         CosetAngles, EigenvalueAngles, coset_unitary,
                          density_batch, diag_eigenvalues_batch, params_from_values)
 from bures.generators import generator_set
-from bures.measure import (bures_joint_density, coset_angles_from_uniforms,
-                           coset_measure_factor, coset_normalization_constant,
+from bures.kernels import (THETA2_MAX, coset_angles_from_uniforms,
+                           coset_normalization_constant)
+from bures.measure import (bures_joint_density, coset_measure_factor,
                            eigen_measure_factor,
                            eigenvalue_jacobian, haar_coset_density,
                            hall_density, joint_density_batch,

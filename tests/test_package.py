@@ -1,6 +1,8 @@
 import ast
 import importlib.util
 import json
+import os
+import re
 import runpy
 import subprocess
 import sys
@@ -43,6 +45,17 @@ def test_integrate_export_is_the_function():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert callable(bures.integrate)
+
+
+def test_readme_library_example_runs():
+    # README's one Python block, run as written against this source tree
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.M | re.S)
+    assert len(blocks) == 1
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-c", blocks[0]], capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": path})
+    assert r.returncode == 0, r.stderr
 
 
 # a fresh interpreter runs the CLI entry with the given arguments, then

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bures import measure, tensorgrid
+from bures import kernels, tensorgrid
 from bures.functionals import FunctionalId
 from bures.integrate import integrate
 from bures.tensorgrid import QuadratureSpec, axis_rule, tensor_quadrature
@@ -28,7 +28,7 @@ class TestAxisRules:
         leggauss = np.polynomial.legendre.leggauss
         monkeypatch.setattr(np.polynomial.legendre, "leggauss",
                             lambda pts: calls.append(pts) or leggauss(pts))
-        measure._eigen_integral.cache_clear()
+        kernels._eigen_integral.cache_clear()
         tensorgrid._unit_rule.cache_clear()
         integrate(3, FunctionalId.parse("entropy"), QuadratureSpec(64))
         assert sorted(calls) == [32, 64]
