@@ -25,9 +25,12 @@ writer's own output with its floats made fields) and one
 ``floatfmt.RowWriter`` per command, 1024 rows per write, byte-identical to
 ``%`` (see ``floatfmt``).  Both formats write each of the sampler's
 16384-index chunks as it is drawn, so memory does not grow with ``--count``;
-JSON, whose record gives ``total_proposals`` before the samples, first runs
-the sampler once to count them.  ``density`` prints rho from the same kernel
-on its one row, and the eigenvalues from the closed-form spectrum
+JSON, whose record gives ``total_proposals`` before the samples, draws
+chunk 0 and keeps it while it counts the later chunks' proposals from their
+attempts alone (``sampling.counted_chunks``).  One writer thread
+(``floatfmt.BackgroundWriter``) writes each block while the next is formed,
+and is joined before ``sample`` returns.  ``density`` prints rho from the
+same kernel on its one row, and the eigenvalues from the closed-form spectrum
 (``kernels.diag_eigenvalues_batch``), in descending order.  Quadrature has
 one rule, Gauss-Legendre on the eigenvalue box, and records name it in their
 ``rule`` field.  ``tensorgrid`` evaluates it on whole rows of the box in
@@ -41,7 +44,9 @@ estimate's coarser rerun is another rule, and the cap bounds the time of the
 rule's construction and of the 1024^2-node grid.  A reader that closes
 stdout early ends the command quietly; any other failure to write stdout (a
 closed fd 1 too) exits 1 with a message, and an interrupt (Ctrl-C) exits 130
-without a traceback.
+without a traceback, without waiting on a reader that stopped reading.  The
+writer thread's errors are raised again in the main thread, so they end the
+command as a write from the main thread would.
 """
 
 from __future__ import annotations
@@ -220,23 +225,25 @@ def cmd_sample(args) -> int:
     import numpy as np
 
     from . import sampling
-    from .floatfmt import RowWriter, byte_writer
+    from .floatfmt import BackgroundWriter, RowWriter
     from .kernels import EIGEN_FACTOR_SUP, density_batch
 
     n, k = args.n, args.n - 1
-    chunks = sampling.sample_chunks(n, args.count, args.seed)
     names = _param_names(n)
     # a row is the angles, then re and im of each matrix cell in row-major
     # order; both formats print it through one template of _FLOAT fields
     if args.format == "csv":
+        chunks = sampling.sample_chunks(n, args.count, args.seed)
         cells = [f"m{i}{j}_{part}" for i in range(n) for j in range(n)
                  for part in ("re", "im")]
         head = ",".join(names + tuple(cells)) + "\n"
         row = ",".join([_FLOAT] * (len(names) + len(cells))) + "\n"
         sep, tail = "", ""
     else:
-        # the record gives total_proposals before the samples, so a first
-        # pass of the sampler counts them and the rows stream on a second
+        # the record gives total_proposals before the samples: chunk 0 is
+        # drawn and kept, and the later chunks' proposals are counted from
+        # their attempts alone before their rows stream
+        total_proposals, chunks = sampling.counted_chunks(n, args.count, args.seed)
         head = dumps_record({
             "schema_version": SCHEMA_VERSION,
             "kind": "samples",
@@ -245,30 +252,30 @@ def cmd_sample(args) -> int:
             "count": int(args.count),
             "envelope": float(EIGEN_FACTOR_SUP[n]),
             "batch_size": sampling._BLOCK,
-            "total_proposals": sum(p for _, p in chunks),
+            "total_proposals": total_proposals,
             "params_order": list(names),
             "samples": [],
         })[:-2]                                      # open at "samples": [
-        chunks = sampling.sample_chunks(n, args.count, args.seed)
         row = dumps_record({"params": dict.fromkeys(names, 0.0),
                             "matrix": [[0.0, 0.0]] * (n * n)}).replace(_FLOAT % 0.0, _FLOAT)
         sep, tail = ", ", "]}\n"
     # sep leads every row but the first
     writer = RowWriter(sep + row, min(args.count, _WRITE_ROWS), hermitian=(len(names), n))
-    write = byte_writer(sys.stdout)
-    write(head.encode())
     skip = len(sep)
-    # each sampler chunk is written as it is drawn; it holds a whole number of
-    # write blocks, so rows fall into the same blocks as in one batch
-    for chunk, _ in chunks:
-        for start in range(0, len(chunk), _WRITE_ROWS):
-            params = chunk[start:start + _WRITE_ROWS]
-            mats = density_batch(n, params[:, :k], params[:, k:])
-            table = np.concatenate([params, mats.view(np.float64).reshape(len(params), -1)],
-                                   axis=1)
-            write(writer.format(table)[skip:])
-            skip = 0
-    write(tail.encode())
+    # a thread writes each block while the next is formed; each sampler chunk
+    # is written as it is drawn, and holds a whole number of write blocks, so
+    # rows fall into the same blocks as in one batch
+    with BackgroundWriter(sys.stdout) as out:
+        out.write(head.encode())
+        for chunk, _ in chunks:
+            for start in range(0, len(chunk), _WRITE_ROWS):
+                params = chunk[start:start + _WRITE_ROWS]
+                mats = density_batch(n, params[:, :k], params[:, k:])
+                table = np.concatenate([params, mats.view(np.float64).reshape(len(params), -1)],
+                                       axis=1)
+                out.write(writer.format(table)[skip:])
+                skip = 0
+        out.write(tail.encode())
     return 0
 
 
@@ -395,7 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "4096 attempts a round (a cost choice that leaves the "
                     "samples as they are); "
                     "'total_proposals' counts the attempts examined up to and "
-                    "including the last accepted one. For n=3 the paper's box "
+                    "including the last accepted one. Rows are written as "
+                    "each chunk is drawn, so memory does not grow with "
+                    "--count; the JSON record, which gives total_proposals "
+                    "first, keeps chunk 0 while it counts the later chunks' "
+                    "attempts, so up to 16384 rows run the sampler once. "
+                    "For n=3 the paper's box "
                     "counts some spectra twice, so the samples differ from the "
                     "Bures ensemble (mean purity 0.68444, not 46/66).")
     add_n(p)

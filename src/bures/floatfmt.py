@@ -4,7 +4,9 @@
 ``"".join(template % tuple(row) for row in table)`` for a row template whose
 fields are all ``%.16e``, but formats the table with whole-array numpy
 operations instead of one ``%`` call per float.  ``RowWriter`` does the same
-for a stream of blocks of rows, as ASCII bytes, into one buffer it reuses.
+for a stream of blocks of rows, as ASCII bytes, into one buffer it reuses,
+and ``BackgroundWriter`` writes such blocks from one thread while the next
+is formed.
 
 For a finite x with 1e-30 <= |x| < 1e3 and E = floor(log10 |x|), the 17
 printed digits are D = round(y) with y = |x| * 10**(16 - E) in [1e16, 1e17).
@@ -37,6 +39,7 @@ first use.
 from __future__ import annotations
 
 import functools
+import threading
 
 import numpy as np
 
@@ -250,15 +253,19 @@ def format_rows(template: str, table: np.ndarray) -> str:
 def byte_writer(stream):
     """A function that writes ASCII bytes to the text stream ``stream``.
 
-    The text layer is flushed once and then bypassed for its binary layer.
-    Under ``PYTHONUNBUFFERED`` that layer is a raw ``FileIO``, whose ``write``
-    may take only part of the data, so each write loops until all is out.  A
-    stream with no binary layer (an ``io.StringIO``) takes the decoded text.
+    The text layer is flushed once and then bypassed for its binary layer,
+    or for the raw file under that layer's buffer where it has one, so a
+    write holds none of the buffer's locks (the exit flush takes them; see
+    ``BackgroundWriter``).  A raw ``FileIO``'s ``write``, as under
+    ``PYTHONUNBUFFERED``, may take only part of the data, so each write
+    loops until all is out.  A stream with no binary layer (an
+    ``io.StringIO``) takes the decoded text.
     """
     stream.flush()
-    raw = getattr(stream, "buffer", None)
-    if raw is None:
+    binary = getattr(stream, "buffer", None)
+    if binary is None:
         return lambda data: stream.write(str(data, "ascii"))
+    raw = getattr(binary, "raw", binary)
 
     def write(data) -> None:
         view = memoryview(data)
@@ -266,3 +273,84 @@ def byte_writer(stream):
             view = view[raw.write(view):]
 
     return write
+
+
+_END = object()             # handed to the writer thread: no block follows
+
+
+class BackgroundWriter:
+    """``byte_writer(stream)`` run on one daemon thread, a block at a time.
+
+    ``write(block)`` hands an immutable ``bytes`` block to the thread through
+    a one-slot handoff and returns once the slot is free; the thread empties
+    the slot as it starts each write.  So the caller forms the next block
+    while this one drains to a slow reader, and at most three blocks are
+    alive: the thread's last one, one in the slot and one being formed.
+    Fewer cost CPU on a 1e5-row JSON ``sample`` to /dev/null: a slot held
+    until its block is written makes the caller wait on the thread at every
+    block, and a thread that drops its block before it takes the next lets
+    glibc return those pages and fault them in again (46 k minor faults
+    against 18 k, and 13% more CPU).  An error the thread hits is raised
+    again in the caller's thread, by the next ``write`` or by ``close``.
+
+    As a context manager it closes on a normal exit and on an ``Exception``:
+    every block handed over is written first, and the thread's error, if it
+    had one, is raised in place of the caller's (it is the earlier fault in
+    the output's order).  On ``KeyboardInterrupt`` the thread is abandoned,
+    not joined, since it may be blocked on a reader that stopped reading; it
+    ends after its current write, or when the process ends.
+    """
+
+    def __init__(self, stream):
+        self._write = byte_writer(stream)
+        self._ready = threading.Condition(threading.Lock())
+        self._slot = None
+        self._error: BaseException | None = None
+        self._thread = threading.Thread(target=self._drain, name="bures-writer",
+                                        daemon=True)
+        self._thread.start()
+
+    def _drain(self) -> None:
+        try:
+            while True:
+                with self._ready:
+                    while self._slot is None:
+                        self._ready.wait()
+                    block, self._slot = self._slot, None
+                    self._ready.notify()
+                if block is _END:
+                    return
+                self._write(block)
+        except BaseException as exc:        # raised again in the caller's thread
+            with self._ready:
+                self._error = exc
+                self._ready.notify()
+
+    def write(self, block: bytes) -> None:
+        with self._ready:
+            while self._slot is not None and self._error is None:
+                self._ready.wait()
+            if self._error is not None:
+                raise self._error
+            self._slot = block
+            self._ready.notify()
+
+    def close(self) -> None:
+        """Write every block handed over, end the thread and raise its error."""
+        try:
+            self.write(_END)
+        finally:
+            self._thread.join()
+        if self._error is not None:
+            raise self._error
+
+    def __enter__(self) -> "BackgroundWriter":
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is None or issubclass(kind, Exception):
+            self.close()
+        else:
+            with self._ready:       # never waits on the thread's write
+                self._slot = _END
+                self._ready.notify()

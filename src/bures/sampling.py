@@ -22,7 +22,10 @@ gives the same bytes.  ``sample_chunks`` yields the chunks one at a time, in
 index order, each with its count of the attempts examined, up to and
 including its last accepted one (summed, the record's ``total_proposals``),
 for callers that reduce or write them as they come; ``sample`` concatenates
-the rows.
+the rows.  A chunk is drawn in two halves, rejection on the attempt stream
+and then the coset uniforms, so ``counted_chunks``, for a caller that needs
+the total before the rows, counts the later chunks' proposals from the
+rejection half alone and draws each chunk's rows once.
 
 This is sampler stream version 4.  Version 3 keyed one stream per round,
 ``(seed, round)``, and drew all n^2 uniforms of four attempts per pending
@@ -33,6 +36,7 @@ on the full angle box against an envelope estimated from a grid.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from typing import Iterator
 
@@ -58,13 +62,17 @@ def _stream(seed: int, stream: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=[0, chunk, 0, 0]))
 
 
-def _rejection_chunk(n: int, env: float, seed: int, chunk: int,
-                     count: int) -> tuple[np.ndarray, int]:
-    """Run rejection for the ``count`` sample indices of index chunk ``chunk``."""
+def _rejection(n: int, env: float, seed: int, chunk: int, out: np.ndarray) -> int:
+    """Fill ``out[:, :n-1]`` with the eigenvalue angles of index chunk ``chunk``.
+
+    The rejection half of a chunk: it reads the attempt stream alone, and
+    returns the count of attempts examined, up to and including the last
+    accepted one.
+    """
     k = n - 1
+    count = len(out)
     lower, upper = np.array(EIGEN_RANGES[n]).T
     span = upper - lower
-    out = np.empty((count, n * n - 1))
     attempts = _stream(seed, 0, chunk)
     done = proposals = 0
     while done < count:
@@ -83,11 +91,27 @@ def _rejection_chunk(n: int, env: float, seed: int, chunk: int,
         done += won.size
         # attempts examined: the whole round, or up to the last one taken
         proposals += int(won[-1]) + 1 if done == count else len(u)
+    return proposals
+
+
+def _rejection_chunk(n: int, env: float, seed: int, chunk: int,
+                     count: int) -> tuple[np.ndarray, int]:
+    """Draw the ``count`` sample indices of index chunk ``chunk``: rejection,
+    then the coset half from the coset stream."""
+    k = n - 1
+    out = np.empty((count, n * n - 1))
+    proposals = _rejection(n, env, seed, chunk, out)
     coset = _stream(seed, 1, chunk)
     for a in range(0, count, _SLAB):
         b = min(a + _SLAB, count)
         out[a:b, k:] = coset_angles_from_uniforms(n, coset.random((b - a, n * n - n)))
     return out, proposals
+
+
+def _chunk_sizes(count: int) -> Iterator[tuple[int, int]]:
+    """Each index chunk of ``count`` sample indices and its size, in order."""
+    return ((c, min(_INDEX_CHUNK, count - a))
+            for c, a in enumerate(range(0, count, _INDEX_CHUNK)))
 
 
 def sample_chunks(n: int, count: int, seed: int) -> Iterator[tuple[np.ndarray, int]]:
@@ -108,8 +132,30 @@ def sample_chunks(n: int, count: int, seed: int) -> Iterator[tuple[np.ndarray, i
     if count < 0:
         raise ValueError("count must be >= 0")
     env = EIGEN_FACTOR_SUP[n]
-    return (_rejection_chunk(n, env, seed, c, min(_INDEX_CHUNK, count - a))
-            for c, a in enumerate(range(0, count, _INDEX_CHUNK)))
+    return (_rejection_chunk(n, env, seed, c, size) for c, size in _chunk_sizes(count))
+
+
+def counted_chunks(n: int, count: int,
+                   seed: int) -> tuple[int, Iterator[tuple[np.ndarray, int]]]:
+    """The summed proposals of ``sample_chunks(n, count, seed)``, and its chunks.
+
+    For a caller that needs the total before the rows, as the ``sample``
+    record does.  Chunk 0 is drawn from ``sample_chunks`` and kept (at most
+    16384 rows), and the generator then goes on with chunks 1, 2, ...; those
+    chunks' proposals are counted from their attempt streams alone, before
+    any of them is drawn, so no coset uniform is drawn twice and a count of
+    up to 16384 runs the sampler once.
+    """
+    chunks = sample_chunks(n, count, seed)
+    first = next(chunks, None)
+    if first is None:
+        return 0, chunks
+    env = EIGEN_FACTOR_SUP[n]
+    later = sum(_rejection(n, env, seed, c, np.empty((size, n - 1)))
+                for c, size in _chunk_sizes(count) if c)
+    # chain holds its arguments to the end; an exhausted list iterator lets
+    # go of chunk 0, where the list itself would keep it
+    return first[1] + later, itertools.chain(iter([first]), chunks)
 
 
 def sample(n: int, count: int, seed: int) -> np.ndarray:

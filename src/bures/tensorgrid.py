@@ -1,11 +1,16 @@
 """Gauss-Legendre tensor-product quadrature over 1-D and 2-D boxes.
 
 The package's integrals run over the 1-D (n=2) or 2-D (n=3) eigenvalue box,
-where the integrands are smooth and Gauss-Legendre converges geometrically,
-so it is the only rule.  Each rule on [-1, 1] is built once per point count
-per process: numpy's ``leggauss`` finds the nodes with a dense O(P^3)
-eigensolve (the Golub-Welsch construction, Math. Comp. 23 (1969) 221), which
-at 1024 points is about as slow as the 1024^2-node quadrature it feeds.
+and Gauss-Legendre is the only rule.  It converges geometrically where the
+integrand is analytic on the closed box, as for the normalization constant
+and the mean purity (n=3: roundoff from 64 points per axis on).  The mean
+entropy converges only algebraically, since lam_2 ln lam_2 is not analytic
+at the box edge t1 = 0: for n=3 it is 2.8e-12 off at 64 points, 2.5e-13 at
+96 and 7e-16 at 256, against mpmath's tanh-sinh value.  Each rule on
+[-1, 1] is built once per point count per process: numpy's ``leggauss``
+finds the nodes with a dense O(P^3) eigensolve (the Golub-Welsch
+construction, Math. Comp. 23 (1969) 221), which at 1024 points is about as
+slow as the 1024^2-node quadrature it feeds.
 """
 
 from __future__ import annotations

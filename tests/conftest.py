@@ -26,22 +26,34 @@ def random_hermitian(n: int, rng: np.random.Generator, scale: float = 1.0) -> np
 
 # A child's ru_maxrss starts at the peak RSS of the process that spawned it,
 # so a CLI started from pytest would read at least pytest's own size.  This
-# minimal interpreter spawns the CLI instead, stdout to /dev/null, and prints
-# the exit status, peak RSS (KiB on Linux) and minor faults wait4 gives for it.
+# minimal interpreter spawns the CLI instead and prints the exit status, peak
+# RSS (KiB on Linux) and minor faults wait4 gives for it.  Its stdout goes to
+# /dev/null, or with "pipe" to a pipe read in 32 KiB reads 0.5 ms apart
+# (under about 64 MB/s), slower than the CLI writes large outputs.
 _SPAWNER = """
-import os, sys
-pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "bures", *sys.argv[1:]],
-                     os.environ,
-                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+import os, sys, time
+mode, argv = sys.argv[1], sys.argv[2:]
+if mode == "pipe":
+    r, w = os.pipe()
+    actions = [(os.POSIX_SPAWN_DUP2, w, 1)]
+else:
+    actions = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "bures", *argv],
+                     os.environ, file_actions=actions)
+if mode == "pipe":
+    os.close(w)
+    while os.read(r, 32768):
+        time.sleep(0.0005)
 _, status, usage = os.wait4(pid, 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, usage.ru_minflt)
 """
 
 
-def cli_usage(*argv: str) -> tuple[int, int]:
-    """(ru_maxrss, ru_minflt) of ``python -m bures *argv`` run on its own."""
-    r = subprocess.run([sys.executable, "-c", _SPAWNER, *argv],
-                       capture_output=True, text=True, check=True)
+def cli_usage(*argv: str, pipe: bool = False) -> tuple[int, int]:
+    """(ru_maxrss, ru_minflt) of ``python -m bures *argv`` run on its own,
+    its stdout to /dev/null or, with ``pipe``, to a slow reader."""
+    r = subprocess.run([sys.executable, "-c", _SPAWNER, "pipe" if pipe else "devnull",
+                        *argv], capture_output=True, text=True, check=True)
     status, maxrss, minflt = map(int, r.stdout.split())
     assert status == 0, r.stderr
     return maxrss, minflt

@@ -1,4 +1,7 @@
+import collections
+import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -6,6 +9,8 @@ import re
 import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import jsonschema
@@ -149,6 +154,30 @@ class TestSampleCommand:
         assert record_of(out)["batch_size"] == block
         assert out.replace('"batch_size": %d, ' % block, field) == default
         assert out != default
+
+    @pytest.mark.parametrize("count,draws", [
+        # one sampler chunk: its attempts and coset uniforms are drawn once
+        (10000, {(0, 0): 1, (1, 0): 1}),
+        # chunk 0 once; chunks 1-2 once for their rows, and their rejection
+        # once more before, to count total_proposals
+        (40000, {(0, 0): 1, (1, 0): 1, (0, 1): 2, (1, 1): 1, (0, 2): 2, (1, 2): 1}),
+    ])
+    def test_json_draws_chunk_0_once(self, capsys, monkeypatch, count, draws):
+        # (stream, chunk) of every Philox stream the command opens:
+        # stream 0 is the attempts, stream 1 the coset uniforms
+        seen = collections.Counter()
+        stream = sampling._stream
+
+        def spy(seed, kind, chunk):
+            seen[kind, chunk] += 1
+            return stream(seed, kind, chunk)
+
+        monkeypatch.setattr(sampling, "_stream", spy)
+        code, out, _ = run_cli(capsys, "sample", "--n", "3", "--count", str(count),
+                               "--seed", "2")
+        assert code == 0
+        assert seen == draws
+        assert out.count('"params"') == count
 
     def test_negative_count_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "sample", "--n", "2", "--count", "-2", "--seed", "1")
@@ -399,11 +428,20 @@ class TestOutputContract:
         (("density", "--n", "2", "--params", "theta=0.5,alpha=1.0,beta=0.7",
           "--mode", "raw"),
          "0d18fcd08d6d6d25a22b6f188e8296275e41beedfacc01b0f459ffff08a3f2dd"),
+        # mc-n2, the benchmark's Monte Carlo command
+        (("integrate", "--n", "2", "--functional", "entropy", "--method", "mc",
+          "--samples", "200000", "--seed", "1"),
+         "accea0a6e5807d2b5285ae8563ccda118161b96ff0110501dcbaf196008cae12"),
+        (("integrate", "--n", "3", "--functional", "purity", "--method", "mc",
+          "--samples", "50000", "--seed", "4"),
+         "b684024399ea0b92101acb75ae88cf9cf0b5ed0a24b7626698040448148223b9"),
     ], ids=["integrate-n2", "integrate-n3", "integrate-n3-p6", "integrate-n3-purity-p5",
-            "volume-n2", "volume-n3-p4", "density-n3-normalized", "density-n2-raw"])
+            "volume-n2", "volume-n3-p4", "density-n3-normalized", "density-n2-raw",
+            "integrate-mc-n2", "integrate-mc-n3-purity"])
     def test_scalar_records_pinned(self, capsys, argv, digest):
-        # golden SHA-256 of the quadrature and density records: a change to
-        # the rule, the measure or the serializer must show here
+        # golden SHA-256 of the quadrature, Monte Carlo and density records:
+        # a change to the rule, the measure, the sampler or the serializer
+        # must show here
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -520,17 +558,23 @@ class TestSubprocessEntry:
             assert len(os.listdir("/proc/self/fd")) == before
 
     def test_closed_pipe_ends_quietly(self):
-        # the output (~4 MB) outgrows the pipe buffer, so the CLI is still
-        # writing when the reader goes away
-        proc = subprocess.Popen([sys.executable, "-m", "bures", "sample", "--n", "2",
-                                 "--count", "20000", "--seed", "1", "--format", "csv"],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        header = proc.stdout.readline()
-        proc.stdout.close()
-        _, err = proc.communicate(timeout=120)
-        assert header.startswith(b"theta,alpha,beta,")
-        assert b"Traceback" not in err
-        assert proc.returncode == 0
+        # the outputs (~4 MB of CSV, ~30 MB of JSON over three sampler
+        # chunks) outgrow the pipe buffer, so the CLI is still writing when
+        # the reader goes away
+        for argv, head in [
+            (["--n", "2", "--count", "20000", "--format", "csv"], b"theta,alpha,beta,"),
+            (["--n", "3", "--count", "40000", "--format", "json"],
+             b'{"schema_version": "1", "kind": "samples", '),
+        ]:
+            proc = subprocess.Popen([sys.executable, "-m", "bures", "sample", "--seed", "1",
+                                     *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            start = proc.stdout.read(len(head))
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+            assert start == head
+            assert b"Traceback" not in err
+            assert err == b""
+            assert proc.returncode == 0
 
     @pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
     def test_interrupt_exits_130_quietly(self):
@@ -546,11 +590,36 @@ class TestSubprocessEntry:
         assert b"Traceback" not in err
         assert proc.returncode == 130
 
+    @pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
+    def test_interrupt_with_a_stalled_reader_exits_130(self):
+        # the reader takes the start of the record, then stops reading but
+        # keeps the pipe open, so the CLI's writes block on a full pipe when
+        # Ctrl-C comes: the exit must not wait on that pipe
+        proc = subprocess.Popen([sys.executable, "-m", "bures", "sample", "--n", "3",
+                                 "--count", "1000000", "--seed", "1"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=_BUFFERED_ENV)
+        try:
+            head = proc.stdout.read(16)
+            time.sleep(0.5)                         # the pipe fills
+            proc.send_signal(signal.SIGINT)
+            proc.wait(timeout=30)
+            err = proc.stderr.read()
+        finally:
+            proc.kill()
+            proc.stdout.close()
+            proc.stderr.close()
+        assert head == b'{"schema_version'
+        assert b"Traceback" not in err
+        assert proc.returncode == 130
+
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
     @pytest.mark.parametrize("command", [
         ["volume", "--n", "2"],
         ["density", "--n", "2", "--params", "theta=0.3,alpha=1,beta=0.5"],
         ["sample", "--n", "3", "--count", "3000", "--seed", "1"],
+        # three sampler chunks, written by the writer thread
+        ["sample", "--n", "3", "--count", "40000", "--seed", "1"],
     ])
     def test_write_error_exits_1(self, command):
         # every write to /dev/full fails with ENOSPC
@@ -560,6 +629,41 @@ class TestSubprocessEntry:
         assert r.returncode == 1
         assert r.stderr.startswith("error: cannot write output:")
         assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("error,code,message", [
+        (BrokenPipeError(errno.EPIPE, "Broken pipe"), 0, ""),
+        (OSError(errno.ENOSPC, "No space left on device"), 1,
+         "error: cannot write output: [Errno 28] No space left on device\n"),
+    ], ids=["broken-pipe", "disk-full"])
+    def test_writer_thread_error_keeps_the_exit_status(self, capsys, monkeypatch, tmp_path,
+                                                       error, code, message):
+        # sample's writer thread hits the error on its 3rd write; the command
+        # raises it again, so it ends as a synchronous write would have, and
+        # the thread is joined before the command returns
+        class Failing(io.RawIOBase):
+            writes = 0
+
+            def writable(self):
+                return True
+
+            def fileno(self):               # the descriptor the CLI discards
+                return target.fileno()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 3:
+                    raise error
+                return len(data)
+
+        with open(tmp_path / "out", "wb") as target:
+            binary = Failing()
+            monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(binary, encoding="ascii"))
+            threads = threading.active_count()
+            status = cli.main(["sample", "--n", "3", "--count", "40000", "--seed", "1"])
+            assert threading.active_count() == threads
+        assert status == code
+        assert binary.writes == 3
+        assert capsys.readouterr().err == message
 
     @pytest.mark.skipif(os.name != "posix", reason="needs POSIX file descriptors")
     @pytest.mark.parametrize("command", [
@@ -611,6 +715,26 @@ class TestSubprocessEntry:
         assert out == ""
         assert err.startswith("envelope violation:")
         assert "Traceback" not in err
+
+    def test_envelope_violation_after_rows_writes_them_first(self, capsys, monkeypatch):
+        # a violation in sampler chunk 1 ends the command with status 1 once
+        # the rows of chunk 0, handed to the writer thread, are all written
+        argv = ("sample", "--n", "2", "--seed", "1", "--format", "csv")
+        _, chunk_0, _ = run_cli(capsys, *argv, "--count", "16384")
+        rejection = sampling._rejection
+
+        def failing(n, env, seed, chunk, out):
+            if chunk == 1:
+                raise sampling.EnvelopeViolationError("in chunk 1")
+            return rejection(n, env, seed, chunk, out)
+
+        monkeypatch.setattr(sampling, "_rejection", failing)
+        threads = threading.active_count()
+        code, out, err = run_cli(capsys, *argv, "--count", "20000")
+        assert threading.active_count() == threads
+        assert code == 1
+        assert out == chunk_0
+        assert err == "envelope violation: in chunk 1\n"
 
     def test_usage_error_exit_code(self):
         r = subprocess.run([sys.executable, "-m", "bures", "density", "--n", "2",

@@ -22,9 +22,10 @@ CONST = FunctionalId.parse("moment:0")
 # mean entropy from mpmath tanh-sinh quadrature; mean purity analytic 7/8
 MEAN_ENTROPY_2 = 0.21962769445322395
 MEAN_PURITY_2 = 0.875
-# 2-D spectral-reduction pins for n=3 (96-point Gauss-Legendre, frozen)
-MEAN_ENTROPY_3 = 0.523048468775154
-MEAN_PURITY_3 = 0.684443199321445
+# 2-D spectral-reduction means for n=3 on the paper's box, from mpmath's
+# tanh-sinh quadrature of the paper's formulas (tests/test_reference_values.py)
+MEAN_ENTROPY_3 = 0.52304846877540471207
+MEAN_PURITY_3 = 0.68444319932144456889
 
 
 class TestQuadrature2:
@@ -57,6 +58,14 @@ class TestQuadrature3:
         pur = integrate(3, PURITY)
         assert abs(ent.value - MEAN_ENTROPY_3) <= 1e-9
         assert abs(pur.value - MEAN_PURITY_3) <= 1e-9
+
+    def test_256_points_meet_the_independent_values(self):
+        # entropy converges only algebraically (lam_2 ln lam_2 is not
+        # analytic at the box edge t1 = 0): 2.8e-12 off at 64 points, 7e-16
+        # at 256; purity is at roundoff from 64 points up
+        spec = QuadratureSpec(256)
+        assert abs(integrate(3, ENTROPY, spec).value - MEAN_ENTROPY_3) <= 1e-13
+        assert abs(integrate(3, PURITY, spec).value - MEAN_PURITY_3) <= 1e-13
 
     def test_six_points_meet_the_benchmark_bound(self):
         # the `integrate --n 3 --functional entropy --points 6` run checked
@@ -130,14 +139,18 @@ class TestMonteCarlo:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss units and posix_spawn")
     def test_json_peak_rss_does_not_grow_with_count(self):
-        # the JSON record counts its proposals on a first pass of the sampler,
-        # then streams the rows chunk by chunk as CSV does.  The small run is
-        # one full sampler chunk: below it the working set of a chunk and of a
-        # 1024-row write block is not yet reached, in either format
+        # the JSON record keeps sampler chunk 0 while it counts the later
+        # chunks' proposals, then streams the rows chunk by chunk as CSV
+        # does, each block handed to a writer thread through one slot.  The
+        # small run is one full sampler chunk: below it the working set of a
+        # chunk and of a 1024-row write block is not yet reached, in either
+        # format.  Through a pipe read slower than the CLI writes, the
+        # handoff must stay bounded too
         argv = ("sample", "--n", "3", "--format", "json", "--seed", "1")
-        small, _ = cli_usage(*argv, "--count", "16384")
-        large, _ = cli_usage(*argv, "--count", "200000")
-        assert large - small <= 2048, (small, large)      # KiB
+        for pipe in (False, True):
+            small, _ = cli_usage(*argv, "--count", "16384", pipe=pipe)
+            large, _ = cli_usage(*argv, "--count", "200000", pipe=pipe)
+            assert large - small <= 2048, (pipe, small, large)      # KiB
 
     def test_validation(self):
         with pytest.raises(ValueError):

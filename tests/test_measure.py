@@ -18,8 +18,10 @@ from bures.measure import (bures_joint_density, coset_measure_factor,
 from bures.tensorgrid import QuadratureSpec, axis_rule, tensor_quadrature
 from conftest import random_box_points
 
-# independent high-resolution evaluations (frozen; see also pi^2 and pi^3/4)
-Z3_PINNED = 7.959681468268041
+# independent high-resolution evaluations (frozen; see also pi^2 and pi^3/4).
+# Z3 on the paper's box is mpmath's tanh-sinh quadrature of the paper's
+# formulas (tests/test_reference_values.py)
+Z3_PINNED = 7.9596814682680505095
 JOINT3_PINNED_POINT = [0.31, 0.77, 2.13, 0.95, 0.41, 1.02, 2.9, 0.2]
 JOINT3_PINNED_VALUE = 0.016246150905926
 
@@ -201,6 +203,12 @@ class TestNormalization:
 
     def test_three_state_pinned(self):
         assert abs(normalization_constant(3) - Z3_PINNED) <= 1e-6 * Z3_PINNED
+
+    def test_three_state_64_points_meet_the_independent_value(self):
+        # the eigenvalue factor is analytic on the box, so Gauss-Legendre
+        # reaches roundoff: 3.3e-16 relative at 64 points
+        z = normalization_constant(3, points_per_axis=64)
+        assert abs(z - Z3_PINNED) <= 1e-14 * Z3_PINNED
 
     @staticmethod
     def _coset_quadrature(n: int) -> float:

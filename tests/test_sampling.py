@@ -109,12 +109,24 @@ class TestChunks:
         assert got.tobytes() == rows.tobytes()
         assert sum(q for _, q in chunks) == _proposals(n, count, seed)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("count", [0, 1, 16384, 16385, 2 * 16384 + 3])
+    def test_counted_chunks_are_the_chunks(self, n, count):
+        # the total counted from the later chunks' attempt streams alone is
+        # the sum of the chunks' own counts, and the chunks are unchanged
+        total, chunks = sampling.counted_chunks(n, count, 11)
+        got = [(p.tobytes(), q) for p, q in chunks]
+        assert got == [(p.tobytes(), q) for p, q in sample_chunks(n, count, 11)]
+        assert total == _proposals(n, count, 11)
+
     def test_validates_before_drawing(self):
         # a bad argument raises at the call, not at the first chunk
         with pytest.raises(ValueError):
             sample_chunks(4, 10, seed=1)
         with pytest.raises(ValueError):
             sample_chunks(2, -1, seed=1)
+        with pytest.raises(ValueError):
+            sampling.counted_chunks(2, -1, seed=1)
 
 
 def _grid(n: int, per_axis: int) -> np.ndarray:
