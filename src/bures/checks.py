@@ -385,13 +385,23 @@ def check_pushforward_dirichlet_3state() -> CheckResult:
                    KS_CRITICAL_1PCT / math.sqrt(col.shape[0]))
 
 
-def check_mc_quadrature_agreement_2state() -> CheckResult:
+def _mc_quadrature_agreement(n: int, seed: int) -> CheckResult:
+    # mean purity by Monte Carlo (the sampler, the matrix kernel, the
+    # spectrum from the entries) against the eigenvalue-box quadrature, at 3 sigma
     fid = FunctionalId(FunctionalKind.PURITY)
-    quad = integrate(2, fid)
-    mc = integrate_mc(2, fid, 100_000, seed=503)
+    quad = integrate(n, fid)
+    mc = integrate_mc(n, fid, 100_000, seed=seed)
     gap = abs(quad.value - mc.value)
     tol = 3.0 * math.hypot(mc.error_estimate, quad.error_estimate)
-    return _result("mc_quadrature_agreement_2state", gap, tol)
+    return _result(f"mc_quadrature_agreement_{n}state", gap, tol)
+
+
+def check_mc_quadrature_agreement_2state() -> CheckResult:
+    return _mc_quadrature_agreement(2, seed=503)
+
+
+def check_mc_quadrature_agreement_3state() -> CheckResult:
+    return _mc_quadrature_agreement(3, seed=504)
 
 
 FAST_CHECKS = (
@@ -422,6 +432,7 @@ FULL_CHECKS = FAST_CHECKS + (
     check_pushforward_uniform_2state,
     check_pushforward_dirichlet_3state,
     check_mc_quadrature_agreement_2state,
+    check_mc_quadrature_agreement_3state,
 )
 
 

@@ -62,8 +62,8 @@ class FunctionalId:
 
 
 def _xlogx(v: np.ndarray) -> np.ndarray:
-    # 0*log(0) := 0
-    return np.where(v > 0.0, v * np.log(np.where(v > 0.0, v, 1.0)), 0.0)
+    # 0*log(0) := 0: a v <= 0 is multiplied by log(1), so its term is a zero
+    return v * np.log(np.where(v > 0.0, v, 1.0))
 
 
 def from_eigenvalues(fid: FunctionalId, lam: np.ndarray) -> np.ndarray:
@@ -78,6 +78,14 @@ def from_eigenvalues(fid: FunctionalId, lam: np.ndarray) -> np.ndarray:
     return (lam ** fid.order).sum(axis=-1)
 
 
+def _spectrum_2(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # m -/+ h: m the mean of the diagonal, h = hypot(half its difference, |rho_01|)
+    a, d = rhos[..., 0, 0].real, rhos[..., 1, 1].real
+    m = 0.5 * (a + d)
+    h = np.hypot(0.5 * (a - d), np.abs(rhos[..., 0, 1]))
+    return m - h, m + h
+
+
 def spectrum_batch(rhos: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of stacked Hermitian matrices (N, n, n), unclipped:
     for n=2 m -/+ h, m the mean of the diagonal and h = hypot(half its
@@ -85,10 +93,7 @@ def spectrum_batch(rhos: np.ndarray) -> np.ndarray:
     rhos = np.asarray(rhos, dtype=np.complex128)
     if rhos.shape[-1] != 2:
         return np.linalg.eigvalsh(rhos)
-    a, d = rhos[..., 0, 0].real, rhos[..., 1, 1].real
-    m = 0.5 * (a + d)
-    h = np.hypot(0.5 * (a - d), np.abs(rhos[..., 0, 1]))
-    return np.stack([m - h, m + h], axis=-1)
+    return np.stack(_spectrum_2(rhos), axis=-1)
 
 
 def from_matrices(fid: FunctionalId, rhos: np.ndarray) -> np.ndarray:
@@ -97,11 +102,21 @@ def from_matrices(fid: FunctionalId, rhos: np.ndarray) -> np.ndarray:
     The spectrum comes from the entries alone (``spectrum_batch``), not from
     the angles the matrices were built from.  Purity avoids it: Tr(rho^2) =
     sum |rho_ij|^2 for Hermitian rho.  Roundoff negatives are clipped to zero.
+    For n=2 the two eigenvalues stay two arrays, and their terms are added
+    as ``from_eigenvalues`` adds a row of two, so the values are its bits.
     """
     rhos = np.asarray(rhos, dtype=np.complex128)
     if fid.kind is FunctionalKind.PURITY:
         return (np.abs(rhos) ** 2).sum(axis=(-2, -1))
-    return from_eigenvalues(fid, np.clip(spectrum_batch(rhos), 0.0, None))
+    if rhos.shape[-1] != 2:
+        lam = np.linalg.eigvalsh(rhos)
+        return from_eigenvalues(fid, np.maximum(lam, 0.0, out=lam))
+    lo, hi = (np.maximum(v, 0.0, out=v) for v in _spectrum_2(rhos))
+    if fid.kind is FunctionalKind.VON_NEUMANN_ENTROPY:
+        return -(_xlogx(lo) + _xlogx(hi))
+    if fid.order == 0:
+        return np.ones(lo.shape)
+    return lo ** fid.order + hi ** fid.order
 
 
 def _validated(rho, tol: float) -> np.ndarray:

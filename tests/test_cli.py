@@ -295,6 +295,21 @@ class TestCheckCommand:
         assert "check_pushforward_dirichlet_3state" in names
         assert "check_mc_quadrature_agreement_2state" in names
 
+    def test_full_suite_checks_the_n3_sampler_by_monte_carlo(self, monkeypatch):
+        from bures import checks
+
+        assert checks.check_mc_quadrature_agreement_3state in checks.FULL_CHECKS
+        res = checks.check_mc_quadrature_agreement_3state()
+        assert res.name == "mc_quadrature_agreement_3state"
+        assert res.passed
+        # a sampler whose eigenvalue factor is squared (over its sup, so the
+        # bound holds) draws from a sharper density; the quadrature keeps
+        # the true factor
+        factor, sup = kernels.eigen_measure_factor, kernels.EIGEN_FACTOR_SUP[3]
+        monkeypatch.setattr(sampling, "eigen_measure_factor",
+                            lambda n, eigen: factor(n, eigen) ** 2 / sup)
+        assert not checks.check_mc_quadrature_agreement_3state().passed
+
     def test_corrupted_generator_fails_orthogonality(self, capsys, monkeypatch):
         from bures import generators
         broken = list(generators._GELL_MANN)
@@ -591,6 +606,24 @@ class TestSubprocessEntry:
         assert proc.returncode == 130
 
     @pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
+    def test_interrupt_of_monte_carlo_exits_130_quietly(self):
+        # Ctrl-C while both threads reduce sampler chunks (5e6 n=3 samples
+        # take seconds): the caller stops the helper, which ends its chunk
+        proc = subprocess.Popen([sys.executable, "-m", "bures", "integrate", "--n", "3",
+                                 "--functional", "entropy", "--method", "mc",
+                                 "--samples", "5000000"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            time.sleep(1.0)                         # start-up is about 0.1 s
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+        assert out == b""
+        assert b"Traceback" not in err
+        assert proc.returncode == 130
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
     def test_interrupt_with_a_stalled_reader_exits_130(self):
         # the reader takes the start of the record, then stops reading but
         # keeps the pipe open, so the CLI's writes block on a full pipe when
@@ -711,6 +744,20 @@ class TestSubprocessEntry:
         monkeypatch.setitem(kernels.EIGEN_FACTOR_SUP, 3, 1.0)
         code, out, err = run_cli(capsys, "sample", "--n", "3", "--count", "10",
                                  "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("envelope violation:")
+        assert "Traceback" not in err
+
+    def test_mc_envelope_violation_exits_1(self, capsys, monkeypatch):
+        # three sampler chunks: the helper thread's chunk 1 violates the
+        # lowered bound as the caller's do, and the command ends as a
+        # one-thread run would, once both threads have stopped
+        monkeypatch.setitem(kernels.EIGEN_FACTOR_SUP, 3, 1.0)
+        threads = threading.active_count()
+        code, out, err = run_cli(capsys, "integrate", "--n", "3", "--functional", "entropy",
+                                 "--method", "mc", "--samples", "40000", "--seed", "1")
+        assert threading.active_count() == threads
         assert code == 1
         assert out == ""
         assert err.startswith("envelope violation:")
