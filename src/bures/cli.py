@@ -37,14 +37,6 @@ one rule, Gauss-Legendre on the eigenvalue box, and records name it in their
 blocks of at most 8192 nodes, sums each block pairwise with numpy and adds
 the block sums in index order, so its memory does not grow with ``--points``
 and its bytes do not depend on the BLAS library, kernel or thread count.
-``integrate --method mc`` reduces each of the sampler's chunks to its count,
-mean and sum of squared deviations and merges them in index order; for n=3
-the chunks are reduced on up to two threads (the caller and one helper,
-never more than the CPUs the process may run on) and merged after the join,
-so no output byte depends on the thread count and memory is bounded by two
-chunks in flight.  An error in either thread (an envelope violation) is
-raised again in the main thread once both have stopped, and Ctrl-C stops the
-helper at its next chunk.
 ``integrate`` rejects an option of the method it does not run
 (``--points`` with ``--method mc``, ``--samples``/``--seed`` with
 quadrature).  ``--points`` is in [4, 1024] per axis: from 4 up the error
@@ -439,11 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None,
                    help="Monte Carlo sample count (method=mc; at least 2, default "
                         "1000000); reduced one sampler chunk of 16384 samples at "
-                        "a time, for n=3 on each of up to two threads, merging "
-                        "each chunk's mean and variance in index order, so no "
-                        "output byte depends on the thread count, and memory, "
-                        "at most two chunks in flight, does not grow with the "
-                        "count")
+                        "a time, merging each chunk's mean and variance in index "
+                        "order, so memory does not grow with the count")
     p.add_argument("--seed", type=int, default=None,
                    help="Monte Carlo seed (method=mc; default 0)")
     p.set_defaults(fn=cmd_integrate)

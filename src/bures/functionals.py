@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -62,20 +63,26 @@ class FunctionalId:
 
 
 def _xlogx(v: np.ndarray) -> np.ndarray:
-    # 0*log(0) := 0: a v <= 0 is multiplied by log(1), so its term is a zero
-    return v * np.log(np.where(v > 0.0, v, 1.0))
+    # 0*log(0) := 0
+    return np.where(v > 0.0, v * np.log(np.where(v > 0.0, v, 1.0)), 0.0)
 
 
 def from_eigenvalues(fid: FunctionalId, lam: np.ndarray) -> np.ndarray:
     """Evaluate a spectral functional on stacked eigenvalue rows (..., n)."""
     lam = np.asarray(lam, dtype=np.float64)
+    return _from_columns(fid, list(np.moveaxis(lam, -1, 0)))
+
+
+def _from_columns(fid: FunctionalId, lam: list[np.ndarray]) -> np.ndarray:
+    """The functional of n eigenvalue columns: each eigenvalue's term, added
+    column after column, which is the order and so the bits of a row sum of
+    two or three."""
     if fid.kind is FunctionalKind.VON_NEUMANN_ENTROPY:
-        return -_xlogx(lam).sum(axis=-1)
-    if fid.kind is FunctionalKind.PURITY:
-        return (lam ** 2).sum(axis=-1)
-    if fid.order == 0:
-        return np.ones(lam.shape[:-1])
-    return (lam ** fid.order).sum(axis=-1)
+        return -functools.reduce(operator.add, map(_xlogx, lam))
+    k = 2 if fid.kind is FunctionalKind.PURITY else fid.order
+    if k == 0:
+        return np.ones(np.shape(lam[0]))
+    return functools.reduce(operator.add, (v ** k for v in lam))
 
 
 def _spectrum_2(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -102,8 +109,7 @@ def from_matrices(fid: FunctionalId, rhos: np.ndarray) -> np.ndarray:
     The spectrum comes from the entries alone (``spectrum_batch``), not from
     the angles the matrices were built from.  Purity avoids it: Tr(rho^2) =
     sum |rho_ij|^2 for Hermitian rho.  Roundoff negatives are clipped to zero.
-    For n=2 the two eigenvalues stay two arrays, and their terms are added
-    as ``from_eigenvalues`` adds a row of two, so the values are its bits.
+    The n=2 spectrum stays two columns, never stacked.
     """
     rhos = np.asarray(rhos, dtype=np.complex128)
     if fid.kind is FunctionalKind.PURITY:
@@ -111,12 +117,7 @@ def from_matrices(fid: FunctionalId, rhos: np.ndarray) -> np.ndarray:
     if rhos.shape[-1] != 2:
         lam = np.linalg.eigvalsh(rhos)
         return from_eigenvalues(fid, np.maximum(lam, 0.0, out=lam))
-    lo, hi = (np.maximum(v, 0.0, out=v) for v in _spectrum_2(rhos))
-    if fid.kind is FunctionalKind.VON_NEUMANN_ENTROPY:
-        return -(_xlogx(lo) + _xlogx(hi))
-    if fid.order == 0:
-        return np.ones(lo.shape)
-    return lo ** fid.order + hi ** fid.order
+    return _from_columns(fid, [np.maximum(v, 0.0, out=v) for v in _spectrum_2(rhos)])
 
 
 def _validated(rho, tol: float) -> np.ndarray:

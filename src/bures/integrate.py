@@ -9,16 +9,14 @@ density matrices), which keeps the two paths independent.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .functionals import FunctionalId, from_eigenvalues, from_matrices
-from .kernels import (EIGEN_FACTOR_SUP, EIGEN_RANGES, _eigen_integral, check_n,
-                      density_batch, diag_eigenvalues_batch, eigen_measure_factor)
+from .kernels import (EIGEN_RANGES, _eigen_integral, check_n, density_batch,
+                      diag_eigenvalues_batch, eigen_measure_factor)
 
 if TYPE_CHECKING:
     from .tensorgrid import QuadratureSpec
@@ -26,10 +24,6 @@ if TYPE_CHECKING:
 # n=3: 64 points/axis is 4096 nodes on the 2-D eigenvalue box (~10 ms); the
 # half-resolution error estimate of the mean entropy there is ~2e-10
 DEFAULT_POINTS = {2: 32, 3: 64}
-
-# threads that reduce n=3 Monte Carlo chunks: the caller and one helper, for
-# the two cores the CLI is measured on; more than the CPUs allowed are not used
-_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -80,24 +74,12 @@ def integrate_mc(n: int, functional: FunctionalId, samples: int,
     The functional is evaluated from the sampled density matrices themselves
     (not from the sampled angles), so this path is independent of the
     spectrum bookkeeping used by the quadrature route.  The samples are
-    reduced one sampler index chunk (16384 rows) at a time, each chunk to its
-    count, mean and sum of squared deviations: its eigenvalue angles are
-    drawn whole, its coset angles, matrices and values one slab (4096 rows)
-    at a time.  For n=3 the chunks are reduced on up to two threads (never
-    more than the CPUs the process may run on): the caller takes chunks 0,
-    2, 4, ... and one helper thread chunks 1, 3, 5, ...  Each chunk reads
-    only its own sampler streams, and after the join the chunks are merged
-    in index order by the pairwise update of Chan, Golub & LeVeque (Am. Stat.
-    37 (1983) 242), so no bit of the result depends on the thread count, and
-    memory is bounded by two chunks in flight, however large ``samples``.  A
-    chunk's error (an ``EnvelopeViolationError``, say) is raised again in the
-    caller once every thread has stopped, as is an interrupt of the caller.
-
-    n=2 is reduced by the caller alone: its slab kernels are short numpy
-    calls that hold the GIL between their loops, so two threads mostly take
-    turns on it, and the peak memory of a run then depended on how their
-    slabs happened to interleave (it moved by up to 20% between identical
-    runs, where n=3's stayed within 6%).
+    reduced one sampler index chunk (16384 rows) at a time: the matrices and
+    their values are formed one slab (4096 rows) at a time into the chunk's
+    value array, and each chunk's count, mean and sum of squared deviations
+    are merged in index order by the pairwise update of Chan, Golub &
+    LeVeque (Am. Stat. 37 (1983) 242), so memory does not grow with
+    ``samples``.
     """
     check_n(n)
     if not isinstance(functional, FunctionalId):
@@ -105,56 +87,18 @@ def integrate_mc(n: int, functional: FunctionalId, samples: int,
     if samples < 2:
         raise ValueError(f"samples must be >= 2 (the standard error needs two), "
                          f"got {samples}")
-    from .sampling import _checked_seed, _chunk_sizes, _coset_slabs, _rejection
+    from .sampling import _SLAB, sample_chunks
 
-    seed, env = _checked_seed(seed), EIGEN_FACTOR_SUP[n]
-    sizes = [size for _, size in _chunk_sizes(samples)]
-    moments: list = [None] * len(sizes)
-    failures: list[tuple[int, Exception]] = []
-    stop = threading.Event()
-    workers = min(_WORKERS, _cpu_count(), len(sizes)) if n == 3 else 1
-
-    def reduce(first: int) -> None:
-        """Reduce chunks ``first``, ``first + workers``, ... until one fails
-        or ``stop`` is set."""
-        # one array per thread, reused: a chunk's eigenvalue angles are its
-        # columns, and each slab's values are written over the first angle
-        # of its rows once the slab's matrices are formed
-        angles = np.empty((n - 1, sizes[0]))
-        for c in range(first, len(sizes), workers):
-            if stop.is_set():
-                return
-            try:
-                eigen, vals = angles[:, :sizes[c]].T, angles[0, :sizes[c]]
-                _rejection(n, env, seed, c, eigen)
-                for a, b, coset in _coset_slabs(n, seed, c, sizes[c]):
-                    vals[a:b] = from_matrices(functional, density_batch(n, eigen[a:b], coset))
-                mean = float(vals.mean())
-                np.subtract(vals, mean, out=vals)       # the values are spent
-                moments[c] = (sizes[c], mean, float(np.square(vals, out=vals).sum()))
-            except Exception as exc:        # raised again in the caller
-                failures.append((c, exc))
-                stop.set()
-                return
-
-    helpers = [threading.Thread(target=reduce, args=(w,), name="bures-mc", daemon=True)
-               for w in range(1, workers)]
-    for thread in helpers:
-        thread.start()
-    try:
-        reduce(0)
-        for thread in helpers:
-            thread.join()
-    finally:
-        # after an interrupt, in reduce or in a join, the helpers stop at
-        # their next chunk; a second one here leaves them to end so, as daemons
-        stop.set()
-        for thread in helpers:
-            thread.join()
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
+    k = n - 1
     count, mean, m2 = 0, 0.0, 0.0
-    for size, chunk_mean, chunk_m2 in moments:
+    for params, _ in sample_chunks(n, samples, seed):
+        vals = np.empty(len(params))
+        for a in range(0, len(params), _SLAB):
+            rows = params[a:a + _SLAB]
+            vals[a:a + _SLAB] = from_matrices(functional,
+                                              density_batch(n, rows[:, :k], rows[:, k:]))
+        size, chunk_mean = len(vals), float(vals.mean())
+        chunk_m2 = float(np.square(vals - chunk_mean).sum())
         delta = chunk_mean - mean
         total = count + size
         mean += delta * size / total
@@ -162,11 +106,3 @@ def integrate_mc(n: int, functional: FunctionalId, samples: int,
         count = total
     return IntegrationResult(value=mean,
                              error_estimate=float(np.sqrt(m2 / (count - 1) / count)))
-
-
-def _cpu_count() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:                  # not on every platform
-        return os.cpu_count() or 1

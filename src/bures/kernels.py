@@ -98,34 +98,6 @@ def coset_unitary_batch(n: int, angles: np.ndarray) -> np.ndarray:
     return u
 
 
-# n=3 rows of rho formed at a time, so that a Monte Carlo slab holds about
-# as much in here as in its eigvalsh step and the peak memory of two threads
-# does not depend on how their slabs interleave.  Each row is formed on its
-# own, so no bit depends on the block size
-_RHO_BLOCK = 1024
-
-
-def _density_3(lam: tuple[np.ndarray, ...], coset_angles: np.ndarray,
-               rho: np.ndarray) -> None:
-    """rho_ij = sum_k lam_k U_ik conj(U_jk), in real arithmetic, into ``rho``."""
-    rows = _coset_entries(3, coset_angles)
-    re_u = [[np.real(x) for x in row] for row in rows]
-    im_u = [[np.imag(x) for x in row] for row in rows]
-    re, im = rho.real, rho.imag
-    for i in range(3):
-        a = [lam[k] * re_u[i][k] for k in range(3)]
-        b = [lam[k] * im_u[i][k] for k in range(3)]
-        for j in range(i, 3):
-            t = [a[k] * re_u[j][k] + b[k] * im_u[j][k] for k in range(3)]
-            re[:, i, j] = re[:, j, i] = t[0] + t[1] + t[2]
-            if i == j:
-                im[:, i, i] = 0.0
-            else:
-                t = [b[k] * re_u[j][k] - a[k] * im_u[j][k] for k in range(3)]
-                im[:, i, j] = t[0] + t[1] + t[2]
-                im[:, j, i] = -im[:, i, j]
-
-
 def density_batch(n: int, eigen_angles: np.ndarray, coset_angles: np.ndarray) -> np.ndarray:
     """Vectorized ``euler.density_from_params`` for stacked angle rows.
 
@@ -135,10 +107,25 @@ def density_batch(n: int, eigen_angles: np.ndarray, coset_angles: np.ndarray) ->
     eigen_angles = np.asarray(eigen_angles, dtype=np.float64)
     coset_angles = np.atleast_2d(np.asarray(coset_angles, dtype=np.float64))
     if check_n(n) == 3:
+        # rho_ij = sum_k lam_k U_ik conj(U_jk), in real arithmetic
+        lam = _eigenvalues(3, eigen_angles)
+        rows = _coset_entries(3, coset_angles)
+        re_u = [[np.real(x) for x in row] for row in rows]
+        im_u = [[np.imag(x) for x in row] for row in rows]
         rho = np.empty((len(eigen_angles), 3, 3), dtype=np.complex128)
-        for a in range(0, len(rho), _RHO_BLOCK):
-            b = a + _RHO_BLOCK
-            _density_3(_eigenvalues(3, eigen_angles[a:b]), coset_angles[a:b], rho[a:b])
+        re, im = rho.real, rho.imag
+        for i in range(3):
+            a = [lam[k] * re_u[i][k] for k in range(3)]
+            b = [lam[k] * im_u[i][k] for k in range(3)]
+            for j in range(i, 3):
+                t = [a[k] * re_u[j][k] + b[k] * im_u[j][k] for k in range(3)]
+                re[:, i, j] = re[:, j, i] = t[0] + t[1] + t[2]
+                if i == j:
+                    im[:, i, i] = 0.0
+                else:
+                    t = [b[k] * re_u[j][k] - a[k] * im_u[j][k] for k in range(3)]
+                    im[:, i, j] = t[0] + t[1] + t[2]
+                    im[:, j, i] = -im[:, i, j]
         return rho
     l1, l2 = _eigenvalues(2, eigen_angles)
     cb, sb = np.cos(coset_angles[:, 1]), np.sin(coset_angles[:, 1])

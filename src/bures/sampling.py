@@ -41,10 +41,6 @@ import operator
 from typing import Iterator
 
 import numpy as np
-# numpy imports numpy.random on first use; importing it with this module
-# keeps that first use, and the ~0.6 MB of module data it allocates, out of
-# the Monte Carlo helper thread, whose malloc arena would hold it
-from numpy.random import Generator, Philox
 
 from .kernels import (EIGEN_FACTOR_SUP, EIGEN_RANGES, check_n,
                       coset_angles_from_uniforms, eigen_measure_factor)
@@ -58,20 +54,12 @@ class EnvelopeViolationError(RuntimeError):
     """A proposed point's eigenvalue factor exceeded the rejection bound M."""
 
 
-def _stream(seed: int, stream: int, chunk: int) -> Generator:
+def _stream(seed: int, stream: int, chunk: int) -> np.random.Generator:
     """Philox stream ``stream`` (0: attempts, 1: coset uniforms) of index chunk ``chunk``."""
     # counter[0] steps once per four doubles and carries into counter[1] =
     # chunk only after 2**64 steps, so two chunks never share a counter
     key = np.array([seed, stream], dtype=np.uint64)   # a list would cast 2**64-1 to 0
-    return Generator(Philox(key=key, counter=[0, chunk, 0, 0]))
-
-
-def _checked_seed(seed: int) -> int:
-    """``seed`` as an int in [0, 2**64); a float or a string is a TypeError."""
-    seed = operator.index(seed)
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError("seed must fit an unsigned 64-bit integer")
-    return seed
+    return np.random.Generator(np.random.Philox(key=key, counter=[0, chunk, 0, 0]))
 
 
 def _rejection(n: int, env: float, seed: int, chunk: int, out: np.ndarray) -> int:
@@ -106,24 +94,17 @@ def _rejection(n: int, env: float, seed: int, chunk: int, out: np.ndarray) -> in
     return proposals
 
 
-def _coset_slabs(n: int, seed: int, chunk: int,
-                 count: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """The coset half of index chunk ``chunk``: ``(a, b, angles)`` for each
-    slab of rows ``a:b`` of its ``count``, in the coset stream's order."""
-    coset = _stream(seed, 1, chunk)
-    for a in range(0, count, _SLAB):
-        b = min(a + _SLAB, count)
-        yield a, b, coset_angles_from_uniforms(n, coset.random((b - a, n * n - n)))
-
-
 def _rejection_chunk(n: int, env: float, seed: int, chunk: int,
                      count: int) -> tuple[np.ndarray, int]:
     """Draw the ``count`` sample indices of index chunk ``chunk``: rejection,
     then the coset half from the coset stream."""
+    k = n - 1
     out = np.empty((count, n * n - 1))
     proposals = _rejection(n, env, seed, chunk, out)
-    for a, b, angles in _coset_slabs(n, seed, chunk, count):
-        out[a:b, n - 1:] = angles
+    coset = _stream(seed, 1, chunk)
+    for a in range(0, count, _SLAB):
+        b = min(a + _SLAB, count)
+        out[a:b, k:] = coset_angles_from_uniforms(n, coset.random((b - a, n * n - n)))
     return out, proposals
 
 
@@ -144,7 +125,9 @@ def sample_chunks(n: int, count: int, seed: int) -> Iterator[tuple[np.ndarray, i
     not truncated to the integer below it.  The arguments are checked at the
     call, before any chunk is drawn.
     """
-    seed = _checked_seed(seed)
+    seed = operator.index(seed)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("seed must fit an unsigned 64-bit integer")
     check_n(n)
     if count < 0:
         raise ValueError("count must be >= 0")

@@ -607,8 +607,8 @@ class TestSubprocessEntry:
 
     @pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
     def test_interrupt_of_monte_carlo_exits_130_quietly(self):
-        # Ctrl-C while both threads reduce sampler chunks (5e6 n=3 samples
-        # take seconds): the caller stops the helper, which ends its chunk
+        # Ctrl-C while sampler chunks are reduced (5e6 n=3 samples take
+        # seconds) ends the command as it ends the others
         proc = subprocess.Popen([sys.executable, "-m", "bures", "integrate", "--n", "3",
                                  "--functional", "entropy", "--method", "mc",
                                  "--samples", "5000000"],
@@ -750,14 +750,11 @@ class TestSubprocessEntry:
         assert "Traceback" not in err
 
     def test_mc_envelope_violation_exits_1(self, capsys, monkeypatch):
-        # three sampler chunks: the helper thread's chunk 1 violates the
-        # lowered bound as the caller's do, and the command ends as a
-        # one-thread run would, once both threads have stopped
+        # a lowered bound that the eigenvalue factor exceeds ends Monte
+        # Carlo as it ends `sample`: status 1 and one line, no traceback
         monkeypatch.setitem(kernels.EIGEN_FACTOR_SUP, 3, 1.0)
-        threads = threading.active_count()
         code, out, err = run_cli(capsys, "integrate", "--n", "3", "--functional", "entropy",
                                  "--method", "mc", "--samples", "40000", "--seed", "1")
-        assert threading.active_count() == threads
         assert code == 1
         assert out == ""
         assert err.startswith("envelope violation:")

@@ -120,6 +120,28 @@ class TestBatchEvaluators:
             b = from_eigenvalues(fid, np.clip(lam, 0, None))
             assert np.abs(a - b).max() <= 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matrix_route_has_the_stacked_spectrum_bits(self, rng, n):
+        # from_matrices keeps the n=2 spectrum as two columns; its values
+        # are the bits of the stacked, clipped spectrum's
+        pts = random_box_points(n, 5000, rng)
+        pts[:50, 0] = 0.0                            # a zero eigenvalue, clipped
+        rhos = density_batch(n, pts[:, :n - 1], pts[:, n - 1:])
+        lam = np.clip(spectrum_batch(rhos), 0.0, None)
+        for text in ("entropy", "moment:0", "moment:1", "moment:3"):
+            fid = FunctionalId.parse(text)
+            assert from_matrices(fid, rhos).tobytes() == from_eigenvalues(fid, lam).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_eigenvalue_terms_are_added_as_a_row_sum(self, rng, n):
+        lam = rng.uniform(0.0, 1.0, (5000, n))
+        lam[:50, 0] = 0.0
+        xlogx = np.where(lam > 0.0, lam * np.log(np.where(lam > 0.0, lam, 1.0)), 0.0)
+        for text, want in (("entropy", -xlogx.sum(axis=-1)), ("purity", (lam ** 2).sum(axis=-1)),
+                           ("moment:3", (lam ** 3).sum(axis=-1))):
+            got = from_eigenvalues(FunctionalId.parse(text), lam)
+            assert got.tobytes() == want.tobytes(), text
+
     def test_zero_eigenvalue_entropy(self):
         fid = FunctionalId.parse("entropy")
         assert from_eigenvalues(fid, np.array([1.0, 0.0])) == 0.0

@@ -1,7 +1,6 @@
 import dataclasses
 import importlib
 import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -9,9 +8,9 @@ import pytest
 
 from bures.functionals import FunctionalId, from_matrices
 from bures.integrate import IntegrationResult, integrate, integrate_mc
-from bures import kernels, sampling
+from bures import sampling
 from bures.kernels import density_batch
-from bures.sampling import EnvelopeViolationError, sample, sample_chunks
+from bures.sampling import sample, sample_chunks
 from bures.tensorgrid import QuadratureSpec
 from conftest import cli_usage
 
@@ -153,106 +152,16 @@ class TestMonteCarlo:
             large, _ = cli_usage(*argv, "--count", "200000", pipe=pipe)
             assert large - small <= 2048, (pipe, small, large)      # KiB
 
-    @pytest.mark.parametrize("slab", [None, 7], ids=["slab-default", "slab-7"])
-    @pytest.mark.parametrize("workers", [1, 2, 3], ids=lambda w: f"workers-{w}")
     @pytest.mark.parametrize("n,label", [(n, label) for n in (2, 3)
                                          for label in ("entropy", "purity", "moment:3")])
-    def test_same_result_for_any_thread_count_and_slab(self, monkeypatch, n, label,
-                                                       workers, slab):
+    def test_same_result_for_any_slab(self, monkeypatch, n, label):
         # 450 samples in index chunks of 100 are five chunks, the last one
-        # short, so each of three threads reduces one or two; the CPU cap is
-        # lifted so that the threads run on any box
+        # short; 7-row slabs split every chunk's kernel calls unevenly
         fid = FunctionalId.parse(label)
         monkeypatch.setattr(sampling, "_INDEX_CHUNK", 100)
-        want = _mc_on(monkeypatch, 1, None, n, fid, 450, 6)
-        assert _mc_on(monkeypatch, workers, slab, n, fid, 450, 6) == want
-
-    def test_chunks_run_on_the_helper_thread(self, monkeypatch):
-        # at the default chunk size too, the helper reduces the odd n=3
-        # chunks, and the result is the one-thread result; n=2 chunks are
-        # all the caller's
-        rejection, threads = sampling._rejection, {}
-
-        def spy(n, env, seed, chunk, out):
-            threads[n, chunk] = threading.current_thread()
-            return rejection(n, env, seed, chunk, out)
-
-        monkeypatch.setattr(sampling, "_rejection", spy)
-        want = _mc_on(monkeypatch, 1, None, 3, ENTROPY, 40_000, 8)
-        assert set(threads.values()) == {threading.main_thread()}
-        assert _mc_on(monkeypatch, 2, None, 3, ENTROPY, 40_000, 8) == want
-        assert threads[3, 0] is threads[3, 2] is threading.main_thread()
-        assert threads[3, 1] is not threading.main_thread()
-        threads.clear()
-        _mc_on(monkeypatch, 2, None, 2, ENTROPY, 40_000, 8)
-        assert set(threads.values()) == {threading.main_thread()}
-
-    def test_leaves_no_thread_running(self):
-        threads = threading.active_count()
-        integrate_mc(3, ENTROPY, 40_000, seed=1)
-        assert threading.active_count() == threads
-
-    def test_envelope_violation_stops_every_thread(self, monkeypatch):
-        # every chunk violates the lowered bound; the caller's chunk 0 waits
-        # until the helper has raised in chunk 1, so that both threads fail,
-        # and the caller raises once both have stopped
-        monkeypatch.setitem(kernels.EIGEN_FACTOR_SUP, 3, 1.0)
-        rejection, raised, helper_failed = sampling._rejection, [], threading.Event()
-
-        def spy(n, env, seed, chunk, out):
-            if chunk == 0:
-                assert helper_failed.wait(timeout=30)
-            try:
-                return rejection(n, env, seed, chunk, out)
-            except EnvelopeViolationError:
-                raised.append(threading.current_thread())
-                if chunk == 1:
-                    helper_failed.set()
-                raise
-
-        monkeypatch.setattr(sampling, "_rejection", spy)
-        monkeypatch.setattr(_mc_module(), "_cpu_count", lambda: 2)
-        threads = threading.active_count()
-        with pytest.raises(EnvelopeViolationError, match="exceeds its bound"):
-            integrate_mc(3, ENTROPY, 40_000, seed=1)
-        assert threading.active_count() == threads
-        assert threading.main_thread() in raised
-        assert any(t is not threading.main_thread() for t in raised)
-
-    def test_helper_fault_is_raised_in_the_caller(self, monkeypatch):
-        # only chunk 1, the helper thread's, fails: its own error reaches the
-        # caller after the join
-        rejection = sampling._rejection
-
-        def failing(n, env, seed, chunk, out):
-            if chunk == 1:
-                raise EnvelopeViolationError(f"in chunk 1 on {threading.current_thread().name}")
-            return rejection(n, env, seed, chunk, out)
-
-        monkeypatch.setattr(sampling, "_rejection", failing)
-        monkeypatch.setattr(_mc_module(), "_cpu_count", lambda: 2)
-        threads = threading.active_count()
-        with pytest.raises(EnvelopeViolationError) as info:
-            integrate_mc(3, PURITY, 40_000, seed=1)
-        assert threading.active_count() == threads
-        assert str(info.value) == "in chunk 1 on bures-mc"
-
-    def test_interrupt_stops_the_helper(self, monkeypatch):
-        # an interrupt in the caller's chunk 2 reaches its caller once the
-        # helper, with chunks 3 to 19 still to go, has stopped
-        rejection = sampling._rejection
-
-        def interrupted(n, env, seed, chunk, out):
-            if chunk == 2:
-                raise KeyboardInterrupt
-            return rejection(n, env, seed, chunk, out)
-
-        monkeypatch.setattr(sampling, "_rejection", interrupted)
-        monkeypatch.setattr(_mc_module(), "_cpu_count", lambda: 2)
-        threads = threading.active_count()
-        with pytest.raises(KeyboardInterrupt):
-            integrate_mc(3, PURITY, 20 * 16384, seed=1)
-        assert threading.active_count() == threads
+        want = integrate_mc(n, fid, 450, seed=6)
+        monkeypatch.setattr(sampling, "_SLAB", 7)
+        assert integrate_mc(n, fid, 450, seed=6) == want
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -261,24 +170,6 @@ class TestMonteCarlo:
             integrate_mc(2, PURITY, 1, seed=1)
         with pytest.raises(TypeError):
             integrate_mc(2, lambda lam: lam.sum(axis=-1), 10, seed=1)
-
-
-_DEFAULT_SLAB = sampling._SLAB
-
-
-def _mc_module():
-    # the package attribute "integrate" is the function of that name
-    return importlib.import_module("bures.integrate")
-
-
-def _mc_on(monkeypatch, workers: int, slab: int | None, n: int, fid: FunctionalId,
-           samples: int, seed: int) -> IntegrationResult:
-    """``integrate_mc`` on ``workers`` threads, whatever the CPU count, with
-    ``slab`` rows per kernel call (None: the default)."""
-    monkeypatch.setattr(_mc_module(), "_WORKERS", workers)
-    monkeypatch.setattr(_mc_module(), "_cpu_count", lambda: 8)
-    monkeypatch.setattr(sampling, "_SLAB", slab or _DEFAULT_SLAB)
-    return integrate_mc(n, fid, samples, seed=seed)
 
 
 class TestValidation:
