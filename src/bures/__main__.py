@@ -35,12 +35,7 @@ def run() -> None:
     collector, the teardown of every module and numpy's and OpenBLAS's own
     exit handlers, which together cost more than the math of most commands.
     Nothing of the program needs them: the output is flushed first, and the
-    commands hold no other open file or child process.  The one other thread,
-    ``sample``'s writer, is joined before the command returns, except on
-    Ctrl-C: then it may be blocked on a reader that stopped reading, and
-    ``os._exit`` ends it.  It writes to the raw file under stdout's buffer
-    and holds none of the locks the flush below takes, so the flush does not
-    wait on it.
+    commands hold no other open file, child process or thread.
 
     The interpreter still ends the process, as before, on an uncaught
     exception (its traceback, status 1), when a flush fails (it retries the

@@ -27,9 +27,10 @@ writer's own output with its floats made fields) and one
 16384-index chunks as it is drawn, so memory does not grow with ``--count``;
 JSON, whose record gives ``total_proposals`` before the samples, draws
 chunk 0 and keeps it while it counts the later chunks' proposals from their
-attempts alone (``sampling.counted_chunks``).  One writer thread
-(``floatfmt.BackgroundWriter``) writes each block while the next is formed,
-and is joined before ``sample`` returns.  ``density`` prints rho from the
+attempts alone (``sampling.counted_chunks``).  The blocks are written from
+the main thread to stdout's file (``floatfmt.byte_writer``), which, if it is
+a pipe, is grown to 1 MiB, so that it holds a whole block and the reader
+drains it while the next is formed.  ``density`` prints rho from the
 same kernel on its one row, and the eigenvalues from the closed-form spectrum
 (``kernels.diag_eigenvalues_batch``), in descending order.  Quadrature has
 one rule, Gauss-Legendre on the eigenvalue box, and records name it in their
@@ -44,9 +45,7 @@ estimate's coarser rerun is another rule, and the cap bounds the time of the
 rule's construction and of the 1024^2-node grid.  A reader that closes
 stdout early ends the command quietly; any other failure to write stdout (a
 closed fd 1 too) exits 1 with a message, and an interrupt (Ctrl-C) exits 130
-without a traceback, without waiting on a reader that stopped reading.  The
-writer thread's errors are raised again in the main thread, so they end the
-command as a write from the main thread would.
+without a traceback, without waiting on a reader that stopped reading.
 """
 
 from __future__ import annotations
@@ -225,7 +224,7 @@ def cmd_sample(args) -> int:
     import numpy as np
 
     from . import sampling
-    from .floatfmt import BackgroundWriter, RowWriter
+    from .floatfmt import RowWriter, byte_writer
     from .kernels import EIGEN_FACTOR_SUP, density_batch
 
     n, k = args.n, args.n - 1
@@ -262,20 +261,23 @@ def cmd_sample(args) -> int:
     # sep leads every row but the first
     writer = RowWriter(sep + row, min(args.count, _WRITE_ROWS), hermitian=(len(names), n))
     skip = len(sep)
-    # a thread writes each block while the next is formed; each sampler chunk
-    # is written as it is drawn, and holds a whole number of write blocks, so
-    # rows fall into the same blocks as in one batch
-    with BackgroundWriter(sys.stdout) as out:
-        out.write(head.encode())
-        for chunk, _ in chunks:
-            for start in range(0, len(chunk), _WRITE_ROWS):
-                params = chunk[start:start + _WRITE_ROWS]
-                mats = density_batch(n, params[:, :k], params[:, k:])
-                table = np.concatenate([params, mats.view(np.float64).reshape(len(params), -1)],
-                                       axis=1)
-                out.write(writer.format(table)[skip:])
-                skip = 0
-        out.write(tail.encode())
+    # each sampler chunk is written as it is drawn, and holds a whole number
+    # of write blocks, so rows fall into the same blocks as in one batch
+    write = byte_writer(sys.stdout)
+    write(head.encode())
+    for chunk, _ in chunks:
+        for start in range(0, len(chunk), _WRITE_ROWS):
+            params = chunk[start:start + _WRITE_ROWS]
+            mats = density_batch(n, params[:, :k], params[:, k:])
+            table = np.concatenate([params, mats.view(np.float64).reshape(len(params), -1)],
+                                   axis=1)
+            # the last block stays bound until this one replaces it: freed
+            # first, glibc gave its pages back and faulted them in again for
+            # the next (1e5 n=3 JSON rows took 44.9 k minor faults, not 10.6 k)
+            block = writer.format(table)[skip:]
+            write(block)
+            skip = 0
+    write(tail.encode())
     return 0
 
 

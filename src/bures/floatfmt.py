@@ -5,8 +5,7 @@
 fields are all ``%.16e``, but formats the table with whole-array numpy
 operations instead of one ``%`` call per float.  ``RowWriter`` does the same
 for a stream of blocks of rows, as ASCII bytes, into one buffer it reuses,
-and ``BackgroundWriter`` writes such blocks from one thread while the next
-is formed.
+and ``byte_writer`` writes such blocks to a text stream's file.
 
 For a finite x with 1e-30 <= |x| < 1e3 and E = floor(log10 |x|), the 17
 printed digits are D = round(y) with y = |x| * 10**(16 - E) in [1e16, 1e17).
@@ -39,7 +38,6 @@ first use.
 from __future__ import annotations
 
 import functools
-import threading
 
 import numpy as np
 
@@ -250,22 +248,39 @@ def format_rows(template: str, table: np.ndarray) -> str:
     return RowWriter(template, len(table)).format(table).decode("ascii")
 
 
+_PIPE_BYTES = 1 << 20       # Linux's default pipe-max-size for an unprivileged process
+
+
 def byte_writer(stream):
     """A function that writes ASCII bytes to the text stream ``stream``.
 
-    The text layer is flushed once and then bypassed for its binary layer,
-    or for the raw file under that layer's buffer where it has one, so a
-    write holds none of the buffer's locks (the exit flush takes them; see
-    ``BackgroundWriter``).  A raw ``FileIO``'s ``write``, as under
-    ``PYTHONUNBUFFERED``, may take only part of the data, so each write
-    loops until all is out.  A stream with no binary layer (an
-    ``io.StringIO``) takes the decoded text.
+    The text layer takes only ``str``, so it is flushed once and then
+    bypassed for its binary layer, or for the raw file under that layer's
+    buffer where it has one: a block goes out as the bytes it is, never
+    decoded and encoded again.  A raw ``FileIO``'s ``write``, which is
+    stdout's binary layer under ``PYTHONUNBUFFERED``, may take only part of
+    the data, so each write loops until all is out.  A stream with no binary
+    layer (an ``io.StringIO``) takes the decoded text.
+
+    A file that is a pipe smaller than 1 MiB is asked once to grow to it
+    (``F_SETPIPE_SZ``, pipe(7)).  It then holds a whole 1024-row ``sample``
+    block (0.76 MB at most), and the reader drains one block while the next
+    is formed; in Linux's default 64 KiB pipe each write waited on the
+    reader.  The growth is for speed only, so a file that is not a pipe
+    (EBADF), a refusal or a system without the call leaves the file as it is.
     """
     stream.flush()
     binary = getattr(stream, "buffer", None)
     if binary is None:
         return lambda data: stream.write(str(data, "ascii"))
     raw = getattr(binary, "raw", binary)
+    try:
+        import fcntl
+
+        if fcntl.fcntl(raw.fileno(), fcntl.F_GETPIPE_SZ) < _PIPE_BYTES:
+            fcntl.fcntl(raw.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except (ImportError, AttributeError, OSError):
+        pass
 
     def write(data) -> None:
         view = memoryview(data)
@@ -273,84 +288,3 @@ def byte_writer(stream):
             view = view[raw.write(view):]
 
     return write
-
-
-_END = object()             # handed to the writer thread: no block follows
-
-
-class BackgroundWriter:
-    """``byte_writer(stream)`` run on one daemon thread, a block at a time.
-
-    ``write(block)`` hands an immutable ``bytes`` block to the thread through
-    a one-slot handoff and returns once the slot is free; the thread empties
-    the slot as it starts each write.  So the caller forms the next block
-    while this one drains to a slow reader, and at most three blocks are
-    alive: the thread's last one, one in the slot and one being formed.
-    Fewer cost CPU on a 1e5-row JSON ``sample`` to /dev/null: a slot held
-    until its block is written makes the caller wait on the thread at every
-    block, and a thread that drops its block before it takes the next lets
-    glibc return those pages and fault them in again (46 k minor faults
-    against 18 k, and 13% more CPU).  An error the thread hits is raised
-    again in the caller's thread, by the next ``write`` or by ``close``.
-
-    As a context manager it closes on a normal exit and on an ``Exception``:
-    every block handed over is written first, and the thread's error, if it
-    had one, is raised in place of the caller's (it is the earlier fault in
-    the output's order).  On ``KeyboardInterrupt`` the thread is abandoned,
-    not joined, since it may be blocked on a reader that stopped reading; it
-    ends after its current write, or when the process ends.
-    """
-
-    def __init__(self, stream):
-        self._write = byte_writer(stream)
-        self._ready = threading.Condition(threading.Lock())
-        self._slot = None
-        self._error: BaseException | None = None
-        self._thread = threading.Thread(target=self._drain, name="bures-writer",
-                                        daemon=True)
-        self._thread.start()
-
-    def _drain(self) -> None:
-        try:
-            while True:
-                with self._ready:
-                    while self._slot is None:
-                        self._ready.wait()
-                    block, self._slot = self._slot, None
-                    self._ready.notify()
-                if block is _END:
-                    return
-                self._write(block)
-        except BaseException as exc:        # raised again in the caller's thread
-            with self._ready:
-                self._error = exc
-                self._ready.notify()
-
-    def write(self, block: bytes) -> None:
-        with self._ready:
-            while self._slot is not None and self._error is None:
-                self._ready.wait()
-            if self._error is not None:
-                raise self._error
-            self._slot = block
-            self._ready.notify()
-
-    def close(self) -> None:
-        """Write every block handed over, end the thread and raise its error."""
-        try:
-            self.write(_END)
-        finally:
-            self._thread.join()
-        if self._error is not None:
-            raise self._error
-
-    def __enter__(self) -> "BackgroundWriter":
-        return self
-
-    def __exit__(self, kind, exc, tb) -> None:
-        if kind is None or issubclass(kind, Exception):
-            self.close()
-        else:
-            with self._ready:       # never waits on the thread's write
-                self._slot = _END
-                self._ready.notify()

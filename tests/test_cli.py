@@ -17,6 +17,11 @@ import jsonschema
 import numpy as np
 import pytest
 
+try:
+    import fcntl
+except ImportError:                     # not POSIX
+    fcntl = None
+
 from bures import cli, kernels, sampling
 from bures.sampling import sample, sample_chunks
 
@@ -651,7 +656,7 @@ class TestSubprocessEntry:
         ["volume", "--n", "2"],
         ["density", "--n", "2", "--params", "theta=0.3,alpha=1,beta=0.5"],
         ["sample", "--n", "3", "--count", "3000", "--seed", "1"],
-        # three sampler chunks, written by the writer thread
+        # three sampler chunks, each written as it is drawn
         ["sample", "--n", "3", "--count", "40000", "--seed", "1"],
     ])
     def test_write_error_exits_1(self, command):
@@ -668,11 +673,11 @@ class TestSubprocessEntry:
         (OSError(errno.ENOSPC, "No space left on device"), 1,
          "error: cannot write output: [Errno 28] No space left on device\n"),
     ], ids=["broken-pipe", "disk-full"])
-    def test_writer_thread_error_keeps_the_exit_status(self, capsys, monkeypatch, tmp_path,
-                                                       error, code, message):
-        # sample's writer thread hits the error on its 3rd write; the command
-        # raises it again, so it ends as a synchronous write would have, and
-        # the thread is joined before the command returns
+    def test_write_error_mid_stream_keeps_the_exit_status(self, capsys, monkeypatch, tmp_path,
+                                                          error, code, message):
+        # sample's 3rd write (its 2nd row block) fails; the command ends with
+        # the status of that error, writes nothing after it and leaves no
+        # thread behind
         class Failing(io.RawIOBase):
             writes = 0
 
@@ -762,7 +767,7 @@ class TestSubprocessEntry:
 
     def test_envelope_violation_after_rows_writes_them_first(self, capsys, monkeypatch):
         # a violation in sampler chunk 1 ends the command with status 1 once
-        # the rows of chunk 0, handed to the writer thread, are all written
+        # the rows of chunk 0 are all written
         argv = ("sample", "--n", "2", "--seed", "1", "--format", "csv")
         _, chunk_0, _ = run_cli(capsys, *argv, "--count", "16384")
         rejection = sampling._rejection
@@ -784,3 +789,64 @@ class TestSubprocessEntry:
         r = subprocess.run([sys.executable, "-m", "bures", "density", "--n", "2",
                             "--params", "theta=0"], capture_output=True, text=True)
         assert r.returncode == 2
+
+
+_PIPE_BYTES = 1 << 20
+
+
+def _grows_pipes() -> bool:
+    """Whether an unprivileged process may grow a pipe to 1 MiB here."""
+    if sys.platform != "linux" or not hasattr(fcntl, "F_SETPIPE_SZ"):
+        return False
+    try:
+        return int(Path("/proc/sys/fs/pipe-max-size").read_text()) >= _PIPE_BYTES
+    except (OSError, ValueError):
+        return False
+
+
+@pytest.mark.skipif(not _grows_pipes(), reason="needs F_SETPIPE_SZ up to 1 MiB (Linux)")
+class TestPipeGrowth:
+    # sample grows a pipe on stdout to 1 MiB, so that it holds a whole write
+    # block; 0.65 MB of JSON, more than a default 64 KiB pipe
+    ARGV = ["sample", "--n", "2", "--count", "2000", "--seed", "1"]
+
+    def test_sample_grows_its_pipe(self):
+        r, w = os.pipe()
+        with open(r, "rb") as reader:
+            assert fcntl.fcntl(r, fcntl.F_GETPIPE_SZ) < _PIPE_BYTES
+            proc = subprocess.Popen([sys.executable, "-m", "bures", *self.ARGV], stdout=w)
+            os.close(w)
+            out = reader.read()
+            assert proc.wait(timeout=60) == 0
+            assert fcntl.fcntl(r, fcntl.F_GETPIPE_SZ) >= _PIPE_BYTES
+        assert out.startswith(b'{"schema_version": "1", "kind": "samples", ')
+        assert out.endswith(b"]}\n")
+
+    def test_refused_growth_prints_the_same_bytes(self, capsys, monkeypatch):
+        # the growth is for speed only: refused, it leaves the pipe as it was
+        code, want, _ = run_cli(capsys, *self.ARGV)
+        assert code == 0
+        real, calls = fcntl.fcntl, []
+
+        def refusing(fd, cmd, *arg):
+            calls.append(cmd)
+            if cmd == fcntl.F_SETPIPE_SZ:
+                raise PermissionError(errno.EPERM, "Operation not permitted")
+            return real(fd, cmd, *arg)
+
+        monkeypatch.setattr(fcntl, "fcntl", refusing)
+        r, w = os.pipe()
+        got = []
+        with open(r, "rb") as reader:
+            drain = threading.Thread(target=lambda: got.append(reader.read()))
+            drain.start()
+            with open(w, "w", encoding="ascii") as out:
+                monkeypatch.setattr(sys, "stdout", out)
+                status = cli.main(self.ARGV)
+            drain.join(60)
+            assert not drain.is_alive()
+            size = real(r, fcntl.F_GETPIPE_SZ)
+        assert status == 0
+        assert calls == [fcntl.F_GETPIPE_SZ, fcntl.F_SETPIPE_SZ]
+        assert size < _PIPE_BYTES
+        assert got == [want.encode()]

@@ -1,7 +1,4 @@
-import errno
 import io
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -219,61 +216,3 @@ def test_byte_writer_finishes_partial_writes():
     text_only = io.StringIO()           # no binary layer: it takes the text
     floatfmt.byte_writer(text_only)(b"1.0\n")
     assert text_only.getvalue() == "1.0\n"
-
-
-def test_background_writer_keeps_order_under_thread_switches():
-    # the caller and the writer thread share one slot; with the switch
-    # interval cut to a microsecond every handoff races, and a lost or
-    # reordered block shows in the bytes
-    out = io.TextIOWrapper(io.BytesIO(), encoding="ascii", write_through=True)
-    blocks = [b"%d," % i for i in range(20_000)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with floatfmt.BackgroundWriter(out) as writer:
-            for block in blocks:
-                writer.write(block)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not writer._thread.is_alive()
-    assert out.buffer.getvalue() == b"".join(blocks)
-
-
-def test_background_writer_error_replaces_the_callers():
-    # the thread's write error is the earlier fault in the output's order
-    class Failing(io.RawIOBase):
-        def writable(self):
-            return True
-
-        def write(self, data):
-            raise OSError(errno.EIO, "the thread's write")
-
-    with pytest.raises(OSError, match="the thread's write"):
-        with floatfmt.BackgroundWriter(io.TextIOWrapper(Failing(), encoding="ascii")) as w:
-            w.write(b"a")
-            raise ValueError("the caller's")
-    assert not w._thread.is_alive()
-
-
-def test_background_writer_abandoned_on_interrupt():
-    # on Ctrl-C the caller does not wait on a write that may never end; the
-    # thread ends once its current write does
-    release = threading.Event()
-
-    class Stalled(io.RawIOBase):
-        def writable(self):
-            return True
-
-        def write(self, data):
-            release.wait(10)
-            return len(data)
-
-    with pytest.raises(KeyboardInterrupt):
-        with floatfmt.BackgroundWriter(io.TextIOWrapper(Stalled(), encoding="ascii")) as w:
-            w.write(b"a")
-            w.write(b"b")
-            raise KeyboardInterrupt
-    assert w._thread.is_alive()
-    release.set()
-    w._thread.join(10)
-    assert not w._thread.is_alive()

@@ -4,13 +4,24 @@ import numpy as np
 import pytest
 
 from bures import kernels, sampling
-from bures.kernels import (COSET_RANGES, EIGEN_FACTOR_SUP, EIGEN_RANGES, THETA2_MAX,
-                           coset_angles_from_uniforms, coset_unitary_batch,
+from bures.kernels import (COSET_RANGES, EIGEN_FACTOR_SUP, EIGEN_NAMES, EIGEN_RANGES,
+                           THETA2_MAX, coset_angles_from_uniforms, coset_unitary_batch,
                            density_batch, eigen_measure_factor, normalization_constant)
 from bures.sampling import EnvelopeViolationError, sample, sample_chunks
 from bures.checks import ks_statistic
+from bures.euler import EigenvalueAngles
+from bures.measure import eigenvalue_jacobian, hall_density
 
 KS_CRIT_1PCT = 1.6276
+
+
+def _check_eigen_density(t1: float, t2: float) -> float:
+    """The n=3 eigenvalue-angle density from the scalar check forms: Hall's
+    density at the paper's spectrum (cos^2 t1 sin^2 t2, sin^2 t1 sin^2 t2,
+    cos^2 t2) times the closed-form Jacobian."""
+    s2 = math.sin(t2) ** 2
+    spectrum = [math.cos(t1) ** 2 * s2, math.sin(t1) ** 2 * s2, math.cos(t2) ** 2]
+    return hall_density(spectrum) * eigenvalue_jacobian(EigenvalueAngles(3, (t1, t2)))
 
 
 def _proposals(n: int, count: int, seed: int) -> int:
@@ -206,6 +217,29 @@ class TestStatistics:
         cdf = lambda t: (4 * t + np.sin(4 * t)) / math.pi
         d = ks_statistic(theta, cdf)
         assert d <= KS_CRIT_1PCT / math.sqrt(theta.size)
+
+    def test_eigenvalue_angle_marginals_three_state(self):
+        # the t1 and t2 marginals of 1e5 samples, each against a CDF built
+        # from _check_eigen_density, not from the sampler's fused factor.
+        # The density is analytic on the closed box (its 1/sqrt(lam) poles
+        # cancel against the Jacobian), so each marginal density is the
+        # polynomial through its values at 48 Gauss-Legendre nodes, and its
+        # CDF that polynomial's integral
+        rows = sample(3, 100_000, seed=41)
+        x, w = np.polynomial.legendre.leggauss(48)
+        nodes = [lo + (hi - lo) * (x + 1) / 2 for lo, hi in EIGEN_RANGES[3]]
+        weights = [w * (hi - lo) / 2 for lo, hi in EIGEN_RANGES[3]]
+        grid = np.array([[_check_eigen_density(a, b) for b in nodes[1]] for a in nodes[0]])
+        marginals = grid @ weights[1], weights[0] @ grid
+        # the check forms integrate to the normalization constant over the
+        # exact coset volume
+        assert marginals[0] @ weights[0] == pytest.approx(
+            normalization_constant(3, 64) / (math.pi ** 3 / 4), rel=1e-13)
+        crit = KS_CRIT_1PCT / math.sqrt(len(rows))
+        for j, ((lo, hi), t, g) in enumerate(zip(EIGEN_RANGES[3], nodes, marginals)):
+            cdf = np.polynomial.Legendre.fit(t, g, len(t) - 1, domain=[lo, hi]).integ(lbnd=lo)
+            d = ks_statistic(rows[:, j], lambda s: cdf(s) / cdf(hi))
+            assert d <= crit, (EIGEN_NAMES[3][j], d)
 
     def test_mean_purity_three_state(self):
         rows = sample(3, 3000, seed=29)
