@@ -2,8 +2,14 @@
 
 Every check returns its measured deviation and the tolerance it was held to.
 All randomness is internally seeded, so a run is a pure function of the
-suite name.  The "fast" suite finishes in seconds; "full" adds the
+suite name.  The "fast" suite finishes in under a second; "full" adds the
 statistical pushforward tests and cross-method integration checks.
+
+Each Bures quantity is checked once, for n = 2 and 3 together: the
+production form (from ``kernels`` or ``integrate``) against a form it does
+not share, i.e. the eigenvalue-simplex density times the Jacobian, the
+first-principles ``|det C|``, or an entry of ``VOLUME``, ``MEAN_ENTROPY``
+and ``MEAN_PURITY``.
 """
 
 from __future__ import annotations
@@ -15,18 +21,16 @@ from typing import Callable
 import numpy as np
 
 from . import floatfmt, generators
-from .euler import (COSET_RANGES, EIGEN_RANGES, CosetAngles,
-                    EigenvalueAngles, coset_unitary, density_batch,
-                    density_from_params, diag_eigenvalues,
-                    diag_eigenvalues_batch, euler_unitary,
+from .euler import (CosetAngles, EigenvalueAngles, coset_unitary,
+                    density_from_params, diag_eigenvalues, euler_unitary,
                     params_from_density_2, params_from_values)
 from .functionals import FunctionalId, FunctionalKind, spectrum_batch
 from .integrate import integrate, integrate_mc
-from .kernels import coset_unitary_batch
+from .kernels import (COSET_RANGES, EIGEN_RANGES, coset_measure_factor,
+                      coset_unitary_batch, density_batch, diag_eigenvalues_batch,
+                      eigen_measure_factor, normalization_constant)
 from .linalg import expm_i_generator
-from .measure import (coset_measure_factor, eigen_measure_factor,
-                      eigenvalue_jacobian, haar_coset_density,
-                      normalization_constant)
+from .measure import eigenvalue_jacobian, haar_coset_density, hall_density
 from .sampling import sample
 from .tensorgrid import QuadratureSpec
 
@@ -60,6 +64,11 @@ def _random_point_arrays(n: int, count: int, rng: np.random.Generator) -> np.nda
     ranges = EIGEN_RANGES[n] + COSET_RANGES[n]
     cols = [rng.uniform(lo, hi, count) for lo, hi in ranges]
     return np.column_stack(cols)
+
+
+def _relative_gap(fast, ref) -> float:
+    """Largest |fast / ref - 1|, point by point."""
+    return float(np.abs(np.divide(fast, ref) - 1.0).max())
 
 
 # ---------------------------------------------------------------------------
@@ -196,28 +205,44 @@ def check_spectrum_2state_closed_form() -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# measures
+# measures: each production factor and mean against a form it does not share
 # ---------------------------------------------------------------------------
 
-def check_coset_density_2state_closed_form() -> CheckResult:
-    alphas = np.linspace(0, math.pi, 20)
-    betas = np.linspace(0, math.pi / 2, 20)
+# The Bures volume and means for n = 2, 3.  n=2: pi^2, and the closed forms
+# of the means for N = 2: the mean entropy is psi0(N^2/2 + 1) - psi0(N + 1/2)
+# (conjectured by Sarkar & Kumar, 2019, and proved by Wei, 2020) and the mean
+# purity (5N^2 + 1) / (2N(N^2 + 2)).  n=3: the doubles nearest mpmath's
+# tanh-sinh quadrature of the paper's formulas over its box, which
+# tests/test_reference_values.py recomputes.
+VOLUME = {2: math.pi ** 2, 3: 7.9596814682680505095}
+MEAN_ENTROPY = {2: 2 * math.log(2) - 7 / 6, 3: 0.52304846877540471207}
+MEAN_PURITY = {2: 7 / 8, 3: 0.68444319932144456889}
+_ENTROPY = FunctionalId(FunctionalKind.VON_NEUMANN_ENTROPY)
+
+
+def check_eigen_factor_check_form() -> CheckResult:
+    """The fused eigenvalue factor against Hall's simplex density times the
+    Jacobian, 0.05 inside the box, where the simplex density stays finite."""
+    rng = np.random.default_rng(108)
     dev = 0.0
-    for al in alphas:
-        for be in betas:
-            d = haar_coset_density(CosetAngles(2, (al, be)))
-            dev = max(dev, abs(d - math.sin(2 * be)))
-    return _result("coset_density_2state_closed_form", dev, 1e-10)
+    for n in (2, 3):
+        eig = np.column_stack([rng.uniform(lo + 0.05, hi - 0.05, 200)
+                               for lo, hi in EIGEN_RANGES[n]])
+        ref = [hall_density(diag_eigenvalues(e)) * eigenvalue_jacobian(e)
+               for e in (EigenvalueAngles(n, tuple(row)) for row in eig)]
+        dev = max(dev, _relative_gap(eigen_measure_factor(n, eig), ref))
+    return _result("eigen_factor_check_form", dev, 1e-12)
 
 
-def check_coset_density_3state_closed_form() -> CheckResult:
-    """The production closed form against |det C| from first principles."""
+def check_coset_factor_check_form() -> CheckResult:
+    """The closed-form coset factor against |det C| from first principles."""
     rng = np.random.default_rng(109)
-    pts = _random_point_arrays(3, 100, rng)[:, 2:]
-    fast = coset_measure_factor(3, pts)
-    dev = max(abs(f - haar_coset_density(CosetAngles(3, tuple(row))))
-              for row, f in zip(pts, fast))
-    return _result("coset_density_3state_closed_form", dev, 1e-12)
+    dev = 0.0
+    for n in (2, 3):
+        cos = _random_point_arrays(n, 100, rng)[:, n - 1:]
+        ref = [haar_coset_density(CosetAngles(n, tuple(row))) for row in cos]
+        dev = max(dev, _relative_gap(coset_measure_factor(n, cos), ref))
+    return _result("coset_factor_check_form", dev, 1e-12)
 
 
 def _coset_rows_fd(n: int, angles: np.ndarray, h: float = 1e-6) -> float:
@@ -269,44 +294,31 @@ def check_jacobian_fd_3state() -> CheckResult:
     return _result("jacobian_fd_3state", dev, 1e-8)
 
 
-def check_joint_density_2state_analytic() -> CheckResult:
-    rng = np.random.default_rng(108)
-    pts = _random_point_arrays(2, 50, rng)
-    coset = [haar_coset_density(CosetAngles(2, tuple(row))) for row in pts[:, 1:]]
-    dens = eigen_measure_factor(2, pts[:, :1]) * np.array(coset)
-    want = 8 * np.cos(2 * pts[:, 0]) ** 2 * np.sin(2 * pts[:, 2])
-    return _result("joint_density_2state_analytic",
-                   float(np.abs(dens - want).max()), 1e-10)
+def check_volume() -> CheckResult:
+    dev = max(_relative_gap(normalization_constant(n, 64), VOLUME[n]) for n in (2, 3))
+    return _result("volume", dev, 1e-13)
 
 
-def check_normalization_2state() -> CheckResult:
-    z = normalization_constant(2)
-    return _result("normalization_2state", abs(z - math.pi ** 2), 1e-6)
+def _mean_gap(functional: FunctionalId, table: dict[int, float],
+              spec: QuadratureSpec | None = None) -> float:
+    return max(abs(integrate(n, functional, spec).value - table[n]) for n in (2, 3))
 
 
-# Closed forms of the Bures means for N = 2: the mean entropy is
-# psi0(N^2/2 + 1) - psi0(N + 1/2) (conjectured by Sarkar & Kumar, 2019, and
-# proved by Wei, 2020) and the mean purity (5N^2 + 1) / (2N(N^2 + 2))
-MEAN_ENTROPY_2 = 2 * math.log(2) - 7 / 6
-MEAN_PURITY_2 = 7 / 8
-_ENTROPY = FunctionalId(FunctionalKind.VON_NEUMANN_ENTROPY)
+def check_mean_entropy() -> CheckResult:
+    return _result("mean_entropy", _mean_gap(_ENTROPY, MEAN_ENTROPY, QuadratureSpec(256)),
+                   1e-13)
 
 
-def check_entropy_closed_form_2state() -> CheckResult:
-    quad = integrate(2, _ENTROPY, QuadratureSpec(256))
-    return _result("entropy_closed_form_2state", abs(quad.value - MEAN_ENTROPY_2), 1e-13)
-
-
-def check_entropy_error_estimate_2state() -> CheckResult:
+def check_entropy_error_estimate() -> CheckResult:
     # the default rule's reported error estimate bounds its true error
-    quad = integrate(2, _ENTROPY)
-    return _result("entropy_error_estimate_2state", abs(quad.value - MEAN_ENTROPY_2),
-                   quad.error_estimate)
+    quads = {n: integrate(n, _ENTROPY) for n in (2, 3)}
+    ratio = max(abs(q.value - MEAN_ENTROPY[n]) / q.error_estimate for n, q in quads.items())
+    return _result("entropy_error_estimate", ratio, 1.0)
 
 
-def check_purity_closed_form_2state() -> CheckResult:
-    quad = integrate(2, FunctionalId(FunctionalKind.PURITY))
-    return _result("purity_closed_form_2state", abs(quad.value - MEAN_PURITY_2), 1e-13)
+def check_mean_purity() -> CheckResult:
+    return _result("mean_purity",
+                   _mean_gap(FunctionalId(FunctionalKind.PURITY), MEAN_PURITY), 1e-13)
 
 
 def check_sampler_determinism() -> CheckResult:
@@ -362,13 +374,6 @@ def check_float_format_exact() -> CheckResult:
 # full-suite statistical checks
 # ---------------------------------------------------------------------------
 
-def check_normalization_3state_consistency() -> CheckResult:
-    z8 = normalization_constant(3, points_per_axis=8)
-    z10 = normalization_constant(3, points_per_axis=10)
-    return _result("normalization_3state_consistency",
-                   abs(z8 - z10) / abs(z10), 1e-4)
-
-
 def check_pushforward_uniform_2state() -> CheckResult:
     u11 = np.abs(coset_unitary_batch(2, sample(2, 100_000, seed=501)[:, 1:])[:, 0, 0]) ** 2
     d = ks_statistic(u11, lambda t: np.clip(t, 0.0, 1.0))
@@ -414,21 +419,19 @@ FAST_CHECKS = (
     check_inverse_roundtrip_2state,
     check_density_kernel_closed_form,
     check_spectrum_2state_closed_form,
-    check_coset_density_2state_closed_form,
-    check_coset_density_3state_closed_form,
+    check_eigen_factor_check_form,
+    check_coset_factor_check_form,
     check_coset_density_fd_3state,
     check_jacobian_fd_3state,
-    check_joint_density_2state_analytic,
-    check_normalization_2state,
-    check_entropy_closed_form_2state,
-    check_entropy_error_estimate_2state,
-    check_purity_closed_form_2state,
+    check_volume,
+    check_mean_entropy,
+    check_entropy_error_estimate,
+    check_mean_purity,
     check_sampler_determinism,
     check_float_format_exact,
 )
 
 FULL_CHECKS = FAST_CHECKS + (
-    check_normalization_3state_consistency,
     check_pushforward_uniform_2state,
     check_pushforward_dirichlet_3state,
     check_mc_quadrature_agreement_2state,

@@ -1,6 +1,7 @@
 import collections
 import errno
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -289,9 +290,8 @@ class TestCheckCommand:
         assert rec["passed"] is True
         names = {c["name"] for c in rec["checks"]}
         assert "generator_orthogonality" in names
-        # the n=2 Bures means against their closed forms
-        assert {"entropy_closed_form_2state", "entropy_error_estimate_2state",
-                "purity_closed_form_2state"} <= names
+        # the Bures means of both n against their reference tables
+        assert {"mean_entropy", "entropy_error_estimate", "mean_purity"} <= names
 
     def test_full_suite_includes_statistical_checks(self):
         from bures.checks import FULL_CHECKS
@@ -314,6 +314,63 @@ class TestCheckCommand:
         monkeypatch.setattr(sampling, "eigen_measure_factor",
                             lambda n, eigen: factor(n, eigen) ** 2 / sup)
         assert not checks.check_mc_quadrature_agreement_3state().passed
+
+    def test_suite_runs_each_check_once(self, capsys):
+        import inspect
+        from bures import checks
+
+        defined = [fn for name, fn in inspect.getmembers(checks, inspect.isfunction)
+                   if name.startswith("check_") and fn.__module__ == checks.__name__]
+        assert all(checks.FULL_CHECKS.count(fn) == 1 for fn in defined)
+        assert set(checks.FULL_CHECKS) == set(defined)
+        assert checks.FULL_CHECKS[:len(checks.FAST_CHECKS)] == checks.FAST_CHECKS
+        code, out, _ = run_cli(capsys, "check", "--suite", "full")
+        assert code == 0
+        names = [c["name"] for c in record_of(out)["checks"]]
+        assert len(names) == len(set(names)) == len(checks.FULL_CHECKS)
+
+    def test_perturbed_n3_eigen_factor_fails_its_checks(self, capsys, monkeypatch):
+        # the n=3 eigenvalue factor, up to 20% low near the top of the box:
+        # the sampler's weight and the quadrature's, so the factor's check
+        # form, the volume and both means must each see it
+        from bures import checks
+        factor = kernels.eigen_measure_factor
+
+        def perturbed(n, angles):
+            out = factor(n, angles)
+            if n == 3:
+                out = out * (1 - 0.3 * np.sin(np.asarray(angles)[..., 1]) ** 2)
+            return out
+
+        for module in (kernels, importlib.import_module("bures.integrate"), checks):
+            monkeypatch.setattr(module, "eigen_measure_factor", perturbed)
+        # the cached box integral would otherwise hold the true Z3 during the
+        # test and the perturbed one after it
+        kernels._eigen_integral.cache_clear()
+        try:
+            code, out, _ = run_cli(capsys, "check", "--suite", "fast")
+        finally:
+            kernels._eigen_integral.cache_clear()
+        assert code == 1
+        failed = {c["name"] for c in json.loads(out)["checks"] if not c["passed"]}
+        assert {"eigen_factor_check_form", "volume", "mean_entropy", "mean_purity"} <= failed
+
+    def test_perturbed_n2_coset_factor_fails_its_check(self, capsys, monkeypatch):
+        from bures import checks
+        factor = kernels.coset_measure_factor
+
+        def perturbed(n, angles):
+            out = factor(n, angles)
+            if n == 2:
+                out = out * (1 + 0.2 * np.cos(np.atleast_2d(angles)[:, 0]) ** 2)
+            return out
+
+        for module in (kernels, checks):
+            monkeypatch.setattr(module, "coset_measure_factor", perturbed)
+        code, out, _ = run_cli(capsys, "check", "--suite", "fast")
+        assert code == 1
+        failed = {c["name"] for c in json.loads(out)["checks"] if not c["passed"]}
+        assert "coset_factor_check_form" in failed
 
     def test_corrupted_generator_fails_orthogonality(self, capsys, monkeypatch):
         from bures import generators
