@@ -4,7 +4,7 @@
 ``"".join(template % tuple(row) for row in table)`` for a row template whose
 fields are all ``%.16e``, but formats the table with whole-array numpy
 operations instead of one ``%`` call per float.  ``RowWriter`` does the same
-for a stream of blocks of rows, as ASCII bytes, into buffers it reuses,
+for a stream of blocks of rows, as ASCII bytes, into one buffer it reuses,
 and ``byte_writer`` writes such blocks to a text stream's file.
 
 For a finite x with 1e-30 <= |x| < 1e3 and E = floor(log10 |x|), the 17
@@ -23,8 +23,7 @@ Each field gets a 24-byte slot (sign, 17 digits, point, "e", exponent sign
 and up to 3 exponent digits) in a row buffer that holds the template's text
 and is laid out once per writer; a block writes only the slots.  The bytes a
 field does not use are NUL, so a block of rows becomes text with one copy
-that drops the NULs, made ``_PIECE`` rows at a time into an output buffer
-that is also laid out once per writer.
+that drops the NULs.
 
 The cells of a ``sample`` row's matrix are Hermitian, so a writer given that
 layout formats only the distinct floats: 17 of the 26 fields of an n=3 row
@@ -49,7 +48,6 @@ _E_MIN, _E_MAX = -30, 2     # decimal exponents of the vector path
 _TIE = 1e-6                 # distance from 1/2 within which a fraction may be a tie
 _SPLIT = 134217729.0        # 2**27 + 1: Veltkamp's splitting constant
 _PADDED = "%-24.16e"        # FIELD left-justified in a slot
-_PIECE = 64                 # rows per NUL strip: a sample piece is under 128 KiB
 
 
 # a field's slot: sign, leading digit, point, 16 digits in groups of 4,
@@ -179,14 +177,6 @@ class RowWriter:
     flipped (or, for a value ``%`` formats, ``%``'s text of the negation), so
     only the distinct columns are formatted: 17 of the 26 of an n=3 sample
     row.
-
-    ``view`` leaves a block's text in an output buffer of the writer's own,
-    which the next block overwrites, and ``format`` returns a copy of it.
-    The NULs are dropped ``_PIECE`` rows at a time, so a block makes no new
-    object of its own size.  A fresh 0.76 MB bytes object per n=3 JSON
-    block was freed and faulted in again as glibc's heap state had it: from
-    1e4 to 1e5 rows, 3 k to 16 k more minor faults, by the size of the
-    environment alone.
     """
 
     def __init__(self, template: str, rows: int, hermitian: tuple[int, int] | None = None):
@@ -225,15 +215,9 @@ class RowWriter:
         del self._starts[-1]                    # no slot after the last piece
         self._buf = np.empty((rows, len(line) - _SLOT), np.uint8)
         self._buf[:] = np.frombuffer(line[:-_SLOT], np.uint8)
-        self._out = bytearray(self._buf.size)
 
     def format(self, table: np.ndarray) -> bytes:
         """The rows' text as ASCII bytes."""
-        return bytes(self.view(table))
-
-    def view(self, table: np.ndarray) -> memoryview:
-        """The rows' text as ASCII bytes in the writer's output buffer,
-        valid until the next call."""
         table = np.asarray(table, dtype=np.float64)
         rows, fields = table.shape
         if fields != self.fields:
@@ -251,12 +235,7 @@ class RowWriter:
                 # a slot ``%`` filled has no sign byte to flip
                 fix = np.flatnonzero(back[:, k])
                 buf[fix, at:at + _SLOT] = _percent(-x[fix, k])
-        out, end = self._out, 0
-        for start in range(0, rows, _PIECE):
-            piece = buf[start:start + _PIECE].tobytes().replace(b"\0", b"")
-            out[end:end + len(piece)] = piece
-            end += len(piece)
-        return memoryview(out)[:end]
+        return buf.tobytes().replace(b"\0", b"")
 
 
 def format_rows(template: str, table: np.ndarray) -> str:

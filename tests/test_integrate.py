@@ -153,11 +153,10 @@ class TestMonteCarlo:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_minflt and posix_spawn")
     def test_json_minor_faults_do_not_grow_per_block(self):
-        # each 1024-row write block is formed in the row writer's own output
-        # buffer, 64 rows at a time.  A fresh 0.76 MB bytes object per block
-        # took from 3 k to 16 k more minor faults from 1e4 to 1e5 rows, by
-        # the size of the environment alone; the reused buffer takes 2.8 k
-        # to 4.7 k, and a block freed before the next is formed took 30 k
+        # each 1024-row write block is a fresh 0.76 MB bytes object; the CLI
+        # holds the last one until the next is formed, so glibc reuses its
+        # pages.  A block freed before the next is formed took over 30 k
+        # more minor faults from 1e4 to 1e5 rows, a held one about 3 k
         argv = ("sample", "--n", "3", "--format", "json", "--seed", "1")
         _, small = cli_usage(*argv, "--count", "10000")
         _, large = cli_usage(*argv, "--count", "100000")
