@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from bures import cli
-from bures.checks import ks_statistic
+from bures.checks import VOLUME, ks_statistic
 from bures.euler import (density_batch, density_from_params,
                          diag_eigenvalues_batch, euler_unitary,
                          params_from_density_2, params_from_values)
@@ -23,7 +23,6 @@ from bures.sampling import sample
 from conftest import random_box_points
 
 KS_CRIT_1PCT = 1.6276
-Z3_PINNED = 7.9596814682680505095     # mpmath tanh-sinh (tests/test_reference_values.py)
 
 ENTROPY = FunctionalId.parse("entropy")
 PURITY = FunctionalId.parse("purity")
@@ -113,7 +112,7 @@ def test_criterion_5_normalization_constants():
     z3a = normalization_constant(3, points_per_axis=8)
     z3b = normalization_constant(3, points_per_axis=10)
     rel = abs(z3a - z3b) / z3b
-    pin = abs(z3b - Z3_PINNED) / Z3_PINNED
+    pin = abs(z3b - VOLUME[3]) / VOLUME[3]
     ok = dev2 <= 1e-6 and rel <= 1e-4 and pin <= 1e-6
     verdict("5 normalization constants", ok,
             f"|Z2 - pi^2| = {dev2:.2e}; Z3 8-vs-10 rel = {rel:.2e}; "

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bures.checks import MEAN_ENTROPY, MEAN_PURITY
 from bures.functionals import FunctionalId, from_matrices
 from bures.integrate import IntegrationResult, integrate, integrate_mc
 from bures import sampling
@@ -22,10 +23,9 @@ CONST = FunctionalId.parse("moment:0")
 # mean entropy from mpmath tanh-sinh quadrature; mean purity analytic 7/8
 MEAN_ENTROPY_2 = 0.21962769445322395
 MEAN_PURITY_2 = 0.875
-# 2-D spectral-reduction means for n=3 on the paper's box, from mpmath's
-# tanh-sinh quadrature of the paper's formulas (tests/test_reference_values.py)
-MEAN_ENTROPY_3 = 0.52304846877540471207
-MEAN_PURITY_3 = 0.68444319932144456889
+# the 2-D spectral-reduction means for n=3 on the paper's box, MEAN_ENTROPY[3]
+# and MEAN_PURITY[3], are mpmath's tanh-sinh quadrature of the paper's
+# formulas (tests/test_reference_values.py)
 
 
 class TestQuadrature2:
@@ -56,22 +56,22 @@ class TestQuadrature3:
     def test_spectral_reduction_pins(self):
         ent = integrate(3, ENTROPY)
         pur = integrate(3, PURITY)
-        assert abs(ent.value - MEAN_ENTROPY_3) <= 1e-9
-        assert abs(pur.value - MEAN_PURITY_3) <= 1e-9
+        assert abs(ent.value - MEAN_ENTROPY[3]) <= 1e-9
+        assert abs(pur.value - MEAN_PURITY[3]) <= 1e-9
 
     def test_256_points_meet_the_independent_values(self):
         # entropy converges only algebraically (lam_2 ln lam_2 is not
         # analytic at the box edge t1 = 0): 2.8e-12 off at 64 points, 7e-16
         # at 256; purity is at roundoff from 64 points up
         spec = QuadratureSpec(256)
-        assert abs(integrate(3, ENTROPY, spec).value - MEAN_ENTROPY_3) <= 1e-13
-        assert abs(integrate(3, PURITY, spec).value - MEAN_PURITY_3) <= 1e-13
+        assert abs(integrate(3, ENTROPY, spec).value - MEAN_ENTROPY[3]) <= 1e-13
+        assert abs(integrate(3, PURITY, spec).value - MEAN_PURITY[3]) <= 1e-13
 
     def test_six_points_meet_the_benchmark_bound(self):
         # the `integrate --n 3 --functional entropy --points 6` run checked
         # against the same pin and bound by the benchmark
         res = integrate(3, ENTROPY, QuadratureSpec(6))
-        assert abs(res.value - MEAN_ENTROPY_3) <= 1e-4
+        assert abs(res.value - MEAN_ENTROPY[3]) <= 1e-4
 
 
 class TestMonteCarlo:
@@ -86,7 +86,7 @@ class TestMonteCarlo:
 
     def test_entropy_agreement_3state(self):
         res = integrate_mc(3, ENTROPY, 4_000, seed=17)
-        assert abs(res.value - MEAN_ENTROPY_3) <= 4 * res.error_estimate
+        assert abs(res.value - MEAN_ENTROPY[3]) <= 4 * res.error_estimate
 
     @pytest.mark.parametrize("n,fid", [(2, PURITY), (2, ENTROPY), (3, ENTROPY)],
                              ids=["n2-purity", "n2-entropy", "n3-entropy"])

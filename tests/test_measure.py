@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bures.checks import VOLUME
 from bures.euler import (COSET_NAMES, COSET_RANGES, EIGEN_NAMES, EIGEN_RANGES,
                          CosetAngles, EigenvalueAngles, coset_unitary,
                          density_batch, diag_eigenvalues_batch, params_from_values)
@@ -19,9 +20,8 @@ from bures.tensorgrid import QuadratureSpec, axis_rule, tensor_quadrature
 from conftest import random_box_points
 
 # independent high-resolution evaluations (frozen; see also pi^2 and pi^3/4).
-# Z3 on the paper's box is mpmath's tanh-sinh quadrature of the paper's
-# formulas (tests/test_reference_values.py)
-Z3_PINNED = 7.9596814682680505095
+# Z3 on the paper's box, VOLUME[3], is mpmath's tanh-sinh quadrature of the
+# paper's formulas (tests/test_reference_values.py)
 JOINT3_PINNED_POINT = [0.31, 0.77, 2.13, 0.95, 0.41, 1.02, 2.9, 0.2]
 JOINT3_PINNED_VALUE = 0.016246150905926
 
@@ -202,13 +202,13 @@ class TestNormalization:
         assert abs(z32 - z64) <= 1e-6
 
     def test_three_state_pinned(self):
-        assert abs(normalization_constant(3) - Z3_PINNED) <= 1e-6 * Z3_PINNED
+        assert abs(normalization_constant(3) - VOLUME[3]) <= 1e-6 * VOLUME[3]
 
     def test_three_state_64_points_meet_the_independent_value(self):
         # the eigenvalue factor is analytic on the box, so Gauss-Legendre
         # reaches roundoff: 3.3e-16 relative at 64 points
         z = normalization_constant(3, points_per_axis=64)
-        assert abs(z - Z3_PINNED) <= 1e-14 * Z3_PINNED
+        assert abs(z - VOLUME[3]) <= 1e-14 * VOLUME[3]
 
     @staticmethod
     def _coset_quadrature(n: int) -> float:

@@ -8,16 +8,13 @@ prod_{j<k} 4 (lam_j - lam_k)^2 / (lam_j + lam_k), and the Jacobian
 |sin 2t1 sin^2 t2 sin 2t2|, with no cancellation done by hand and nothing
 taken from ``bures``.  mpmath's 2-D tanh-sinh quadrature integrates it at 20
 digits in a few seconds; at 35 digits it agrees to all 20 digits the pins
-carry.  The pins are the tests' own and the reference tables of the
-``check`` suite.  The test is skipped when mpmath does not import.
+carry.  The pins are the reference tables of the ``check`` suite, which the
+other tests import.  The test is skipped when mpmath does not import.
 """
 
 import pytest
 
 from bures import checks
-from test_acceptance import Z3_PINNED as Z3_ACCEPTANCE
-from test_integrate import MEAN_ENTROPY_3, MEAN_PURITY_3
-from test_measure import Z3_PINNED
 
 mp = pytest.importorskip("mpmath")
 
@@ -49,8 +46,7 @@ def test_box_values_of_the_paper():
         z3 = eigen * mp.pi ** 3 / 4
         entropy = integral(lambda *lam: -sum(x * mp.log(x) for x in lam)) / eigen
         purity = integral(lambda *lam: sum(x * x for x in lam)) / eigen
-        for value, pin in [(z3, Z3_PINNED), (z3, Z3_ACCEPTANCE), (z3, checks.VOLUME[3]),
-                           (entropy, MEAN_ENTROPY_3), (entropy, checks.MEAN_ENTROPY[3]),
-                           (purity, MEAN_PURITY_3), (purity, checks.MEAN_PURITY[3])]:
+        for value, pin in [(z3, checks.VOLUME[3]), (entropy, checks.MEAN_ENTROPY[3]),
+                           (purity, checks.MEAN_PURITY[3])]:
             # each pin is the double nearest the independent value
             assert abs(value - pin) <= 2 ** -53 * abs(pin), (value, pin)
