@@ -13,8 +13,6 @@ before numpy loads.
 """
 
 import importlib
-import sys
-import types
 
 __version__ = "0.1.0"
 
@@ -32,8 +30,8 @@ _SOURCE = {name: module for module, names in {
                 "hall_density"),
     "functionals": ("FunctionalId", "FunctionalKind", "eigenvalue_moment",
                     "purity", "von_neumann_entropy"),
-    "tensorgrid": ("QuadratureSpec", "tensor_quadrature"),
-    "integrate": ("IntegrationResult", "integrate", "integrate_mc"),
+    "tensorgrid": ("tensor_quadrature",),
+    "integration": ("IntegrationResult", "integrate", "integrate_mc"),
     "sampling": ("EnvelopeViolationError", "sample"),
 }.items() for name in names}
 
@@ -50,16 +48,3 @@ def __getattr__(name: str):
 
 def __dir__():
     return sorted(set(globals()) | set(__all__))
-
-
-class _Package(types.ModuleType):
-    # Importing a submodule binds it on its package.  The function
-    # ``integrate`` shares its submodule's name, so bind the function there
-    # instead, whichever of the two is imported first.
-    def __setattr__(self, name, value):
-        if isinstance(value, types.ModuleType) and _SOURCE.get(name) == name:
-            value = getattr(value, name)
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

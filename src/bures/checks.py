@@ -6,7 +6,7 @@ suite name.  The "fast" suite finishes in under a second; "full" adds the
 statistical pushforward tests and cross-method integration checks.
 
 Each Bures quantity is checked once, for n = 2 and 3 together: the
-production form (from ``kernels`` or ``integrate``) against a form it does
+production form (from ``kernels`` or ``integration``) against a form it does
 not share, i.e. the eigenvalue-simplex density times the Jacobian, the
 first-principles ``|det C|``, or an entry of ``VOLUME``, ``MEAN_ENTROPY``
 and ``MEAN_PURITY``.
@@ -25,14 +25,13 @@ from .euler import (CosetAngles, EigenvalueAngles, coset_unitary,
                     density_from_params, diag_eigenvalues, euler_unitary,
                     params_from_density_2, params_from_values)
 from .functionals import FunctionalId, FunctionalKind, spectrum_batch
-from .integrate import integrate, integrate_mc
+from .integration import integrate, integrate_mc
 from .kernels import (COSET_RANGES, EIGEN_RANGES, coset_measure_factor,
                       coset_unitary_batch, density_batch, diag_eigenvalues_batch,
                       eigen_measure_factor, normalization_constant)
 from .linalg import expm_i_generator
 from .measure import eigenvalue_jacobian, haar_coset_density, hall_density
 from .sampling import sample
-from .tensorgrid import QuadratureSpec
 
 KS_CRITICAL_1PCT = 1.6276  # asymptotic Kolmogorov quantile at alpha = 0.01
 
@@ -304,12 +303,12 @@ def check_volume() -> CheckResult:
 
 
 def _mean_gap(functional: FunctionalId, table: dict[int, float],
-              spec: QuadratureSpec | None = None) -> float:
-    return max(abs(integrate(n, functional, spec).value - table[n]) for n in (2, 3))
+              points: int | None = None) -> float:
+    return max(abs(integrate(n, functional, points).value - table[n]) for n in (2, 3))
 
 
 def check_mean_entropy() -> CheckResult:
-    return _result("mean_entropy", _mean_gap(_ENTROPY, MEAN_ENTROPY, QuadratureSpec(256)),
+    return _result("mean_entropy", _mean_gap(_ENTROPY, MEAN_ENTROPY, 256),
                    1e-13)
 
 

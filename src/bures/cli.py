@@ -93,11 +93,10 @@ def _register_lazily(names: tuple[str, ...]) -> None:
         module = importlib.util.module_from_spec(spec)
         sys.modules[fullname] = module
         spec.loader.exec_module(module)
-        if name not in package.__all__:    # the package names a function "integrate"
-            setattr(package, name, module)
+        setattr(package, name, module)
 
 
-_register_lazily(("euler", "floatfmt", "functionals", "generators", "integrate",
+_register_lazily(("euler", "floatfmt", "functionals", "generators", "integration",
                   "kernels", "linalg", "measure", "sampling", "tensorgrid"))
 
 
@@ -283,7 +282,7 @@ def cmd_sample(args) -> int:
 
 def cmd_integrate(args) -> int:
     from .functionals import FunctionalId
-    from .integrate import DEFAULT_POINTS, integrate, integrate_mc
+    from .integration import DEFAULT_POINTS, integrate, integrate_mc
 
     fid = FunctionalId.parse(args.functional)
     # each method takes only its own options; the defaults are set here so
@@ -304,10 +303,8 @@ def cmd_integrate(args) -> int:
         "method": args.method,
     }
     if args.method == "quadrature":
-        from .tensorgrid import QuadratureSpec
-
         points = _points(args, DEFAULT_POINTS[args.n])
-        res = integrate(args.n, fid, QuadratureSpec(points))
+        res = integrate(args.n, fid, points)
         record.update(value=res.value, error_estimate=res.error_estimate,
                       points_per_axis=points, rule=RULE)
     else:
@@ -325,8 +322,8 @@ def cmd_volume(args) -> int:
     from .kernels import REFERENCE_POINTS, normalization_constant
 
     points = _points(args, REFERENCE_POINTS[args.n])
-    value = normalization_constant(args.n, points_per_axis=points)
-    compare = normalization_constant(args.n, points_per_axis=points - 2)
+    value = normalization_constant(args.n, points)
+    compare = normalization_constant(args.n, points - 2)
     record = {
         "schema_version": SCHEMA_VERSION,
         "kind": "scalar",

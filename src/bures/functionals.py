@@ -85,8 +85,13 @@ def _from_columns(fid: FunctionalId, lam: list[np.ndarray]) -> np.ndarray:
     return functools.reduce(operator.add, (v ** k for v in lam))
 
 
-def _spectrum_2(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # m -/+ h: m the mean of the diagonal, h = hypot(half its difference, |rho_01|)
+def _spectrum_columns(rhos: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Ascending eigenvalues of stacked Hermitian matrices (N, n, n), one
+    (N,) array each, unclipped: for n=2 m -/+ h, m the mean of the diagonal
+    and h = hypot(half its difference, |rho_01|), never stacked; for n=3 the
+    columns of ``eigvalsh``."""
+    if rhos.shape[-1] != 2:
+        return tuple(np.moveaxis(np.linalg.eigvalsh(rhos), -1, 0))
     a, d = rhos[..., 0, 0].real, rhos[..., 1, 1].real
     m = 0.5 * (a + d)
     h = np.hypot(0.5 * (a - d), np.abs(rhos[..., 0, 1]))
@@ -94,30 +99,23 @@ def _spectrum_2(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def spectrum_batch(rhos: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of stacked Hermitian matrices (N, n, n), unclipped:
-    for n=2 m -/+ h, m the mean of the diagonal and h = hypot(half its
-    difference, |rho_01|); for n=3 ``eigvalsh``."""
-    rhos = np.asarray(rhos, dtype=np.complex128)
-    if rhos.shape[-1] != 2:
-        return np.linalg.eigvalsh(rhos)
-    return np.stack(_spectrum_2(rhos), axis=-1)
+    """Ascending eigenvalues of stacked Hermitian matrices (N, n, n), unclipped,
+    as rows (``_spectrum_columns`` stacked)."""
+    return np.stack(_spectrum_columns(np.asarray(rhos, dtype=np.complex128)), axis=-1)
 
 
 def from_matrices(fid: FunctionalId, rhos: np.ndarray) -> np.ndarray:
     """Evaluate on stacked density matrices (N, n, n), via their spectra.
 
-    The spectrum comes from the entries alone (``spectrum_batch``), not from
-    the angles the matrices were built from.  Purity avoids it: Tr(rho^2) =
-    sum |rho_ij|^2 for Hermitian rho.  Roundoff negatives are clipped to zero.
-    The n=2 spectrum stays two columns, never stacked.
+    The spectrum comes from the entries alone (``_spectrum_columns``), not
+    from the angles the matrices were built from.  Purity avoids it: Tr(rho^2)
+    = sum |rho_ij|^2 for Hermitian rho.  Roundoff negatives are clipped to
+    zero.
     """
     rhos = np.asarray(rhos, dtype=np.complex128)
     if fid.kind is FunctionalKind.PURITY:
         return (np.abs(rhos) ** 2).sum(axis=(-2, -1))
-    if rhos.shape[-1] != 2:
-        lam = np.linalg.eigvalsh(rhos)
-        return from_eigenvalues(fid, np.maximum(lam, 0.0, out=lam))
-    return _from_columns(fid, [np.maximum(v, 0.0, out=v) for v in _spectrum_2(rhos)])
+    return _from_columns(fid, [np.maximum(v, 0.0, out=v) for v in _spectrum_columns(rhos)])
 
 
 def _validated(rho, tol: float) -> np.ndarray:

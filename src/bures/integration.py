@@ -2,24 +2,22 @@
 
 Two routes: a tensor-product quadrature over the eigenvalue box (the
 functional evaluated from the analytically known spectrum at each node; the
-coset factor cancels between numerator and denominator), and a Monte Carlo
+coset factor cancels between numerator and denominator), whose one setting
+is its Gauss-Legendre point count per axis, ``points``, and a Monte Carlo
 mean over Bures samples (the functional evaluated from the materialized
 density matrices), which keeps the two paths independent.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .functionals import FunctionalId, from_eigenvalues, from_matrices
 from .kernels import (EIGEN_RANGES, _eigen_integral, check_n, density_batch,
                       diag_eigenvalues_batch, eigen_measure_factor)
-
-if TYPE_CHECKING:
-    from .tensorgrid import QuadratureSpec
 
 # n=3: 64 points/axis is 4096 nodes on the 2-D eigenvalue box (~10 ms); the
 # half-resolution error estimate of the mean entropy there is ~2e-10
@@ -33,24 +31,24 @@ class IntegrationResult:
 
 
 def integrate(n: int, functional: FunctionalId,
-              spec: QuadratureSpec | None = None) -> IntegrationResult:
+              points: int | None = None) -> IntegrationResult:
     """Quadrature of E[f(rho)] under the normalized Bures measure.
 
     ``functional`` is a FunctionalId (anything else is a TypeError).  Its f
     is spectral, so it does not depend on the coset angles: the exact coset
     integral cancels and E[f] = Q[f e] / Q[e], with e the eigenvalue factor
     and Q the Gauss-Legendre rule on the (n-1)-dimensional eigenvalue box.
-    The error estimate compares against a half-resolution rerun.
+    Q has ``points`` points per axis (default ``DEFAULT_POINTS[n]``; a
+    float is a TypeError), and the error estimate compares against a rerun
+    at half of them.
     """
     # Monte Carlo runs no quadrature, so only this route loads the rule
-    from .tensorgrid import MIN_POINTS, QuadratureSpec, tensor_quadrature
+    from .tensorgrid import MIN_POINTS, tensor_quadrature
 
     check_n(n)
-    if spec is None:
-        spec = QuadratureSpec(DEFAULT_POINTS[n])
-    if spec.points_per_axis < MIN_POINTS:
-        raise ValueError(f"points_per_axis must be >= {MIN_POINTS}, "
-                         f"got {spec.points_per_axis}")
+    points = DEFAULT_POINTS[n] if points is None else operator.index(points)
+    if points < MIN_POINTS:
+        raise ValueError(f"points must be >= {MIN_POINTS}, got {points}")
     if not isinstance(functional, FunctionalId):
         raise TypeError("quadrature needs a FunctionalId")
     lower, upper = zip(*EIGEN_RANGES[n])
@@ -59,11 +57,11 @@ def integrate(n: int, functional: FunctionalId,
         lam = diag_eigenvalues_batch(n, eig)
         return from_eigenvalues(functional, lam) * eigen_measure_factor(n, eig)
 
-    def mean(s: QuadratureSpec) -> float:
-        return tensor_quadrature(fn, lower, upper, s) / _eigen_integral(n, s.points_per_axis)
+    def mean(pts: int) -> float:
+        return tensor_quadrature(fn, lower, upper, pts) / _eigen_integral(n, pts)
 
-    fine = mean(spec)
-    coarse = mean(QuadratureSpec(spec.points_per_axis // 2))
+    fine = mean(points)
+    coarse = mean(points // 2)
     return IntegrationResult(value=fine, error_estimate=abs(fine - coarse))
 
 

@@ -4,10 +4,11 @@ This module holds the fast form of every quantity the hot paths evaluate on
 stacked angle rows: the eigenvalue map, U's entries and rho = U diag(lam) U^dag
 (``density_batch``), the eigenvalue factor of the Bures density and its exact
 sup, the coset factor and its inverse CDFs, and the normalization constant
-(the cached eigenvalue-box quadrature times the exact coset integral).  It
-defines no typed coordinate, and ``tensorgrid`` loads only when a quadrature
-runs, so ``sample``, ``volume`` and both ``integrate`` methods run no module
-of the scalar API.  ``euler`` and ``measure`` re-export these names next to
+(the cached eigenvalue-box quadrature at ``points`` Gauss-Legendre points per
+axis, an int, times the exact coset integral).  It defines no typed
+coordinate, and ``tensorgrid`` loads only when a quadrature runs, so
+``sample``, ``volume`` and both ``integrate`` methods run no module of the
+scalar API.  ``euler`` and ``measure`` re-export these names next to
 that API and the independent check forms.
 """
 
@@ -229,11 +230,10 @@ def coset_angles_from_uniforms(n: int, u: np.ndarray) -> np.ndarray:
 @functools.cache
 def _eigen_integral(n: int, pts: int) -> float:
     """Cached Gauss-Legendre quadrature of the eigenvalue factor over its box."""
-    from .tensorgrid import QuadratureSpec, tensor_quadrature
+    from .tensorgrid import tensor_quadrature
 
     lower, upper = zip(*EIGEN_RANGES[n])
-    return tensor_quadrature(lambda p: eigen_measure_factor(n, p), lower, upper,
-                             QuadratureSpec(pts))
+    return tensor_quadrature(lambda p: eigen_measure_factor(n, p), lower, upper, pts)
 
 
 # reference resolutions of the eigenvalue-box quadrature (Gauss-Legendre);
@@ -245,16 +245,17 @@ REFERENCE_POINTS = {2: 64, 3: 10}
 _COSET_VOLUME = {2: math.pi, 3: math.pi ** 3 / 4}
 
 
-def normalization_constant(n: int, points_per_axis: int | None = None) -> float:
+def normalization_constant(n: int, points: int | None = None) -> float:
     """Integral of the RAW joint density over the angle box (cached).
 
     The RAW density is an eigenvalue-angle factor times the coset factor, so
     the integral is the eigenvalue-box quadrature times the exact coset
-    integral ``coset_normalization_constant(n)``.  A float ``points_per_axis``
-    is a TypeError, not truncated to the rule below it.
+    integral ``coset_normalization_constant(n)``, the quadrature at ``points``
+    per axis (default ``REFERENCE_POINTS[n]``).  A float ``points`` is a
+    TypeError, not truncated to the rule below it.
     """
     check_n(n)
-    pts = REFERENCE_POINTS[n] if points_per_axis is None else operator.index(points_per_axis)
+    pts = REFERENCE_POINTS[n] if points is None else operator.index(points)
     return _eigen_integral(n, pts) * coset_normalization_constant(n)
 
 

@@ -107,18 +107,16 @@ def haar_coset_density(coset: CosetAngles) -> float:
 # joint density and normalization
 # ---------------------------------------------------------------------------
 
-def joint_density_batch(n: int, points: np.ndarray, normalized: bool = False) -> np.ndarray:
-    """RAW (or normalized) joint density on stacked full-coordinate rows."""
+def joint_density_batch(n: int, points: np.ndarray) -> np.ndarray:
+    """RAW joint density on stacked full-coordinate rows."""
     check_n(n)
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     k = n - 1
-    dens = (eigen_measure_factor(n, points[:, :k])
+    return (eigen_measure_factor(n, points[:, :k])
             * coset_measure_factor(n, points[:, k:]))
-    if normalized:
-        dens = dens / normalization_constant(n)
-    return dens
 
 
 def bures_joint_density(p: DensityMatrixParams, normalized: bool = False) -> float:
     """RAW (or normalized) joint coordinate density at one parameter point."""
-    return float(joint_density_batch(p.n, p.values(), normalized)[0])
+    dens = float(joint_density_batch(p.n, p.values())[0])
+    return dens / normalization_constant(p.n) if normalized else dens

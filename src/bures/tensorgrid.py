@@ -6,16 +6,17 @@ integrand is analytic on the closed box, as for the normalization constant
 and the mean purity (n=3: roundoff from 64 points per axis on).  The mean
 entropy converges only algebraically, since lam_2 ln lam_2 is not analytic
 at the box edge t1 = 0: for n=3 it is 2.8e-12 off at 64 points, 2.5e-13 at
-96 and 7e-16 at 256, against mpmath's tanh-sinh value.  Each rule on
-[-1, 1] is built once per point count per process: numpy's ``leggauss``
-finds the nodes with a dense O(P^3) eigensolve (the Golub-Welsch
-construction, Math. Comp. 23 (1969) 221), which at 1024 points is about as
-slow as the 1024^2-node quadrature it feeds.
+96 and 7e-16 at 256, against mpmath's tanh-sinh value.  The rule's one
+setting is ``points``, its point count per axis, an int (a float is a
+TypeError).  Each rule on [-1, 1] is built once per ``points`` per process:
+numpy's ``leggauss`` finds the nodes with a dense O(P^3) eigensolve (the
+Golub-Welsch construction, Math. Comp. 23 (1969) 221), which at 1024 points
+is about as slow as the 1024^2-node quadrature it feeds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from functools import cache
 from typing import Callable, Sequence
 
@@ -30,15 +31,6 @@ MIN_POINTS = 4
 _BLOCK_NODES = 8192
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    points_per_axis: int
-
-    def __post_init__(self):
-        if self.points_per_axis < 2:
-            raise ValueError("points_per_axis must be >= 2")
-
-
 @cache
 def _unit_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only nodes and weights of the Gauss-Legendre rule on [-1, 1]."""
@@ -49,7 +41,9 @@ def _unit_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def axis_rule(points: int, lo: float, hi: float):
-    """Nodes and weights of the Gauss-Legendre rule on [lo, hi] (new arrays)."""
+    """Nodes and weights of the ``points``-point Gauss-Legendre rule on
+    [lo, hi] (new arrays); a float ``points`` is a TypeError."""
+    points = operator.index(points)
     if points < 2:
         raise ValueError("points must be >= 2")
     x, w = _unit_rule(points)
@@ -59,9 +53,9 @@ def axis_rule(points: int, lo: float, hi: float):
 
 def tensor_quadrature(fn: Callable[[np.ndarray], np.ndarray],
                       lower: Sequence[float], upper: Sequence[float],
-                      spec: QuadratureSpec) -> float:
-    """Integrate ``fn`` over the 1-D or 2-D box [lower, upper] with a
-    tensor-product rule.
+                      points: int) -> float:
+    """Integrate ``fn`` over the 1-D or 2-D box [lower, upper] with the
+    tensor-product rule of ``points`` Gauss-Legendre points per axis.
 
     ``fn`` receives the nodes as an (N, d) array and returns (N,) values.  It
     is called on whole rows of the first axis (each row runs over the second
@@ -77,11 +71,11 @@ def tensor_quadrature(fn: Callable[[np.ndarray], np.ndarray],
         raise ValueError("lower/upper must be 1-D and of equal length")
     if lower.size not in (1, 2):
         raise ValueError(f"boxes of dimension 1 or 2 only, got {lower.size}")
-    x0, w0 = axis_rule(spec.points_per_axis, lower[0], upper[0])
+    x0, w0 = axis_rule(points, lower[0], upper[0])
     if lower.size == 1:
         step = _BLOCK_NODES
     else:
-        x1, w1 = axis_rule(spec.points_per_axis, lower[1], upper[1])
+        x1, w1 = axis_rule(points, lower[1], upper[1])
         step = max(1, _BLOCK_NODES // len(x1))
     total = 0.0
     for start in range(0, len(x0), step):

@@ -15,7 +15,7 @@ from bures.euler import (density_batch, density_from_params,
                          params_from_density_2, params_from_values)
 from bures.functionals import FunctionalId, from_eigenvalues
 from bures.generators import generator_set
-from bures.integrate import integrate, integrate_mc
+from bures.integration import integrate, integrate_mc
 from bures.kernels import coset_unitary_batch
 from bures.measure import joint_density_batch, normalization_constant
 from bures.euler import CosetAngles
@@ -109,8 +109,8 @@ def test_criterion_4_two_state_densities():
 def test_criterion_5_normalization_constants():
     z2 = normalization_constant(2)
     dev2 = abs(z2 - math.pi ** 2)
-    z3a = normalization_constant(3, points_per_axis=8)
-    z3b = normalization_constant(3, points_per_axis=10)
+    z3a = normalization_constant(3, points=8)
+    z3b = normalization_constant(3, points=10)
     rel = abs(z3a - z3b) / z3b
     pin = abs(z3b - VOLUME[3]) / VOLUME[3]
     ok = dev2 <= 1e-6 and rel <= 1e-4 and pin <= 1e-6

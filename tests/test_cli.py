@@ -342,7 +342,7 @@ class TestCheckCommand:
                 out = out * (1 - 0.3 * np.sin(np.asarray(angles)[..., 1]) ** 2)
             return out
 
-        for module in (kernels, importlib.import_module("bures.integrate"), checks):
+        for module in (kernels, importlib.import_module("bures.integration"), checks):
             monkeypatch.setattr(module, "eigen_measure_factor", perturbed)
         # the cached box integral would otherwise hold the true Z3 during the
         # test and the perturbed one after it
@@ -607,8 +607,7 @@ class TestSubprocessEntry:
          "normalized"],
         # the library, which leaves the BLAS thread count to the environment
         ["-c", "import bures\n"
-               "r = bures.integrate(3, bures.FunctionalId.parse('entropy'),\n"
-               "                    bures.QuadratureSpec(256))\n"
+               "r = bures.integrate(3, bures.FunctionalId.parse('entropy'), 256)\n"
                "print(r.value.hex(), r.error_estimate.hex())"],
     ], ids=["integrate", "volume", "density", "library"])
     def test_quadrature_bytes_do_not_depend_on_blas(self, argv):

@@ -8,11 +8,10 @@ import pytest
 
 from bures.checks import MEAN_ENTROPY, MEAN_PURITY
 from bures.functionals import FunctionalId, from_matrices
-from bures.integrate import IntegrationResult, integrate, integrate_mc
+from bures.integration import IntegrationResult, integrate, integrate_mc
 from bures import sampling
 from bures.kernels import density_batch
 from bures.sampling import sample, sample_chunks
-from bures.tensorgrid import QuadratureSpec
 from conftest import cli_usage
 
 ENTROPY = FunctionalId.parse("entropy")
@@ -43,14 +42,14 @@ class TestQuadrature2:
         assert abs(res.value - MEAN_ENTROPY_2) <= 1e-5
 
     def test_result_metadata(self):
-        res = integrate(2, PURITY, QuadratureSpec(16))
+        res = integrate(2, PURITY, 16)
         assert isinstance(res, IntegrationResult)
         assert [f.name for f in dataclasses.fields(res)] == ["value", "error_estimate"]
 
 
 class TestQuadrature3:
     def test_constant_normalizes_to_one(self):
-        res = integrate(3, CONST, QuadratureSpec(6))
+        res = integrate(3, CONST, 6)
         assert abs(res.value - 1.0) <= 1e-4
 
     def test_spectral_reduction_pins(self):
@@ -63,14 +62,14 @@ class TestQuadrature3:
         # entropy converges only algebraically (lam_2 ln lam_2 is not
         # analytic at the box edge t1 = 0): 2.8e-12 off at 64 points, 7e-16
         # at 256; purity is at roundoff from 64 points up
-        spec = QuadratureSpec(256)
-        assert abs(integrate(3, ENTROPY, spec).value - MEAN_ENTROPY[3]) <= 1e-13
-        assert abs(integrate(3, PURITY, spec).value - MEAN_PURITY[3]) <= 1e-13
+        points = 256
+        assert abs(integrate(3, ENTROPY, points).value - MEAN_ENTROPY[3]) <= 1e-13
+        assert abs(integrate(3, PURITY, points).value - MEAN_PURITY[3]) <= 1e-13
 
     def test_six_points_meet_the_benchmark_bound(self):
         # the `integrate --n 3 --functional entropy --points 6` run checked
         # against the same pin and bound by the benchmark
-        res = integrate(3, ENTROPY, QuadratureSpec(6))
+        res = integrate(3, ENTROPY, 6)
         assert abs(res.value - MEAN_ENTROPY[3]) <= 1e-4
 
 
@@ -116,7 +115,7 @@ class TestMonteCarlo:
     def test_kernels_see_bounded_slabs(self, monkeypatch):
         # every batch kernel on the sampler and MC paths gets at most one
         # slab of rows, however large the index chunk
-        rows, mc = {}, importlib.import_module("bures.integrate")
+        rows, mc = {}, importlib.import_module("bures.integration")
         calls = [(sampling, "eigen_measure_factor"), (sampling, "coset_angles_from_uniforms"),
                  (mc, "density_batch"), (mc, "from_matrices")]
         for module, name in calls:
@@ -190,7 +189,15 @@ class TestValidation:
     def test_too_few_points(self):
         # below 4 the half-resolution rerun (P // 2) is not a rule of 2+ points
         with pytest.raises(ValueError):
-            integrate(2, PURITY, QuadratureSpec(3))
+            integrate(2, PURITY, 3)
+
+    def test_points_is_an_int(self):
+        # a float is a TypeError, not truncated to a rule; any integer type
+        # gives the same rule, bit for bit
+        with pytest.raises(TypeError):
+            integrate(3, ENTROPY, 6.0)
+        bits = lambda r: (r.value.hex(), r.error_estimate.hex())
+        assert bits(integrate(3, ENTROPY, np.int64(64))) == bits(integrate(3, ENTROPY))
 
     def test_bad_functional(self):
         with pytest.raises(TypeError):

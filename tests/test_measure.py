@@ -16,7 +16,7 @@ from bures.measure import (bures_joint_density, coset_measure_factor,
                            eigenvalue_jacobian, haar_coset_density,
                            hall_density, joint_density_batch,
                            normalization_constant)
-from bures.tensorgrid import QuadratureSpec, axis_rule, tensor_quadrature
+from bures.tensorgrid import axis_rule, tensor_quadrature
 from conftest import random_box_points
 
 # independent high-resolution evaluations (frozen; see also pi^2 and pi^3/4).
@@ -197,8 +197,8 @@ class TestNormalization:
         assert abs(normalization_constant(2) - math.pi ** 2) <= 1e-8
 
     def test_two_state_resolution_stability(self):
-        z32 = normalization_constant(2, points_per_axis=32)
-        z64 = normalization_constant(2, points_per_axis=64)
+        z32 = normalization_constant(2, points=32)
+        z64 = normalization_constant(2, points=64)
         assert abs(z32 - z64) <= 1e-6
 
     def test_three_state_pinned(self):
@@ -207,14 +207,14 @@ class TestNormalization:
     def test_three_state_64_points_meet_the_independent_value(self):
         # the eigenvalue factor is analytic on the box, so Gauss-Legendre
         # reaches roundoff: 3.3e-16 relative at 64 points
-        z = normalization_constant(3, points_per_axis=64)
+        z = normalization_constant(3, points=64)
         assert abs(z - VOLUME[3]) <= 1e-14 * VOLUME[3]
 
     @staticmethod
     def _coset_quadrature(n: int) -> float:
         lower, upper = zip(*COSET_RANGES[n])
         return tensor_quadrature(lambda p: coset_measure_factor(n, p),
-                                 lower, upper, QuadratureSpec(10))
+                                 lower, upper, 10)
 
     def test_coset_constant_3state(self):
         # pi^3 from the three free diagonal angles, 1/4 from the rest; the
@@ -243,9 +243,9 @@ class TestNormalization:
     def test_non_integral_points_rejected(self):
         # int(3.7) would run the 3-point rule
         with pytest.raises(TypeError):
-            normalization_constant(2, points_per_axis=3.7)
-        assert normalization_constant(2, points_per_axis=np.int64(32)) == \
-            normalization_constant(2, points_per_axis=32)
+            normalization_constant(2, points=3.7)
+        assert normalization_constant(2, points=np.int64(32)) == \
+            normalization_constant(2, points=32)
 
 
 # each batch kernel on rows shaped for n=3, which an unchecked n would run

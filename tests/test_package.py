@@ -2,6 +2,7 @@ import ast
 import importlib.util
 import json
 import os
+import pkgutil
 import re
 import runpy
 import subprocess
@@ -34,14 +35,22 @@ def test_import_loads_no_numpy():
     assert r.returncode == 0, r.stderr
 
 
+def test_no_public_name_is_a_submodule():
+    # importing a submodule binds it on the package, so a public name shared
+    # with a submodule would be the function or the module depending on
+    # import order
+    modules = {info.name for info in pkgutil.iter_modules(bures.__path__)}
+    assert not set(bures.__all__) & modules
+
+
 def test_integrate_export_is_the_function():
-    # the submodule `bures.integrate` shares the function's name; importing
-    # it first must not put the module in the function's place
-    code = ("import bures.integrate, bures\n"
+    # importing the submodule that defines `integrate` first must leave the
+    # package's `integrate` the function
+    code = ("import bures.integration, bures\n"
             "from bures import integrate\n"
             "assert bures.integrate is integrate\n"
             "assert callable(integrate), integrate\n"
-            "assert integrate.__module__ == 'bures.integrate'\n")
+            "assert integrate.__module__ == 'bures.integration'\n")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert callable(bures.integrate)
@@ -88,21 +97,21 @@ _QUADRATURE_UNUSED = {"bures.sampling", "bures.floatfmt", "bures.generators",
     (["integrate", "--help"], set(), None),
     (["integrate", "--n", "4", "--functional", "entropy"], set(), None),
     (["integrate", "--n", "3", "--functional", "entropy", "--points", "8"],
-     {"bures.integrate", "bures.kernels", "bures.tensorgrid"}, _QUADRATURE_UNUSED),
+     {"bures.integration", "bures.kernels", "bures.tensorgrid"}, _QUADRATURE_UNUSED),
     (["volume", "--n", "3", "--points", "4"], {"bures.kernels", "bures.tensorgrid"},
-     _QUADRATURE_UNUSED | {"bures.integrate", "bures.functionals"}),
+     _QUADRATURE_UNUSED | {"bures.integration", "bures.functionals"}),
     (["integrate", "--n", "2", "--functional", "purity", "--method", "mc",
-      "--samples", "100"], {"bures.integrate", "bures.kernels", "bures.sampling"},
+      "--samples", "100"], {"bures.integration", "bures.kernels", "bures.sampling"},
      {"bures.floatfmt", "bures.generators", "bures.linalg", "bures.checks",
       "bures.tensorgrid"} | _SCALAR_API),
     (["sample", "--n", "3", "--count", "10", "--seed", "1"],
      {"bures.sampling", "bures.kernels", "bures.floatfmt"},
-     {"bures.integrate", "bures.functionals", "bures.generators", "bures.linalg",
+     {"bures.integration", "bures.functionals", "bures.generators", "bures.linalg",
       "bures.checks", "bures.tensorgrid"} | _SCALAR_API),
     (["density", "--n", "3", "--params",
       "theta1=0.31,theta2=0.77,alpha=2.13,beta=0.95,gamma=0.41,theta_big=1.02,a=2.9,b=0.2"],
      {"bures.kernels"} | _SCALAR_API,
-     {"bures.sampling", "bures.floatfmt", "bures.integrate", "bures.functionals",
+     {"bures.sampling", "bures.floatfmt", "bures.integration", "bures.functionals",
       "bures.tensorgrid", "bures.checks", "numpy.random"}),
 ], ids=["help", "integrate-help", "usage-error", "quadrature", "volume", "mc", "sample",
         "density"])
@@ -126,13 +135,13 @@ def test_cli_import_registers_the_subcommand_modules():
     # code that looks the modules up right after `import bures.cli` finds
     # each one a subcommand runs, and runs it on first use
     code = ("import sys, bures.cli, bures\n"
-            "names = ('euler', 'floatfmt', 'functionals', 'generators', 'integrate',\n"
+            "names = ('euler', 'floatfmt', 'functionals', 'generators', 'integration',\n"
             "         'kernels', 'linalg', 'measure', 'sampling', 'tensorgrid')\n"
             "assert all('bures.' + n in sys.modules for n in names)\n"
             "assert 'numpy' not in sys.modules\n"
             "assert bures.sampling.sample.__module__ == 'bures.sampling'\n"
             "assert sys.modules['bures.measure'].normalization_constant(2) > 0\n"
-            "assert bures.integrate.__module__ == 'bures.integrate'\n")
+            "assert bures.integrate.__module__ == 'bures.integration'\n")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
 
