@@ -178,20 +178,24 @@ def density_from_params(p: DensityMatrixParams) -> np.ndarray:
 # validation and the n=2 inverse map
 # ---------------------------------------------------------------------------
 
-def validate_density(rho, n: int | None = None, tol: float = 1e-10) -> np.ndarray:
-    """Check finite entries, Hermiticity, unit trace and positive semidefiniteness."""
+DENSITY_TOL = 1e-10     # Hermiticity, trace and eigenvalue tolerance
+
+
+def validate_density(rho, n: int | None = None) -> np.ndarray:
+    """Check finite entries, Hermiticity, unit trace and positive
+    semidefiniteness, each to ``DENSITY_TOL``."""
     m = as_square(rho, "rho")
     if n is not None and m.shape[0] != n:
         raise NotADensityMatrixError(f"expected {n}x{n}, got {m.shape[0]}x{m.shape[0]}")
     # a NaN fails no tolerance test below, so non-finite entries go first
     if not np.isfinite(m).all():
         raise NotADensityMatrixError("entries must be finite")
-    if np.linalg.norm(m - m.conj().T) > tol:
+    if np.linalg.norm(m - m.conj().T) > DENSITY_TOL:
         raise NotADensityMatrixError("not Hermitian to tolerance")
-    if abs(np.trace(m).real - 1.0) > tol or abs(np.trace(m).imag) > tol:
+    if abs(np.trace(m).real - 1.0) > DENSITY_TOL or abs(np.trace(m).imag) > DENSITY_TOL:
         raise NotADensityMatrixError(f"trace is {np.trace(m):.12g}, expected 1")
     w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    if w.min() < -tol:
+    if w.min() < -DENSITY_TOL:
         raise NotADensityMatrixError(f"negative eigenvalue {w.min():.3e}")
     return m
 
@@ -223,7 +227,7 @@ def params_from_density_2(rho) -> Inverse2Result:
     angles are not identifiable; they are set to zero and ``degenerate`` is
     flagged.
     """
-    m = validate_density(rho, n=2, tol=1e-10)
+    m = validate_density(rho, n=2)
     a, d, off = m[0, 0].real, m[1, 1].real, complex(m[0, 1])
     h = math.hypot(0.5 * (a - d), abs(off))
     lam_max = 0.5 * (a + d) + h

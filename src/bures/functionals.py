@@ -1,4 +1,11 @@
-"""Spectral functionals of density matrices: entropy, purity, moments."""
+"""Spectral functionals of density matrices: entropy, purity, moments.
+
+Each functional has one form, ``from_matrices`` on stacked matrices (and
+``from_eigenvalues`` on stacked spectra, which shares its sums).  The scalar
+``von_neumann_entropy``, ``purity`` and ``eigenvalue_moment`` validate their
+one matrix and run it as a stack of one, so for n=2 they read the closed-form
+spectrum, not ``eigvalsh``; ``eigvalsh`` stays as the check on that spectrum.
+"""
 
 from __future__ import annotations
 
@@ -118,32 +125,27 @@ def from_matrices(fid: FunctionalId, rhos: np.ndarray) -> np.ndarray:
     return _from_columns(fid, [np.maximum(v, 0.0, out=v) for v in _spectrum_columns(rhos)])
 
 
-def _validated(rho, tol: float) -> np.ndarray:
-    # the scalar functionals only: the batch evaluators, which integrate
-    # runs, need nothing of euler's typed API
+def _one(fid: FunctionalId, rho) -> float:
+    # the scalar functionals: from_matrices on the one validated matrix.  The
+    # batch evaluators, which integrate runs, need nothing of euler's typed API
     from .euler import validate_density
 
-    return validate_density(rho, tol=tol)
+    return float(from_matrices(fid, validate_density(rho)[None])[0])
 
 
-def von_neumann_entropy(rho, tol: float = 1e-10) -> float:
+def von_neumann_entropy(rho) -> float:
     """-sum lam_i ln(lam_i) over the spectrum (natural log, 0 ln 0 := 0)."""
-    m = _validated(rho, tol)
-    lam = np.clip(np.linalg.eigvalsh(m), 0.0, None)
-    return max(0.0, float(-_xlogx(lam).sum()))
+    return max(0.0, _one(FunctionalId(FunctionalKind.VON_NEUMANN_ENTROPY), rho))
 
 
-def purity(rho, tol: float = 1e-10) -> float:
+def purity(rho) -> float:
     """Tr(rho^2), in (0, 1]."""
-    m = _validated(rho, tol)
-    return float((np.abs(m) ** 2).sum())
+    return _one(FunctionalId(FunctionalKind.PURITY), rho)
 
 
-def eigenvalue_moment(rho, k: int, tol: float = 1e-10) -> float:
+def eigenvalue_moment(rho, k: int) -> float:
     """sum lam_i^k over the spectrum, k an integer >= 1 (a float is a TypeError)."""
     k = operator.index(k)
     if k < 1:
         raise ValueError("moment order must be >= 1")
-    m = _validated(rho, tol)
-    lam = np.clip(np.linalg.eigvalsh(m), 0.0, None)
-    return float((lam ** k).sum())
+    return _one(FunctionalId(FunctionalKind.EIGENVALUE_MOMENT, k), rho)

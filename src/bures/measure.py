@@ -16,9 +16,11 @@ analytically so the product stays finite there.  The normalization constant
 is a Gauss-Legendre quadrature of the eigenvalue factor over its box times
 the exact coset integral.
 
-This module holds the scalar API on the typed coordinates and the check
-forms (``hall_density``, ``eigenvalue_jacobian``, ``haar_coset_density``).
-The fast vectorized factors (``eigen_measure_factor`` and its exact sup
+This module holds the check forms (``hall_density``,
+``eigenvalue_jacobian``, ``haar_coset_density``) and the scalar density on
+the typed coordinates, ``bures_joint_density``, which is the product of the
+two ``kernels`` factors on its one row: no second batch form.  The fast
+vectorized factors (``eigen_measure_factor`` and its exact sup
 ``EIGEN_FACTOR_SUP``, ``coset_measure_factor`` and its inverse CDFs
 ``coset_angles_from_uniforms``) and the normalization constants live in
 ``kernels``.
@@ -32,8 +34,7 @@ import numpy as np
 
 from .euler import CosetAngles, DensityMatrixParams, EigenvalueAngles, factor_chain
 from .generators import generator_set
-from .kernels import (check_n, coset_measure_factor, eigen_measure_factor,
-                      normalization_constant)
+from .kernels import coset_measure_factor, eigen_measure_factor, normalization_constant
 from .linalg import expm_i_generator
 
 
@@ -104,19 +105,13 @@ def haar_coset_density(coset: CosetAngles) -> float:
 
 
 # ---------------------------------------------------------------------------
-# joint density and normalization
+# joint density
 # ---------------------------------------------------------------------------
 
-def joint_density_batch(n: int, points: np.ndarray) -> np.ndarray:
-    """RAW joint density on stacked full-coordinate rows."""
-    check_n(n)
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    k = n - 1
-    return (eigen_measure_factor(n, points[:, :k])
-            * coset_measure_factor(n, points[:, k:]))
-
-
 def bures_joint_density(p: DensityMatrixParams, normalized: bool = False) -> float:
-    """RAW (or normalized) joint coordinate density at one parameter point."""
-    dens = float(joint_density_batch(p.n, p.values())[0])
+    """RAW (or normalized) joint coordinate density at one parameter point:
+    the eigenvalue factor times the coset factor, each the kernel on its
+    one-row array."""
+    dens = float((eigen_measure_factor(p.n, [p.eigen.angles])
+                  * coset_measure_factor(p.n, [p.coset.angles]))[0])
     return dens / normalization_constant(p.n) if normalized else dens

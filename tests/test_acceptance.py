@@ -16,8 +16,8 @@ from bures.euler import (density_batch, density_from_params,
 from bures.functionals import FunctionalId, from_eigenvalues
 from bures.generators import generator_set
 from bures.integration import integrate, integrate_mc
-from bures.kernels import coset_unitary_batch
-from bures.measure import joint_density_batch, normalization_constant
+from bures.kernels import coset_measure_factor, coset_unitary_batch, eigen_measure_factor
+from bures.measure import normalization_constant
 from bures.euler import CosetAngles
 from bures.sampling import sample
 from conftest import random_box_points
@@ -98,7 +98,7 @@ def test_criterion_4_two_state_densities():
             dev_coset = max(dev_coset, abs(d - math.sin(2 * be)))
     rng = np.random.default_rng(1004)
     pts = random_box_points(2, 100, rng)
-    raw = joint_density_batch(2, pts)
+    raw = eigen_measure_factor(2, pts[:, :1]) * coset_measure_factor(2, pts[:, 1:])
     want = 8 * np.cos(2 * pts[:, 0]) ** 2 * np.sin(2 * pts[:, 2])
     dev_joint = float(np.abs(raw - want).max())
     ok = dev_coset <= 1e-10 and dev_joint <= 1e-10

@@ -278,6 +278,30 @@ class TestVolumeCommand:
         assert rec["error_estimate"] / rec["value"] < 1e-4
 
 
+def _help(capsys, monkeypatch, command: str) -> str:
+    monkeypatch.setenv("COLUMNS", "1000")       # each option's help on one line
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_states_the_constants(capsys, monkeypatch):
+    # the help text writes the defaults and bounds as literals; each is the
+    # constant the command runs with
+    from bures.integration import DEFAULT_POINTS
+    from bures.tensorgrid import MIN_POINTS
+    bounds = f"{MIN_POINTS} to {cli.MAX_POINTS})"
+    out = _help(capsys, monkeypatch, "integrate")
+    assert (f"(method=quadrature; default {DEFAULT_POINTS[2]} for n=2, "
+            f"{DEFAULT_POINTS[3]} for n=3; {bounds}") in out
+    assert f"(method=mc; at least 2, default {cli.DEFAULT_SAMPLES});" in out
+    assert f"one sampler chunk of {sampling._INDEX_CHUNK} samples" in out
+    out = _help(capsys, monkeypatch, "volume")
+    assert (f"(default {kernels.REFERENCE_POINTS[2]} for n=2, "
+            f"{kernels.REFERENCE_POINTS[3]} for n=3; {bounds}") in out
+
+
 class TestCheckCommand:
     def test_fast_suite_passes_quickly(self, capsys):
         import time

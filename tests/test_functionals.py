@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bures.euler import NotADensityMatrixError, density_batch
+from bures.euler import NotADensityMatrixError, density_batch, validate_density
 from bures.functionals import (FunctionalId, FunctionalKind, eigenvalue_moment,
                                from_eigenvalues, from_matrices, purity,
                                spectrum_batch, von_neumann_entropy)
@@ -69,6 +69,30 @@ class TestMoments:
         # sum lam^2.5 is no eigenvalue moment of integer order
         with pytest.raises(TypeError):
             eigenvalue_moment(np.eye(2) / 2, order)
+
+
+class TestScalarForm:
+    """The scalar functionals are ``from_matrices`` on a stack of one."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_scalar_is_the_batch_form(self, rng, n):
+        pts = random_box_points(n, 200, rng)
+        rhos = density_batch(n, pts[:, :n - 1], pts[:, n - 1:])
+        cases = [("purity", purity), ("entropy", von_neumann_entropy)]
+        cases += [(f"moment:{k}", lambda m, k=k: eigenvalue_moment(m, k)) for k in (1, 2, 3)]
+        for text, scalar in cases:
+            batch = from_matrices(FunctionalId.parse(text), rhos)
+            if text == "entropy":
+                batch = np.maximum(batch, 0.0)
+            got = np.array([scalar(m) for m in rhos])
+            assert got.tobytes() == batch.tobytes(), text
+
+    def test_tolerance_is_not_a_parameter(self):
+        rho = np.eye(2) / 2
+        for fn in (validate_density, von_neumann_entropy, purity,
+                   lambda m, **kw: eigenvalue_moment(m, 2, **kw)):
+            with pytest.raises(TypeError):
+                fn(rho, tol=1e-6)
 
 
 class TestFunctionalId:

@@ -14,8 +14,7 @@ from bures.kernels import (THETA2_MAX, coset_angles_from_uniforms,
 from bures.measure import (bures_joint_density, coset_measure_factor,
                            eigen_measure_factor,
                            eigenvalue_jacobian, haar_coset_density,
-                           hall_density, joint_density_batch,
-                           normalization_constant)
+                           hall_density, normalization_constant)
 from bures.tensorgrid import axis_rule, tensor_quadrature
 from conftest import random_box_points
 
@@ -155,6 +154,11 @@ class TestCosetDensity:
                 assert abs(val - haar_coset_density(CosetAngles(n, tuple(row)))) <= 1e-13
 
 
+def _factor_product(n: int, pts: np.ndarray) -> np.ndarray:
+    """RAW joint density on full-coordinate rows: eigen factor x coset factor."""
+    return eigen_measure_factor(n, pts[:, :n - 1]) * coset_measure_factor(n, pts[:, n - 1:])
+
+
 class TestJointDensity:
     def test_degenerate_point_vanishes(self):
         # cos(2 theta)^2 at theta = float(pi/4); zero up to roundoff of pi/2
@@ -163,7 +167,7 @@ class TestJointDensity:
 
     def test_two_state_analytic(self, rng):
         pts = random_box_points(2, 100, rng)
-        dens = joint_density_batch(2, pts)
+        dens = _factor_product(2, pts)
         want = 8 * np.cos(2 * pts[:, 0]) ** 2 * np.sin(2 * pts[:, 2])
         assert np.abs(dens - want).max() <= 1e-10
 
@@ -174,7 +178,7 @@ class TestJointDensity:
 
     def test_nonnegative_everywhere(self, rng):
         for n in (2, 3):
-            assert joint_density_batch(n, random_box_points(n, 500, rng)).min() >= 0.0
+            assert _factor_product(n, random_box_points(n, 500, rng)).min() >= 0.0
 
     def test_modes(self):
         p = params_from_values(2, [0.3, 0.5, 0.7])
@@ -184,12 +188,13 @@ class TestJointDensity:
         assert raw == bures_joint_density(p, normalized=False)
         assert abs(norm - raw / normalization_constant(2)) <= 1e-15
 
-    def test_scalar_matches_batch(self, rng):
-        for n in (2, 3):
-            row = random_box_points(n, 1, rng)[0]
-            p = params_from_values(n, row)
-            assert abs(bures_joint_density(p)
-                       - joint_density_batch(n, row[None, :]).item()) <= 1e-12
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_scalar_is_the_factor_product(self, rng, n):
+        # the one form: the scalar is the two kernel factors on its row
+        for row in random_box_points(n, 50, rng):
+            got = bures_joint_density(params_from_values(n, row))
+            assert type(got) is float
+            assert got == _factor_product(n, row[None, :])[0]
 
 
 class TestNormalization:
@@ -250,9 +255,8 @@ class TestNormalization:
 
 # each batch kernel on rows shaped for n=3, which an unchecked n would run
 # through the n=3 formulas
-_ROW8, _ROW6, _ROW2 = np.full((1, 8), 0.3), np.full((1, 6), 0.3), np.full((1, 2), 0.3)
+_ROW6, _ROW2 = np.full((1, 6), 0.3), np.full((1, 2), 0.3)
 _BATCH_KERNELS = {
-    "joint_density_batch": lambda n: joint_density_batch(n, _ROW8),
     "diag_eigenvalues_batch": lambda n: diag_eigenvalues_batch(n, _ROW2),
     "density_batch": lambda n: density_batch(n, _ROW2, _ROW6),
     "eigen_measure_factor": lambda n: eigen_measure_factor(n, _ROW2),
