@@ -294,22 +294,18 @@ def check_jacobian_fd_3state() -> CheckResult:
 
 
 def check_volume() -> CheckResult:
-    """Z at 64 points per axis within 1e-13, and at the default points, which
-    ``volume`` and NORMALIZED use, within 1e-10 (n=3's 10 points: 3.8e-12);
-    the deviation is the largest relative gap over its tolerance."""
-    dev = max(_relative_gap(normalization_constant(n, pts), VOLUME[n]) / tol
-              for n in (2, 3) for pts, tol in ((64, 1e-13), (None, 1e-10)))
-    return _result("volume", dev, 1.0)
+    """Z at the default points, which ``volume`` and NORMALIZED use, as a
+    relative gap (about 2e-15 for both n)."""
+    dev = max(_relative_gap(normalization_constant(n), VOLUME[n]) for n in (2, 3))
+    return _result("volume", dev, 1e-14)
 
 
-def _mean_gap(functional: FunctionalId, table: dict[int, float],
-              points: int | None = None) -> float:
-    return max(abs(integrate(n, functional, points).value - table[n]) for n in (2, 3))
+def _mean_gap(functional: FunctionalId, table: dict[int, float]) -> float:
+    return max(abs(integrate(n, functional).value - table[n]) for n in (2, 3))
 
 
 def check_mean_entropy() -> CheckResult:
-    return _result("mean_entropy", _mean_gap(_ENTROPY, MEAN_ENTROPY, 256),
-                   1e-13)
+    return _result("mean_entropy", _mean_gap(_ENTROPY, MEAN_ENTROPY), 1e-13)
 
 
 def check_entropy_error_estimate() -> CheckResult:

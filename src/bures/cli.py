@@ -33,11 +33,17 @@ a pipe, is grown to 1 MiB, so that it holds a whole block and the reader
 drains it while the next is formed.  ``density`` prints rho from the
 same kernel on its one row, and the eigenvalues from the closed-form spectrum
 (``kernels.diag_eigenvalues_batch``), in descending order.  Quadrature has
-one rule, Gauss-Legendre on the eigenvalue box, and records name it in their
-``rule`` field.  ``tensorgrid`` evaluates it on whole rows of the box in
-blocks of at most 8192 nodes, sums each block pairwise with numpy and adds
-the block sums in index order, so its memory does not grow with ``--points``
-and its bytes do not depend on the BLAS library, kernel or thread count.
+one rule, ``kernels.eigen_box_integral``: Gauss-Legendre on the eigenvalue
+box, its first axis graded toward the edge where lam ln lam is singular,
+and records name it in their ``rule`` field.  Every quadrature, ``volume``
+and ``integrate`` for both n, defaults to 32 points per axis
+(``kernels.QUADRATURE_POINTS``), and both report the gap to a rerun at half
+the points (``comparison_points`` in ``volume``'s record), with an ulp
+floor, as the error estimate.  ``tensorgrid`` evaluates the rule on whole
+rows of the box in blocks of at most 8192 nodes, sums each block pairwise
+with numpy and adds the block sums in index order, so its memory does not
+grow with ``--points`` and its bytes do not depend on the BLAS library,
+kernel or thread count.
 ``integrate`` rejects an option of the method it does not run
 (``--points`` with ``--method mc``, ``--samples``/``--seed`` with
 quadrature).  ``--points`` is in [4, 1024] per axis: from 4 up the error
@@ -182,10 +188,10 @@ def parse_params(n: int, tokens: list[str]):
     return params_from_values(n, [got[nm] for nm in expected])
 
 
-def _points(args, default: int) -> int:
-    from .tensorgrid import MIN_POINTS
+def _points(args) -> int:
+    from .kernels import MIN_POINTS, QUADRATURE_POINTS
 
-    points = default if args.points is None else args.points
+    points = QUADRATURE_POINTS if args.points is None else args.points
     if not MIN_POINTS <= points <= MAX_POINTS:
         raise ValueError(f"--points must be in [{MIN_POINTS}, {MAX_POINTS}], got {points}")
     return points
@@ -282,7 +288,7 @@ def cmd_sample(args) -> int:
 
 def cmd_integrate(args) -> int:
     from .functionals import FunctionalId
-    from .integration import DEFAULT_POINTS, integrate, integrate_mc
+    from .integration import integrate, integrate_mc
 
     fid = FunctionalId.parse(args.functional)
     # each method takes only its own options; the defaults are set here so
@@ -303,7 +309,7 @@ def cmd_integrate(args) -> int:
         "method": args.method,
     }
     if args.method == "quadrature":
-        points = _points(args, DEFAULT_POINTS[args.n])
+        points = _points(args)
         res = integrate(args.n, fid, points)
         record.update(value=res.value, error_estimate=res.error_estimate,
                       points_per_axis=points, rule=RULE)
@@ -319,21 +325,20 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_volume(args) -> int:
-    from .kernels import REFERENCE_POINTS, normalization_constant
+    from .kernels import estimated, normalization_constant
 
-    points = _points(args, REFERENCE_POINTS[args.n])
-    value = normalization_constant(args.n, points)
-    compare = normalization_constant(args.n, points - 2)
+    points = _points(args)
+    value, error = estimated(lambda pts: normalization_constant(args.n, pts), points)
     record = {
         "schema_version": SCHEMA_VERSION,
         "kind": "scalar",
         "n": args.n,
         "quantity": "volume",
         "method": "quadrature",
-        "value": float(value),
-        "error_estimate": abs(value - compare),
-        "points_per_axis": int(points),
-        "comparison_points": int(points - 2),
+        "value": value,
+        "error_estimate": error,
+        "points_per_axis": points,
+        "comparison_points": points // 2,
         "rule": RULE,
     }
     print(dumps_record(record))
@@ -425,8 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("quadrature", "mc"), default="quadrature")
     p.add_argument("--points", type=int, default=None,
                    help="Gauss-Legendre points per axis of the eigenvalue box "
-                        "(method=quadrature; default 32 for n=2, 64 for n=3; "
-                        "4 to 1024)")
+                        "(method=quadrature; default 32; 4 to 1024)")
     p.add_argument("--samples", type=int, default=None,
                    help="Monte Carlo sample count (method=mc; at least 2, default "
                         "1000000); reduced one sampler chunk of 16384 samples at "
@@ -440,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="RAW normalization constant of the Bures density")
     add_n(p)
     p.add_argument("--points", type=int, default=None,
-                   help="Gauss-Legendre points per axis (default 64 for n=2, 10 for "
-                        "n=3; 4 to 1024)")
+                   help="Gauss-Legendre points per axis of the eigenvalue box "
+                        "(default 32; 4 to 1024)")
     p.set_defaults(fn=cmd_volume)
 
     p = sub.add_parser("check", help="run the invariant suite")

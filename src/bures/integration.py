@@ -1,27 +1,24 @@
 """Integration of spectral functionals against the normalized Bures measure.
 
-Two routes: a tensor-product quadrature over the eigenvalue box (the
-functional evaluated from the analytically known spectrum at each node; the
-coset factor cancels between numerator and denominator), whose one setting
-is its Gauss-Legendre point count per axis, ``points``, and a Monte Carlo
+Two routes: ``kernels.eigen_box_integral``, the package's one quadrature,
+over the eigenvalue box (the functional evaluated from the analytically
+known spectrum at each node; the coset factor cancels between numerator and
+denominator), whose one setting is its Gauss-Legendre point count per axis,
+``points`` (default ``kernels.QUADRATURE_POINTS``), and a Monte Carlo
 mean over Bures samples (the functional evaluated from the materialized
 density matrices), which keeps the two paths independent.
 """
 
 from __future__ import annotations
 
-import operator
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .functionals import FunctionalId, from_eigenvalues, from_matrices
-from .kernels import (EIGEN_RANGES, _eigen_integral, check_n, density_batch,
-                      diag_eigenvalues_batch, eigen_measure_factor)
-
-# n=3: 64 points/axis is 4096 nodes on the 2-D eigenvalue box (~10 ms); the
-# half-resolution error estimate of the mean entropy there is ~2e-10
-DEFAULT_POINTS = {2: 32, 3: 64}
+from .kernels import (QUADRATURE_POINTS, check_n, density_batch, eigen_box_integral,
+                      estimated)
 
 
 @dataclass(frozen=True)
@@ -37,32 +34,18 @@ def integrate(n: int, functional: FunctionalId,
     ``functional`` is a FunctionalId (anything else is a TypeError).  Its f
     is spectral, so it does not depend on the coset angles: the exact coset
     integral cancels and E[f] = Q[f e] / Q[e], with e the eigenvalue factor
-    and Q the Gauss-Legendre rule on the (n-1)-dimensional eigenvalue box.
-    Q has ``points`` points per axis (default ``DEFAULT_POINTS[n]``; a
-    float is a TypeError), and the error estimate compares against a rerun
-    at half of them.
+    and Q ``kernels.eigen_box_integral``.  Q has ``points`` points per axis
+    (default ``QUADRATURE_POINTS``; a float is a TypeError), and the error
+    estimate is ``kernels.estimated``'s: the gap to a rerun at half of them,
+    with an ulp floor.
     """
-    # Monte Carlo runs no quadrature, so only this route loads the rule
-    from .tensorgrid import MIN_POINTS, tensor_quadrature
-
-    check_n(n)
-    points = DEFAULT_POINTS[n] if points is None else operator.index(points)
-    if points < MIN_POINTS:
-        raise ValueError(f"points must be >= {MIN_POINTS}, got {points}")
     if not isinstance(functional, FunctionalId):
         raise TypeError("quadrature needs a FunctionalId")
-    lower, upper = zip(*EIGEN_RANGES[n])
-
-    def fn(eig: np.ndarray) -> np.ndarray:
-        lam = diag_eigenvalues_batch(n, eig)
-        return from_eigenvalues(functional, lam) * eigen_measure_factor(n, eig)
-
-    def mean(pts: int) -> float:
-        return tensor_quadrature(fn, lower, upper, pts) / _eigen_integral(n, pts)
-
-    fine = mean(points)
-    coarse = mean(points // 2)
-    return IntegrationResult(value=fine, error_estimate=abs(fine - coarse))
+    g = functools.partial(from_eigenvalues, functional)
+    value, error = estimated(
+        lambda pts: eigen_box_integral(n, pts, g) / eigen_box_integral(n, pts),
+        QUADRATURE_POINTS if points is None else points)
+    return IntegrationResult(value=value, error_estimate=error)
 
 
 def integrate_mc(n: int, functional: FunctionalId, samples: int,

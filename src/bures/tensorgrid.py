@@ -2,11 +2,9 @@
 
 The package's integrals run over the 1-D (n=2) or 2-D (n=3) eigenvalue box,
 and Gauss-Legendre is the only rule.  It converges geometrically where the
-integrand is analytic on the closed box, as for the normalization constant
-and the mean purity (n=3: roundoff from 64 points per axis on).  The mean
-entropy converges only algebraically, since lam_2 ln lam_2 is not analytic
-at the box edge t1 = 0: for n=3 it is 2.8e-12 off at 64 points, 2.5e-13 at
-96 and 7e-16 at 256, against mpmath's tanh-sinh value.  The rule's one
+integrand is analytic on the closed box; ``kernels.eigen_box_integral``
+maps the box's first axis so that the mean entropy's endpoint singularity
+does not slow it (see there).  The rule's one
 setting is ``points``, its point count per axis, an int (a float is a
 TypeError).  Each rule on [-1, 1] is built once per ``points`` per process:
 numpy's ``leggauss`` finds the nodes with a dense O(P^3) eigensolve (the
@@ -21,11 +19,6 @@ from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
-
-# the fewest points per axis an error estimate accepts: from 4 up, its
-# coarser rerun (half the points for ``integrate``, two fewer for ``volume``)
-# is a rule of at least 2 points that differs from the one it checks
-MIN_POINTS = 4
 
 # nodes per integrand call: whole rows of the first axis, as many as fit
 _BLOCK_NODES = 8192

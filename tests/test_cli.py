@@ -1,7 +1,7 @@
 import collections
 import errno
+import functools
 import hashlib
-import importlib
 import io
 import json
 import math
@@ -55,6 +55,73 @@ _STREAM_V4_ARGV = [
     ("--n", "2", "--count", "2049", "--seed", "8", "--format", "csv"),
 ]
 _STREAM_V4_IDS = ["n2-json", "n3-csv", "n3-json-blocks", "n2-csv-blocks"]
+
+_DENSITY_N3 = ("theta1=0.3,theta2=0.5,alpha=1,beta=0.2,gamma=0.4,theta_big=0.6,"
+               "a=1.1,b=0.3")
+# the quadrature, Monte Carlo and density commands behind the golden digests
+_SCALAR_GOLDENS = {
+    "integrate-n2": (("integrate", "--n", "2", "--functional", "entropy"),
+                     "085ec27ebfea14ec03d6461d99a6e7f9c09646d3e7eb915e61d6d89c55f34bd7"),
+    "integrate-n3": (("integrate", "--n", "3", "--functional", "entropy"),
+                     "b81d8b3dacd8893e193b1d9dc65dac4bc15bb1d2dbd302cddbe44c57cee00fac"),
+    "integrate-n3-p6": (
+        ("integrate", "--n", "3", "--functional", "entropy", "--points", "6"),
+        "5d11f1dafb5f74ab317aadf7eb8745e41da63e0d8197c609fd2eeb7007d49014"),
+    "integrate-n3-purity-p5": (
+        ("integrate", "--n", "3", "--functional", "purity", "--points", "5"),
+        "b93c543a56ff9e60128856fa74d18b068569f44a1299c0bbbe2545263e8b755f"),
+    "volume-n2": (("volume", "--n", "2"),
+                  "a3080f1d8af459368aa8338d9bdffd45cc6c4b31b3924a3862b15ea92b2a622d"),
+    "volume-n3-p4": (("volume", "--n", "3", "--points", "4"),
+                     "21a5d9080ce8fe0816b54ba36bcde273ca51e23e6d963344e3e18ee8706202da"),
+    "density-n3-normalized": (
+        ("density", "--n", "3", "--params", _DENSITY_N3, "--mode", "normalized"),
+        "d2ff9f07b03cfeeef98b6a6f6f7a6d2bae9fffa258bcb66e068c01fec2ac94fa"),
+    "density-n2-raw": (
+        ("density", "--n", "2", "--params", "theta=0.5,alpha=1.0,beta=0.7", "--mode", "raw"),
+        "0d18fcd08d6d6d25a22b6f188e8296275e41beedfacc01b0f459ffff08a3f2dd"),
+    # mc-n2, the benchmark's Monte Carlo command
+    "integrate-mc-n2": (("integrate", "--n", "2", "--functional", "entropy", "--method",
+                         "mc", "--samples", "200000", "--seed", "1"),
+                        "accea0a6e5807d2b5285ae8563ccda118161b96ff0110501dcbaf196008cae12"),
+    "integrate-mc-n3-purity": (("integrate", "--n", "3", "--functional", "purity",
+                                "--method", "mc", "--samples", "50000", "--seed", "4"),
+                               "b684024399ea0b92101acb75ae88cf9cf0b5ed0a24b7626698040448148223b9"),
+}
+# the quadrature goldens and the one whose value divides by Z, then the
+# digest of the n=3 eigenvalue factor on a 256 x 256 grid of its box, since
+# the quadrature sums can absorb a last-bit change at a few nodes
+_DISPATCH_GOLDENS = [name for name in _SCALAR_GOLDENS
+                     if not name.startswith(("integrate-mc", "density-n2"))]
+_DISPATCH_CASES = _DISPATCH_GOLDENS + ["eigen-factor-grid"]
+_DISPATCH_RUN = """
+import contextlib, hashlib, io, json, sys
+import numpy as np
+from bures import cli, kernels
+outs = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(argv) == 0
+    outs.append(out.getvalue())
+t = np.meshgrid(np.linspace(0, np.pi / 4, 256), np.linspace(0, kernels.THETA2_MAX, 256))
+e = kernels.eigen_measure_factor(3, np.stack([x.ravel() for x in t], -1))
+outs.append(hashlib.sha256(e.tobytes()).hexdigest())
+print(json.dumps(outs))
+"""
+
+
+@functools.cache
+def _dispatch_outputs(disabled: str) -> dict:
+    """Each of ``_DISPATCH_CASES`` from one process, with
+    NPY_DISABLE_CPU_FEATURES set to ``disabled`` (unset if empty)."""
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    if disabled:
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled
+    argv = json.dumps([_SCALAR_GOLDENS[name][0] for name in _DISPATCH_GOLDENS])
+    r = subprocess.run([sys.executable, "-c", _DISPATCH_RUN, argv],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    return dict(zip(_DISPATCH_CASES, json.loads(r.stdout)))
 
 
 def _angle_columns(out: str, n: int, csv: bool) -> str:
@@ -289,17 +356,13 @@ def _help(capsys, monkeypatch, command: str) -> str:
 def test_help_states_the_constants(capsys, monkeypatch):
     # the help text writes the defaults and bounds as literals; each is the
     # constant the command runs with
-    from bures.integration import DEFAULT_POINTS
-    from bures.tensorgrid import MIN_POINTS
-    bounds = f"{MIN_POINTS} to {cli.MAX_POINTS})"
+    points = f"default {kernels.QUADRATURE_POINTS}; {kernels.MIN_POINTS} to {cli.MAX_POINTS})"
     out = _help(capsys, monkeypatch, "integrate")
-    assert (f"(method=quadrature; default {DEFAULT_POINTS[2]} for n=2, "
-            f"{DEFAULT_POINTS[3]} for n=3; {bounds}") in out
+    assert f"(method=quadrature; {points}" in out
     assert f"(method=mc; at least 2, default {cli.DEFAULT_SAMPLES});" in out
     assert f"one sampler chunk of {sampling._INDEX_CHUNK} samples" in out
     out = _help(capsys, monkeypatch, "volume")
-    assert (f"(default {kernels.REFERENCE_POINTS[2]} for n=2, "
-            f"{kernels.REFERENCE_POINTS[3]} for n=3; {bounds}") in out
+    assert f"({points}" in out
 
 
 class TestCheckCommand:
@@ -366,7 +429,8 @@ class TestCheckCommand:
                 out = out * (1 - 0.3 * np.sin(np.asarray(angles)[..., 1]) ** 2)
             return out
 
-        for module in (kernels, importlib.import_module("bures.integration"), checks):
+        # kernels' one quadrature runs Z and both means
+        for module in (kernels, checks):
             monkeypatch.setattr(module, "eigen_measure_factor", perturbed)
         # the cached box integral would otherwise hold the true Z3 during the
         # test and the perturbed one after it
@@ -510,35 +574,8 @@ class TestOutputContract:
         angles = _angle_columns(out, int(argv[1]), "csv" in argv)
         assert hashlib.sha256(angles.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("argv,digest", [
-        (("integrate", "--n", "2", "--functional", "entropy"),
-         "95ab23026113a22db2e3b737849713610006682e918bb5e60b8033894ce76c1a"),
-        (("integrate", "--n", "3", "--functional", "entropy"),
-         "0c80c8891605e4995d90148fea7a3449c1301728afef8816745c00e031cc43d6"),
-        (("integrate", "--n", "3", "--functional", "entropy", "--points", "6"),
-         "aecc6b7cd11aef08298cfc4f5292504a357ec00e9ddf4a299b0e377ee7f18423"),
-        (("integrate", "--n", "3", "--functional", "purity", "--points", "5"),
-         "d8b84584ef57bf2e23ca187771db10f40003acdc2eac3cbb750a3e7bce367060"),
-        (("volume", "--n", "2"),
-         "4d33bdc79e8c3f8d9c694f2b464a2d52b905a0410ad439ed5a9738c294588ca9"),
-        (("volume", "--n", "3", "--points", "4"),
-         "c91a8140549ac733d5cae5d54a05ee5aebcb9fe094d9d996fb92e94566bd8f35"),
-        (("density", "--n", "3", "--params", "theta1=0.3,theta2=0.5,alpha=1,beta=0.2,"
-          "gamma=0.4,theta_big=0.6,a=1.1,b=0.3", "--mode", "normalized"),
-         "7ede5b38c2d8b3657a2442971bc2817988d10b160bd6e7b882e7cf347bb4329d"),
-        (("density", "--n", "2", "--params", "theta=0.5,alpha=1.0,beta=0.7",
-          "--mode", "raw"),
-         "0d18fcd08d6d6d25a22b6f188e8296275e41beedfacc01b0f459ffff08a3f2dd"),
-        # mc-n2, the benchmark's Monte Carlo command
-        (("integrate", "--n", "2", "--functional", "entropy", "--method", "mc",
-          "--samples", "200000", "--seed", "1"),
-         "accea0a6e5807d2b5285ae8563ccda118161b96ff0110501dcbaf196008cae12"),
-        (("integrate", "--n", "3", "--functional", "purity", "--method", "mc",
-          "--samples", "50000", "--seed", "4"),
-         "b684024399ea0b92101acb75ae88cf9cf0b5ed0a24b7626698040448148223b9"),
-    ], ids=["integrate-n2", "integrate-n3", "integrate-n3-p6", "integrate-n3-purity-p5",
-            "volume-n2", "volume-n3-p4", "density-n3-normalized", "density-n2-raw",
-            "integrate-mc-n2", "integrate-mc-n3-purity"])
+    @pytest.mark.parametrize("argv,digest", _SCALAR_GOLDENS.values(),
+                             ids=list(_SCALAR_GOLDENS))
     def test_scalar_records_pinned(self, capsys, argv, digest):
         # golden SHA-256 of the quadrature, Monte Carlo and density records:
         # a change to the rule, the measure, the sampler or the serializer
@@ -647,6 +684,24 @@ class TestSubprocessEntry:
             assert r.returncode == 0, r.stderr
             outs.add(r.stdout)
         assert len(outs) == 1, outs
+
+    @pytest.mark.parametrize("level,name", [
+        pytest.param(level, name, marks=pytest.mark.xfail(
+            reason="rho's complex products round differently without X86_V3's FMA",
+            strict=False) if (level, name) == ("X86_V3", "density-n3-normalized") else ())
+        for level in ("X86_V4", "X86_V3") for name in _DISPATCH_CASES])
+    def test_quadrature_bytes_do_not_depend_on_cpu_dispatch(self, level, name):
+        # the quadrature and density --mode normalized goldens with numpy's
+        # dispatched targets off from ``level`` up (V4 and up, then V3 too).
+        # The eigenvalue factor uses no ``power`` but squares, so its bits
+        # hold; numpy's ``log`` rounds some nodes' values differently
+        # without AVX-512, which the entropy goldens' sums have absorbed
+        umath = pytest.importorskip("numpy._core._multiarray_umath")
+        dispatch, features = umath.__cpu_dispatch__, umath.__cpu_features__
+        if level not in dispatch or not features.get(level):
+            pytest.skip(f"numpy does not dispatch {level} on this CPU")
+        disabled = [t for t in dispatch[dispatch.index(level):] if features.get(t)]
+        assert _dispatch_outputs(" ".join(disabled))[name] == _dispatch_outputs("")[name]
 
     @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
     def test_discarding_stdout_leaves_no_descriptor_open(self, tmp_path, monkeypatch):

@@ -6,11 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bures.checks import MEAN_ENTROPY, MEAN_PURITY
+from bures.checks import MEAN_ENTROPY, MEAN_PURITY, VOLUME
 from bures.functionals import FunctionalId, from_matrices
 from bures.integration import IntegrationResult, integrate, integrate_mc
 from bures import sampling
-from bures.kernels import density_batch
+from bures.kernels import (MIN_POINTS, QUADRATURE_POINTS, density_batch, estimated,
+                           normalization_constant)
 from bures.sampling import sample, sample_chunks
 from conftest import cli_usage
 
@@ -58,19 +59,37 @@ class TestQuadrature3:
         assert abs(ent.value - MEAN_ENTROPY[3]) <= 1e-9
         assert abs(pur.value - MEAN_PURITY[3]) <= 1e-9
 
-    def test_256_points_meet_the_independent_values(self):
-        # entropy converges only algebraically (lam_2 ln lam_2 is not
-        # analytic at the box edge t1 = 0): 2.8e-12 off at 64 points, 7e-16
-        # at 256; purity is at roundoff from 64 points up
-        points = 256
-        assert abs(integrate(3, ENTROPY, points).value - MEAN_ENTROPY[3]) <= 1e-13
-        assert abs(integrate(3, PURITY, points).value - MEAN_PURITY[3]) <= 1e-13
-
     def test_six_points_meet_the_benchmark_bound(self):
         # the `integrate --n 3 --functional entropy --points 6` run checked
         # against the same pin and bound by the benchmark
         res = integrate(3, ENTROPY, 6)
         assert abs(res.value - MEAN_ENTROPY[3]) <= 1e-4
+
+
+def test_default_points_meet_the_independent_values():
+    # the graded rule puts Z and both means at roundoff by the default points
+    # (the plain rule left the n=3 entropy 1.7e-10 off at 32 points)
+    for n in (2, 3):
+        for got, want in [(normalization_constant(n), VOLUME[n]),
+                          (integrate(n, ENTROPY).value, MEAN_ENTROPY[n]),
+                          (integrate(n, PURITY).value, MEAN_PURITY[n])]:
+            assert abs(got - want) <= 1e-14 * want, (n, got, want)
+
+
+def test_error_estimate_bounds_the_true_error():
+    # at every point count, the half-resolution gap with its ulp floor is at
+    # least the true error: Z, the mean entropy and purity for both n, and
+    # the n=2 third moment, whose closed form is 13/16
+    cases = [(n, fid, table[n]) for n in (2, 3)
+             for fid, table in ((ENTROPY, MEAN_ENTROPY), (PURITY, MEAN_PURITY))]
+    cases.append((2, FunctionalId.parse("moment:3"), 13 / 16))
+    for points in range(MIN_POINTS, 65):
+        for n in (2, 3):
+            value, error = estimated(lambda pts: normalization_constant(n, pts), points)
+            assert abs(value - VOLUME[n]) <= error, (n, points)
+        for n, fid, want in cases:
+            res = integrate(n, fid, points)
+            assert abs(res.value - want) <= res.error_estimate, (n, fid.label, points)
 
 
 class TestMonteCarlo:
@@ -197,7 +216,8 @@ class TestValidation:
         with pytest.raises(TypeError):
             integrate(3, ENTROPY, 6.0)
         bits = lambda r: (r.value.hex(), r.error_estimate.hex())
-        assert bits(integrate(3, ENTROPY, np.int64(64))) == bits(integrate(3, ENTROPY))
+        assert bits(integrate(3, ENTROPY, np.int64(QUADRATURE_POINTS))) == \
+            bits(integrate(3, ENTROPY))
 
     def test_bad_functional(self):
         with pytest.raises(TypeError):

@@ -211,7 +211,7 @@ class TestNormalization:
 
     def test_three_state_64_points_meet_the_independent_value(self):
         # the eigenvalue factor is analytic on the box, so Gauss-Legendre
-        # reaches roundoff: 3.3e-16 relative at 64 points
+        # reaches roundoff: 1.8e-15 relative at 64 points
         z = normalization_constant(3, points=64)
         assert abs(z - VOLUME[3]) <= 1e-14 * VOLUME[3]
 

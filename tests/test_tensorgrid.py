@@ -23,15 +23,16 @@ class TestAxisRules:
 
     def test_each_rule_built_once(self, monkeypatch):
         # integrate runs the rule at P and P/2, each for the numerator and
-        # the normalizer on both axes; numpy's leggauss is a dense eigensolve
+        # the normalizer on both axes, (u, t2) after the first axis's map;
+        # numpy's leggauss is a dense eigensolve
         calls = []
         leggauss = np.polynomial.legendre.leggauss
         monkeypatch.setattr(np.polynomial.legendre, "leggauss",
                             lambda pts: calls.append(pts) or leggauss(pts))
         kernels._eigen_integral.cache_clear()
         tensorgrid._unit_rule.cache_clear()
-        integrate(3, FunctionalId.parse("entropy"), 64)
-        assert sorted(calls) == [32, 64]
+        integrate(3, FunctionalId.parse("entropy"))
+        assert sorted(calls) == [kernels.QUADRATURE_POINTS // 2, kernels.QUADRATURE_POINTS]
 
     def test_returned_rule_is_a_copy(self):
         x, w = axis_rule(6, 0.0, 1.0)
