@@ -4,8 +4,8 @@
 ``"".join(template % tuple(row) for row in table)`` for a row template whose
 fields are all ``%.16e``, but formats the table with whole-array numpy
 operations instead of one ``%`` call per float.  ``RowWriter`` does the same
-for a stream of blocks of rows, as ASCII bytes, into one buffer it reuses,
-and ``byte_writer`` writes such blocks to a text stream's file.
+for a stream of blocks of rows, as ASCII bytes, in buffers it reuses, and
+``byte_writer`` writes such blocks to a text stream's file.
 
 For a finite x with 1e-30 <= |x| < 1e3 and E = floor(log10 |x|), the 17
 printed digits are D = round(y) with y = |x| * 10**(16 - E) in [1e16, 1e17).
@@ -19,20 +19,34 @@ out of the magnitude range, non-finite values, and values whose unrounded y
 missed [1e16, 1e17) because log10 put E one off.  A y that rounds up to 1e17
 prints as 1e16 at E + 1.  Zeros are written directly.
 
-Each field gets a 24-byte slot (sign, 17 digits, point, "e", exponent sign
-and up to 3 exponent digits) in a row buffer that holds the template's text
-and is laid out once per writer; a block writes only the slots.  The bytes a
-field does not use are NUL, so a block of rows becomes text with one copy
-that drops the NULs.
+Each value's text is formed in six aligned little-endian uint32 words: an
+unused byte, the sign ("-" or NUL), the lead digit and the point; the other
+16 digits, four to a word from a 10 000-entry table; "e" and the signed
+2-digit exponent.  Its bytes 1 to 23 are the text with a sign byte, bytes 2
+to 23 the text without.  A writer lays the template's text into a row buffer
+with a field for each ``%.16e``: 22 bytes where no value of the block prints
+a "-" (a ``sample`` row's angles and diagonal), 23 bytes, the sign byte
+first, elsewhere.  It keeps that layout while the blocks' signs allow it, and
+a block copies each field's text into its column as one 22- or 23-byte
+element per row.  The NULs left are the sign bytes of the non-negative
+values in 23-byte fields, and the padding of a ``%`` text shorter than its
+field; they are dropped 64 rows at a time, by ``bytes.replace``, into an
+output buffer the writer owns.  The work arrays are allocated once per
+writer.
+
+A value the vector path does not take gets ``%``'s text in its field.  A
+``%`` text wider than its field (a 3-digit exponent in a 22-byte field, or
+a negative value with one, as -5e-324, in a 23-byte field) cannot lie in
+the row buffer, so that row's whole text comes from ``%``.
 
 The cells of a ``sample`` row's matrix are Hermitian, so a writer given that
 layout formats only the distinct floats: 17 of the 26 fields of an n=3 row
 (the 8 angles, the 3 diagonal re parts, re and im of the 3 upper cells) and
 7 of the 11 for n=2.  The diagonal im parts, always +0.0, are template text;
-a lower cell takes its upper cell's bytes, the im part's sign byte flipped
-between "-" and NUL, and a mirrored slot that ``%`` filled (it has no sign
-byte) is ``%``'s text of the negated value.  The digit tables are built on
-first use.
+a lower cell takes its upper cell's text, the im part's sign byte flipped
+between "-" and NUL in a 23-byte field and dropped in a 22-byte one (its
+column is then all negative), and a mirrored field that ``%`` fills is
+``%``'s text of the negated value.  The digit tables are built on first use.
 """
 
 from __future__ import annotations
@@ -43,17 +57,11 @@ import numpy as np
 
 FIELD = "%.16e"
 
-_SLOT = 24                  # "-1.2345678901234567e-300": the widest field
 _E_MIN, _E_MAX = -30, 2     # decimal exponents of the vector path
 _TIE = 1e-6                 # distance from 1/2 within which a fraction may be a tie
 _SPLIT = 134217729.0        # 2**27 + 1: Veltkamp's splitting constant
-_PADDED = "%-24.16e"        # FIELD left-justified in a slot
-
-
-# a field's slot: sign, leading digit, point, 16 digits in groups of 4,
-# "e" and the signed exponent, and a spare byte a 3-digit exponent needs
-_SLOT_DTYPE = np.dtype([("sign", "u1"), ("lead", "u1"), ("point", "u1"),
-                        ("digits", "<u4", (4,)), ("exp", "<u4"), ("spare", "u1")])
+_PADDED = "%-24.16e"        # FIELD left-justified in 24 bytes, the widest text
+_PIECE = 64                 # rows per NUL strip: a sample piece is under 64 KiB
 
 
 @functools.cache
@@ -87,87 +95,146 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h, a - h
 
 
-def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each |x| as 17 digits D and exponent E, and the mask of values for ``%``.
+class _Digits:
+    """The text of up to ``size`` values at a time, as the six words of each
+    (``words``), formed in work arrays allocated once.
 
-    Zeros and the masked values come back as D = 0, E = 0.
+    Arrays made afresh for each 1024-row n=3 block were freed and faulted in
+    again as glibc's heap state had it: up to 690 minor faults per block.
     """
-    hi_t, lo_t, hh_t, hl_t = _powers()
-    a = np.abs(x)
-    zero = a == 0.0
-    fast = (a >= 1e-30) & (a < 1e3)                # False for inf and nan
-    a[~fast] = 1.0
-    e = np.floor(np.log10(a)).astype(np.int64)
-    np.clip(e, _E_MIN, _E_MAX, out=e)
-    k = e - _E_MIN
-    prod = a * hi_t[k]
-    ah, al = _split(a)
-    hh, hl = hh_t[k], hl_t[k]
-    r = ((ah * hh - prod) + ah * hl + al * hh) + al * hl     # a * hi - prod, exactly
-    del ah, al, hh, hl
-    r += a * lo_t[k]
-    whole = np.floor(r)
-    r -= whole                                               # y's fraction
-    d = prod.astype(np.int64)
-    d += whole.astype(np.int64)
-    del prod, whole
-    back = ~(fast | zero) | (np.abs(r - 0.5) < _TIE) | (d < 10 ** 16) | (d >= 10 ** 17)
-    d += r > 0.5
-    carry = d == 10 ** 17
-    d[carry] = 10 ** 16
-    e += carry
-    plain = zero | back
-    d[plain] = 0
-    e[plain] = 0
-    return d, e, back
+
+    def __init__(self, size: int):
+        self.words = np.empty((size, 6), np.uint32)
+        self._float = np.empty((3, size))
+        self._int = np.empty((2, size), np.intp)
+        self._bool = np.empty((4, size), bool)
+
+    def decimal(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each |x| as 17 digits D and the index k = E - _E_MIN of its
+        exponent E, and the mask of the values for ``%``.
+
+        Zeros come back as D = 0, E = 0; a masked value's D and k are in
+        range but mean nothing.  The arrays are the work arrays' own, and
+        ``words`` is overwritten.
+        """
+        size = x.size
+        # three of the float arrays lie in the words, which are written last
+        a, p, r = self._float[:, :size]
+        t, u, w = self.words.reshape(-1).view(np.float64).reshape(3, -1)[:, :size]
+        k, d = self._int[:, :size]
+        fast, zero, back, test = self._bool[:, :size]
+        hi_t, lo_t, hh_t, hl_t = _powers()
+        np.abs(x, out=a)
+        np.equal(a, 0.0, out=zero)
+        np.greater_equal(a, 1e-30, out=fast)
+        np.less(a, 1e3, out=test)
+        fast &= test                                # False for inf and nan
+        np.logical_not(fast, out=test)
+        np.copyto(a, 1.0, where=test)
+        np.log10(a, out=t)
+        np.floor(t, out=t)
+        np.clip(t, _E_MIN, _E_MAX, out=t)
+        t -= _E_MIN
+        np.copyto(k, t, casting="unsafe")
+        hi_t.take(k, out=p, mode="clip")
+        p *= a                                      # prod = a * hi
+        lo_t.take(k, out=r, mode="clip")
+        r *= a                                      # a * lo, added last
+        np.multiply(a, _SPLIT, out=t)               # a's halves: t = ah, a = al
+        np.subtract(t, a, out=u)
+        t -= u
+        a -= t
+        # w = ((ah * hh - prod) + ah * hl + al * hh) + al * hl + a * lo, whose
+        # first four terms are a * hi - prod exactly
+        hh_t.take(k, out=u, mode="clip")
+        np.multiply(t, u, out=w)
+        w -= p
+        np.copyto(d, p, casting="unsafe")           # prod, an integer
+        u *= a
+        hl_t.take(k, out=p, mode="clip")
+        t *= p
+        w += t
+        w += u
+        a *= p
+        w += a
+        w += r
+        np.floor(w, out=t)
+        w -= t                                      # y's fraction
+        whole = p.view(np.intp)
+        np.copyto(whole, t, casting="unsafe")
+        d += whole
+        np.logical_or(fast, zero, out=back)
+        np.logical_not(back, out=back)
+        w -= 0.5
+        np.abs(w, out=t)
+        np.less(t, _TIE, out=test)
+        back |= test
+        np.less(d, 10 ** 16, out=test)
+        back |= test
+        np.greater_equal(d, 10 ** 17, out=test)
+        back |= test
+        np.greater(w, 0.0, out=test)                # the fraction is above 1/2
+        d += test
+        np.equal(d, 10 ** 17, out=test)
+        np.copyto(d, 10 ** 16, where=test)
+        k += test
+        np.copyto(d, 0, where=zero)
+        np.copyto(k, -_E_MIN, where=zero)
+        return d, k, back
+
+    def text(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Fill ``words`` with the text of each value of x; return the mask
+        of the values ``%`` must format and the mask of the negative ones."""
+        four, exp_text = _text()
+        d, k, back = self.decimal(x)
+        top, g = self._float[:2, :x.size].view(np.intp)
+        words = self.words[:x.size]
+        np.floor_divide(d, 10 ** 8, out=top)        # the first 9 digits
+        np.multiply(top, 10 ** 8, out=g)
+        d -= g                                      # the last 8
+        np.floor_divide(top, 10 ** 8, out=g)        # the lead digit
+        np.left_shift(g, 16, out=words[:, 0], casting="unsafe")
+        words[:, 0] += 0x2E300000                   # "0."
+        np.multiply(g, 10 ** 8, out=g)
+        top -= g
+        np.floor_divide(top, 10_000, out=g)
+        four.take(g, out=words[:, 1], mode="clip")
+        np.multiply(g, 10_000, out=g)
+        top -= g
+        four.take(top, out=words[:, 2], mode="clip")
+        np.floor_divide(d, 10_000, out=g)
+        four.take(g, out=words[:, 3], mode="clip")
+        np.multiply(g, 10_000, out=g)
+        d -= g
+        four.take(d, out=words[:, 4], mode="clip")
+        exp_text.take(k, out=words[:, 5], mode="clip")
+        negative = self._bool[3, :x.size]
+        np.signbit(x, out=negative)
+        np.multiply(negative, ord("-"), out=words.view(np.uint8)[:, 1], casting="unsafe")
+        return back, negative
+
+
+def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each |x| as 17 digits D and exponent index k, and the mask of the
+    values for ``%`` (see ``_Digits.decimal``)."""
+    x = np.asarray(x, dtype=np.float64)
+    return _Digits(x.size).decimal(x)
 
 
 def _percent(values: np.ndarray) -> np.ndarray:
-    """``%``'s text of each value in a slot, left-justified and NUL-padded."""
+    """``%``'s text of each value in 24 bytes, left-justified and NUL-padded."""
     values = values.tolist()
     text = ((_PADDED * len(values)) % tuple(values)).encode().replace(b" ", b"\0")
-    return np.frombuffer(text, np.uint8).reshape(-1, _SLOT)
-
-
-def _slots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each value's ``%.16e`` text in a 24-byte slot, NUL where it has no
-    byte, and the mask of the values ``%`` formatted.
-
-    A slot of the vector path is the sign ("-" or NUL), the 17 digits with
-    their point, the exponent and a NUL; a slot ``%`` filled holds its text
-    left-justified.
-    """
-    four, exp_text = _text()
-    d, e, back = _decimal(x)
-    top = d // 10 ** 8
-    d -= top * 10 ** 8
-    lead = top // 10 ** 8
-    top -= lead * 10 ** 8
-    s = np.empty(x.size, _SLOT_DTYPE)
-    s["sign"] = np.where(np.signbit(x), ord("-"), 0)
-    s["lead"] = lead + ord("0")
-    s["point"] = ord(".")
-    digits = s["digits"]
-    digits[:, 0] = four[top // 10_000]
-    digits[:, 1] = four[top % 10_000]
-    digits[:, 2] = four[d // 10_000]
-    digits[:, 3] = four[d % 10_000]
-    s["exp"] = exp_text[e - _E_MIN]
-    s["spare"] = 0
-    del d, e, top, lead
-    s = s.view(np.uint8).reshape(x.size, _SLOT)
-    if back.any():
-        s[back] = _percent(x[back])
-    return s, back
+    return np.frombuffer(text, np.uint8).reshape(-1, 24)
 
 
 class RowWriter:
-    """``template % tuple(row)`` for blocks of rows, into one reused buffer.
+    """``template % tuple(row)`` for blocks of rows, in buffers it reuses.
 
     Every field of template is ``%.16e`` and it holds no other ``%`` and no
-    NUL.  The template's text is laid into a (rows, width) byte buffer once;
-    ``format`` then fills only the fields' 24-byte slots, for a table of at
-    most ``rows`` rows with one column per field.
+    NUL.  ``view`` formats a table of at most ``rows`` rows with one column
+    per field, and leaves the text in an output buffer of the writer's own;
+    ``format`` returns a copy of it.
 
     ``hermitian=(at, n)`` says that the fields from ``at`` on are re and im
     of each cell of an n x n Hermitian matrix, row by row, whose lower cells
@@ -206,36 +273,109 @@ class RowWriter:
             else:
                 self._slots.append((position[src[0]], src[1]))
                 text.append(piece)
-        # one row of the buffer: each piece, then a slot, then the last piece
-        line, self._starts = b"", []
-        for t in text:
-            line += t.encode("ascii")
-            self._starts.append(len(line))
-            line += bytes(_SLOT)
-        del self._starts[-1]                    # no slot after the last piece
-        self._buf = np.empty((rows, len(line) - _SLOT), np.uint8)
-        self._buf[:] = np.frombuffer(line[:-_SLOT], np.uint8)
+        self._template = FIELD.join(text)           # for a row with a too wide text
+        self._text = [t.encode("ascii") for t in text]
+        self._slot_columns = [k for k, _ in self._slots]
+        self._negated = np.array([negate for _, negate in self._slots], bool)
+        self._rows = rows
+        self._x = np.empty((rows, len(self._columns)))
+        self._digits = _Digits(self._x.size)
+        # the row buffer at its widest, and the output: a field's text is <= 24 bytes
+        fixed = sum(map(len, self._text))
+        self._memory = bytearray(rows * (fixed + 23 * len(self._slots)))
+        self._out = bytearray(rows * (fixed + 24 * len(self._slots)))
+        self._signed = None                         # the layout's 23-byte fields
+
+    def _lay_out(self, signed: tuple[bool, ...]) -> None:
+        """Lay the template's text into the row buffer, with a 23-byte field
+        for each slot that prints a negative value and a 22-byte one for
+        each other slot."""
+        line, starts = b"", []
+        for piece, sign in zip(self._text, signed):
+            line += piece
+            starts.append(len(line))
+            line += bytes(22 + sign)
+        line += self._text[-1]
+        width = len(line)
+        buf = np.frombuffer(self._memory, np.uint8, self._rows * width)
+        self._buf = buf.reshape(self._rows, width)
+        self._buf[:] = np.frombuffer(line, np.uint8)
+        # each field as a column of 22- or 23-byte elements, and the text of
+        # its table column in the words, without or with the sign byte
+        stride = 24 * len(self._columns)
+        self._fields = [
+            (np.ndarray((self._rows,), f"V{22 + sign}", self._buf, start, (width,)),
+             np.ndarray((self._rows,), f"V{22 + sign}", self._digits.words,
+                        2 - sign + 24 * k, (stride,)),
+             start, 22 + sign, k, negate)
+            for start, sign, (k, negate) in zip(starts, signed, self._slots)]
+        self._signed = signed
 
     def format(self, table: np.ndarray) -> bytes:
         """The rows' text as ASCII bytes."""
+        return bytes(self.view(table))
+
+    def view(self, table: np.ndarray) -> memoryview:
+        """The rows' text as ASCII bytes in the writer's output buffer,
+        valid until the next call."""
         table = np.asarray(table, dtype=np.float64)
         rows, fields = table.shape
         if fields != self.fields:
             raise ValueError(f"template has {self.fields} fields, table {fields} columns")
-        if rows > len(self._buf):
-            raise ValueError(f"{rows} rows, the buffer holds {len(self._buf)}")
-        x = table[:, self._columns]
-        s, back = _slots(x.ravel())
-        s, back = s.reshape(x.shape + (_SLOT,)), back.reshape(x.shape)
+        if rows > self._rows:
+            raise ValueError(f"{rows} rows, the buffer holds {self._rows}")
+        if not rows:
+            return memoryview(self._out)[:0]
+        x = np.take(table, self._columns, axis=1, out=self._x[:rows], mode="clip")
+        back, negative = self._digits.text(x.ravel())
+        back = back.reshape(x.shape)
+        # a slot prints a negative value where its column holds one, or, if
+        # it prints the negation, where its column is not all negative
+        count = negative.reshape(x.shape).sum(axis=0)[self._slot_columns]
+        signed = np.where(self._negated, count < rows, count > 0)
+        if tuple(signed.tolist()) != self._signed:
+            self._lay_out(tuple(signed.tolist()))
         buf = self._buf[:rows]
-        for at, (k, negate) in zip(self._starts, self._slots):
-            buf[:, at:at + _SLOT] = s[:, k]
-            if negate:
-                buf[:, at] ^= ord("-")          # the sign byte: "-" <-> NUL
-                # a slot ``%`` filled has no sign byte to flip
-                fix = np.flatnonzero(back[:, k])
-                buf[fix, at:at + _SLOT] = _percent(-x[fix, k])
-        return buf.tobytes().replace(b"\0", b"")
+        for field, text, start, width, _, negate in self._fields:
+            field[:rows] = text[:rows]
+            if negate and width == 23:
+                buf[:, start] ^= ord("-")           # the sign byte: "-" <-> NUL
+        wide = self._percent_fields(x, back) if back.any() else {}
+        out, end = self._out, 0
+        for piece in _pieces(buf, wide):
+            out[end:end + len(piece)] = piece
+            end += len(piece)
+        return memoryview(out)[:end]
+
+    def _percent_fields(self, x: np.ndarray, back: np.ndarray) -> dict[int, bytes]:
+        """Write ``%``'s text of the values masked by back into their fields,
+        the negation's in a mirrored field, and return the rows with a text
+        wider than its field, each with its whole text from ``%``."""
+        wide = set()
+        for _, _, start, width, k, negate in self._fields:
+            rows = np.flatnonzero(back[:, k])
+            if rows.size:
+                text = _percent(-x[rows, k] if negate else x[rows, k])
+                self._buf[rows, start:start + width] = text[:, :width]
+                wide.update(rows[text[:, width] != 0].tolist())
+        text = {}
+        for r in wide:
+            values = x[r, self._slot_columns]
+            np.negative(values, out=values, where=self._negated)
+            text[r] = (self._template % tuple(values.tolist())).encode("ascii")
+        return text
+
+
+def _pieces(buf: np.ndarray, wide: dict[int, bytes]):
+    """The text of buf's rows, ``_PIECE`` rows at a time with the NULs
+    dropped, and the text of each row in wide in its place."""
+    start = 0
+    for row in sorted(wide) + [len(buf)]:
+        for a in range(start, row, _PIECE):
+            yield buf[a:min(a + _PIECE, row)].tobytes().replace(b"\0", b"")
+        if row in wide:
+            yield wide[row]
+        start = row + 1
 
 
 def format_rows(template: str, table: np.ndarray) -> str:

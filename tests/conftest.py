@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -49,11 +50,14 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, usage.ru_minflt)
 """
 
 
-def cli_usage(*argv: str, pipe: bool = False) -> tuple[int, int]:
+def cli_usage(*argv: str, pipe: bool = False, env_pad: int = 0) -> tuple[int, int]:
     """(ru_maxrss, ru_minflt) of ``python -m bures *argv`` run on its own,
-    its stdout to /dev/null or, with ``pipe``, to a slow reader."""
+    its stdout to /dev/null or, with ``pipe``, to a slow reader, and its
+    environment grown by a variable of ``env_pad`` bytes (the environment's
+    size moves where glibc's heap lies)."""
+    env = {**os.environ, "BURES_TEST_PAD": "x" * env_pad} if env_pad else None
     r = subprocess.run([sys.executable, "-c", _SPAWNER, "pipe" if pipe else "devnull",
-                        *argv], capture_output=True, text=True, check=True)
+                        *argv], capture_output=True, text=True, check=True, env=env)
     status, maxrss, minflt = map(int, r.stdout.split())
     assert status == 0, r.stderr
     return maxrss, minflt

@@ -94,6 +94,11 @@ _SCALAR_GOLDENS = {
 _DISPATCH_GOLDENS = [name for name in _SCALAR_GOLDENS
                      if not name.startswith(("integrate-mc", "density-n2"))]
 _DISPATCH_CASES = _DISPATCH_GOLDENS + ["eigen-factor-grid"]
+# the entropy records at every point count up to 64, since numpy's log in
+# functionals._xlogx rounds some node values differently without AVX-512
+_ENTROPY_SWEEP = {f"entropy-n{n}-p{p}": ("integrate", "--n", str(n), "--functional",
+                                         "entropy", "--points", str(p))
+                  for n in (2, 3) for p in range(4, 65)}
 _DISPATCH_RUN = """
 import contextlib, hashlib, io, json, sys
 import numpy as np
@@ -112,16 +117,29 @@ print(json.dumps(outs))
 
 @functools.cache
 def _dispatch_outputs(disabled: str) -> dict:
-    """Each of ``_DISPATCH_CASES`` from one process, with
-    NPY_DISABLE_CPU_FEATURES set to ``disabled`` (unset if empty)."""
+    """Each of ``_DISPATCH_CASES`` and ``_ENTROPY_SWEEP`` from one process,
+    with NPY_DISABLE_CPU_FEATURES set to ``disabled`` (unset if empty)."""
     env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
     if disabled:
         env["NPY_DISABLE_CPU_FEATURES"] = disabled
-    argv = json.dumps([_SCALAR_GOLDENS[name][0] for name in _DISPATCH_GOLDENS])
+    argv = json.dumps([_SCALAR_GOLDENS[name][0] for name in _DISPATCH_GOLDENS]
+                      + list(_ENTROPY_SWEEP.values()))
     r = subprocess.run([sys.executable, "-c", _DISPATCH_RUN, argv],
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
-    return dict(zip(_DISPATCH_CASES, json.loads(r.stdout)))
+    outs = json.loads(r.stdout)
+    return dict(zip(_DISPATCH_GOLDENS + list(_ENTROPY_SWEEP), outs[:-1]),
+                **{"eigen-factor-grid": outs[-1]})
+
+
+def _targets_from(level: str) -> str:
+    """numpy's dispatched targets from ``level`` up that this CPU has, as
+    NPY_DISABLE_CPU_FEATURES takes them; skips if it has not ``level``."""
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    dispatch, features = umath.__cpu_dispatch__, umath.__cpu_features__
+    if level not in dispatch or not features.get(level):
+        pytest.skip(f"numpy does not dispatch {level} on this CPU")
+    return " ".join(t for t in dispatch[dispatch.index(level):] if features.get(t))
 
 
 def _angle_columns(out: str, n: int, csv: bool) -> str:
@@ -696,12 +714,16 @@ class TestSubprocessEntry:
         # The eigenvalue factor uses no ``power`` but squares, so its bits
         # hold; numpy's ``log`` rounds some nodes' values differently
         # without AVX-512, which the entropy goldens' sums have absorbed
-        umath = pytest.importorskip("numpy._core._multiarray_umath")
-        dispatch, features = umath.__cpu_dispatch__, umath.__cpu_features__
-        if level not in dispatch or not features.get(level):
-            pytest.skip(f"numpy does not dispatch {level} on this CPU")
-        disabled = [t for t in dispatch[dispatch.index(level):] if features.get(t)]
-        assert _dispatch_outputs(" ".join(disabled))[name] == _dispatch_outputs("")[name]
+        assert _dispatch_outputs(_targets_from(level))[name] == _dispatch_outputs("")[name]
+
+    @pytest.mark.parametrize("level", ["X86_V4", "X86_V3"])
+    def test_entropy_records_do_not_depend_on_cpu_dispatch(self, level):
+        # the log in functionals._xlogx rounds some node values differently
+        # without AVX-512; every entropy record from 4 to 64 points, for
+        # both n, must still print the same bytes
+        got, want = _dispatch_outputs(_targets_from(level)), _dispatch_outputs("")
+        bad = [c for c in _ENTROPY_SWEEP if got[c] != want[c]]
+        assert not bad, [(c, got[c], want[c]) for c in bad[:2]]
 
     @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
     def test_discarding_stdout_leaves_no_descriptor_open(self, tmp_path, monkeypatch):

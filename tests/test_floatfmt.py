@@ -177,6 +177,57 @@ def test_hermitian_rows_match_percent(n, sep):
         assert len(got) == len(want) == rows and not bad, bad[:2]
 
 
+# negative values whose text is 24 bytes, one more than a 23-byte field holds
+_WIDE = np.array([-1e-300, -2.2250738585072014e-308, -1.7976931348623157e308])
+
+
+def _set_cell(table: np.ndarray, rows, i: int, j: int, re, im) -> None:
+    """Cell (i, j) of each row's 3 x 3 matrix and its mirror (j, i)."""
+    at = 8
+    table[rows, at + 2 * (3 * i + j)], table[rows, at + 2 * (3 * i + j) + 1] = re, im
+    table[rows, at + 2 * (3 * j + i)], table[rows, at + 2 * (3 * j + i) + 1] = re, -im
+
+
+@pytest.mark.parametrize("sep", ["", ", "])
+def test_texts_wider_than_their_field(sep):
+    # a field is 23 bytes where a value of the block printed there is
+    # negative and 22 where none is; blocks in turn hold 23-byte positives
+    # in 22-byte fields, then 24-byte negatives in 23-byte fields in the
+    # same columns, then the first block again
+    rng = np.random.default_rng(28)
+    template = sep + "[" + ",".join([floatfmt.FIELD] * 26) + "]\n"
+    writer = floatfmt.RowWriter(template, 1024, hermitian=(8, 3))
+    mixed = _hermitian_table(3, 1024, rng)
+    edges = np.concatenate([_ties(rng, 6), [-0.0, 0.0], _WIDE])
+    rows = rng.choice(1024, (3, len(edges)), replace=False)
+    mixed[rows[0], 0] = edges                       # a plain column
+    _set_cell(mixed, rows[1], 0, 1, edges, edges)   # upper cells a lower mirrors
+    _set_cell(mixed, rows[2], 1, 2, -edges, edges[::-1])
+    # no "-" in the angles, the re parts and the lower im parts: the upper
+    # im parts are all negative, so their mirrors are all positive
+    plain = np.abs(_hermitian_table(3, 1024, rng))
+    for i, j in [(0, 1), (0, 2), (1, 2)]:
+        _set_cell(plain, slice(None), i, j, plain[:, 8 + 2 * (3 * i + j)],
+                  -np.maximum(plain[:, 9 + 2 * (3 * i + j)], 1e-3))
+    plain[rows[0, :3], 0] = -_WIDE
+    _set_cell(plain, rows[1, :3], 0, 2, -_WIDE, _WIDE)
+    for table in (plain, mixed, plain):
+        got = writer.format(table).decode("ascii").splitlines()
+        want = _as_percent(template, table).splitlines()
+        bad = [(g, w) for g, w in zip(got, want) if g != w]
+        assert len(got) == len(want) == len(table) and not bad, bad[:2]
+
+
+def test_format_returns_bytes_of_its_own():
+    # the writer forms each block in its own output buffer; what format
+    # returned must not change with the next block
+    writer = floatfmt.RowWriter(_ROW, 4)
+    first, second = np.full((4, 8), -1.5), np.full((4, 8), 2.5)
+    got = writer.format(first)
+    assert bytes(writer.view(second)) == _as_percent(_ROW, second).encode()
+    assert got == _as_percent(_ROW, first).encode()
+
+
 def test_writer_checks_its_layout():
     # NUL marks the bytes a slot does not use, so the template may not hold one
     with pytest.raises(ValueError):

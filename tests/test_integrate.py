@@ -171,14 +171,17 @@ class TestMonteCarlo:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_minflt and posix_spawn")
     def test_json_minor_faults_do_not_grow_per_block(self):
-        # each 1024-row write block is a fresh 0.76 MB bytes object; the CLI
-        # holds the last one until the next is formed, so glibc reuses its
-        # pages.  A block freed before the next is formed took over 30 k
-        # more minor faults from 1e4 to 1e5 rows, a held one about 3 k
+        # each 1024-row write block is formed in the row writer's own work
+        # arrays and buffers, allocated once, and written from there.  From
+        # 1e4 to 1e5 rows that took 0.8 k to 2.6 k more minor faults over
+        # environments padded by 0 to 7680 bytes; a fresh 0.76 MB bytes
+        # object per block took up to 18.7 k, by the environment's size
+        # alone, and one freed before the next block was formed over 30 k
         argv = ("sample", "--n", "3", "--format", "json", "--seed", "1")
-        _, small = cli_usage(*argv, "--count", "10000")
-        _, large = cli_usage(*argv, "--count", "100000")
-        assert large - small <= 10_000, (small, large)
+        for pad in (0, 2048, 7680):
+            _, small = cli_usage(*argv, "--count", "10000", env_pad=pad)
+            _, large = cli_usage(*argv, "--count", "100000", env_pad=pad)
+            assert large - small <= 10_000, (pad, small, large)
 
     @pytest.mark.parametrize("n,label", [(n, label) for n in (2, 3)
                                          for label in ("entropy", "purity", "moment:3")])
