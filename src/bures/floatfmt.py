@@ -37,7 +37,8 @@ writer.
 A value the vector path does not take gets ``%``'s text in its field.  A
 ``%`` text wider than its field (a 3-digit exponent in a 22-byte field, or
 a negative value with one, as -5e-324, in a 23-byte field) cannot lie in
-the row buffer, so that row's whole text comes from ``%``.
+the row buffer, so that block's whole text comes from ``%``; a ``sample``
+block never holds one.
 
 The cells of a ``sample`` row's matrix are Hermitian, so a writer given that
 layout formats only the distinct floats: 17 of the 26 fields of an n=3 row
@@ -273,7 +274,7 @@ class RowWriter:
             else:
                 self._slots.append((position[src[0]], src[1]))
                 text.append(piece)
-        self._template = FIELD.join(text)           # for a row with a too wide text
+        self._template = FIELD.join(text)           # for a block with a too wide text
         self._text = [t.encode("ascii") for t in text]
         self._slot_columns = [k for k, _ in self._slots]
         self._negated = np.array([negate for _, negate in self._slots], bool)
@@ -340,42 +341,32 @@ class RowWriter:
             field[:rows] = text[:rows]
             if negate and width == 23:
                 buf[:, start] ^= ord("-")           # the sign byte: "-" <-> NUL
-        wide = self._percent_fields(x, back) if back.any() else {}
+        if back.any() and self._percent_fields(x, back):
+            # a text wider than its field: the block's text comes from %
+            values = x[:, self._slot_columns]
+            np.negative(values, out=values, where=self._negated)
+            text = ((self._template * rows) % tuple(values.ravel().tolist())).encode()
+            self._out[:len(text)] = text
+            return memoryview(self._out)[:len(text)]
         out, end = self._out, 0
-        for piece in _pieces(buf, wide):
+        for start in range(0, rows, _PIECE):
+            piece = buf[start:start + _PIECE].tobytes().replace(b"\0", b"")
             out[end:end + len(piece)] = piece
             end += len(piece)
         return memoryview(out)[:end]
 
-    def _percent_fields(self, x: np.ndarray, back: np.ndarray) -> dict[int, bytes]:
+    def _percent_fields(self, x: np.ndarray, back: np.ndarray) -> bool:
         """Write ``%``'s text of the values masked by back into their fields,
-        the negation's in a mirrored field, and return the rows with a text
-        wider than its field, each with its whole text from ``%``."""
-        wide = set()
+        the negation's in a mirrored field; True, with the fields left half
+        written, at the first text wider than its field."""
         for _, _, start, width, k, negate in self._fields:
             rows = np.flatnonzero(back[:, k])
             if rows.size:
                 text = _percent(-x[rows, k] if negate else x[rows, k])
+                if text[:, width].any():
+                    return True
                 self._buf[rows, start:start + width] = text[:, :width]
-                wide.update(rows[text[:, width] != 0].tolist())
-        text = {}
-        for r in wide:
-            values = x[r, self._slot_columns]
-            np.negative(values, out=values, where=self._negated)
-            text[r] = (self._template % tuple(values.tolist())).encode("ascii")
-        return text
-
-
-def _pieces(buf: np.ndarray, wide: dict[int, bytes]):
-    """The text of buf's rows, ``_PIECE`` rows at a time with the NULs
-    dropped, and the text of each row in wide in its place."""
-    start = 0
-    for row in sorted(wide) + [len(buf)]:
-        for a in range(start, row, _PIECE):
-            yield buf[a:min(a + _PIECE, row)].tobytes().replace(b"\0", b"")
-        if row in wide:
-            yield wide[row]
-        start = row + 1
+        return False
 
 
 def format_rows(template: str, table: np.ndarray) -> str:

@@ -191,27 +191,43 @@ def _set_cell(table: np.ndarray, rows, i: int, j: int, re, im) -> None:
 @pytest.mark.parametrize("sep", ["", ", "])
 def test_texts_wider_than_their_field(sep):
     # a field is 23 bytes where a value of the block printed there is
-    # negative and 22 where none is; blocks in turn hold 23-byte positives
-    # in 22-byte fields, then 24-byte negatives in 23-byte fields in the
-    # same columns, then the first block again
+    # negative and 22 where none is, and a block holding a text wider than
+    # its field is printed by %.  One writer takes, in turn: a block with no
+    # "-" in its angles, re parts and lower im parts (the upper im parts are
+    # all negative); one with negative angles and positive upper im parts,
+    # none for %; the first with 23-byte positives in 22-byte fields; ties,
+    # -0.0 and negatives everywhere; the same with 24-byte negatives in a
+    # plain column and in upper cells a lower cell mirrors; the first again
     rng = np.random.default_rng(28)
     template = sep + "[" + ",".join([floatfmt.FIELD] * 26) + "]\n"
     writer = floatfmt.RowWriter(template, 1024, hermitian=(8, 3))
+    cells = [(i, j, 8 + 2 * (3 * i + j)) for i, j in [(0, 1), (0, 2), (1, 2)]]
+    plain = np.abs(_hermitian_table(3, 1024, rng))
+    plain[plain == 5e-324] = 1.0                    # its text is 23 bytes
+    for i, j, at in cells:
+        _set_cell(plain, slice(None), i, j, plain[:, at], -np.maximum(plain[:, at + 1], 1e-3))
+    flipped = np.zeros((1024, 26))                 # no value for %
+    flipped[:, :8] = -rng.uniform(0.1, 3.0, (1024, 8))
+    flipped[:, 8::2] = rng.uniform(0.1, 1.0, (1024, 9))
+    for i, j, at in cells:
+        _set_cell(flipped, slice(None), i, j, flipped[:, at], rng.uniform(0.1, 1.0, 1024))
+    rows = rng.choice(1024, (3, 11), replace=False)
+    plain_wide = plain.copy()
+    plain_wide[rows[0, :3], 0] = -_WIDE
+    plain_wide[rows[1, :3], 8 + 2 * 2] = -_WIDE     # the re part of cell (0, 2)
+    plain_wide[rows[1, :3], 8 + 2 * 6] = -_WIDE     # and of its mirror
     mixed = _hermitian_table(3, 1024, rng)
-    edges = np.concatenate([_ties(rng, 6), [-0.0, 0.0], _WIDE])
-    rows = rng.choice(1024, (3, len(edges)), replace=False)
+    mixed[np.abs(mixed) == 5e-324] = 1.0            # -5e-324's text is 24 bytes
+    for i, j, at in cells:
+        _set_cell(mixed, slice(None), i, j, mixed[:, at], mixed[:, at + 1])
+    edges = np.concatenate([_ties(rng, 6), [-0.0, 0.0, -1e-30, 1e-31, -1e-31]])
     mixed[rows[0], 0] = edges                       # a plain column
     _set_cell(mixed, rows[1], 0, 1, edges, edges)   # upper cells a lower mirrors
     _set_cell(mixed, rows[2], 1, 2, -edges, edges[::-1])
-    # no "-" in the angles, the re parts and the lower im parts: the upper
-    # im parts are all negative, so their mirrors are all positive
-    plain = np.abs(_hermitian_table(3, 1024, rng))
-    for i, j in [(0, 1), (0, 2), (1, 2)]:
-        _set_cell(plain, slice(None), i, j, plain[:, 8 + 2 * (3 * i + j)],
-                  -np.maximum(plain[:, 9 + 2 * (3 * i + j)], 1e-3))
-    plain[rows[0, :3], 0] = -_WIDE
-    _set_cell(plain, rows[1, :3], 0, 2, -_WIDE, _WIDE)
-    for table in (plain, mixed, plain):
+    mixed_wide = mixed.copy()
+    mixed_wide[rows[0, :3], 0] = _WIDE
+    _set_cell(mixed_wide, rows[1, :3], 0, 1, _WIDE, _WIDE)
+    for table in (plain, flipped, plain_wide, mixed, mixed_wide, plain):
         got = writer.format(table).decode("ascii").splitlines()
         want = _as_percent(template, table).splitlines()
         bad = [(g, w) for g, w in zip(got, want) if g != w]
