@@ -38,7 +38,7 @@ A value the vector path does not take gets ``%``'s text in its field.  A
 ``%`` text wider than its field (a 3-digit exponent in a 22-byte field, or
 a negative value with one, as -5e-324, in a 23-byte field) cannot lie in
 the row buffer, so that block's whole text comes from ``%``; a ``sample``
-block never holds one.
+value would need a magnitude below 1e-99.
 
 The cells of a ``sample`` row's matrix are Hermitian, so a writer given that
 layout formats only the distinct floats: 17 of the 26 fields of an n=3 row
@@ -333,9 +333,9 @@ class RowWriter:
         # a slot prints a negative value where its column holds one, or, if
         # it prints the negation, where its column is not all negative
         count = negative.reshape(x.shape).sum(axis=0)[self._slot_columns]
-        signed = np.where(self._negated, count < rows, count > 0)
-        if tuple(signed.tolist()) != self._signed:
-            self._lay_out(tuple(signed.tolist()))
+        signed = tuple(np.where(self._negated, count < rows, count > 0).tolist())
+        if signed != self._signed:
+            self._lay_out(signed)
         buf = self._buf[:rows]
         for field, text, start, width, _, negate in self._fields:
             field[:rows] = text[:rows]
