@@ -19,7 +19,7 @@ round-trips byte-for-byte.  Angles are radians only.  ``sample`` prints the
 draws of ``sampling.sample_chunks`` (the ``sampling`` docstring gives the
 contract of sampler stream version 4), each row its angles, then re and im
 of each matrix cell, the matrix from the closed-form kernel
-``kernels.density_batch``, one sampler slab (4096 rows) at a time.  Both
+``kernels.density_batch``.  Both
 formats print rows through one ``%.16e`` row template (for JSON, the JSON
 writer's own output with its floats made fields) and one
 ``floatfmt.RowWriter`` per command, which forms each 1024-row write in
@@ -268,21 +268,17 @@ def cmd_sample(args) -> int:
     writer = RowWriter(sep + row, min(args.count, _WRITE_ROWS), hermitian=(len(names), n))
     skip = len(sep)
     # each sampler chunk is written as it is drawn, and holds a whole number
-    # of slabs, each of write blocks, so rows fall into the same blocks as in
-    # one batch; the kernel is elementwise, so a slab's cells are those of
-    # its rows alone.  The table is formed a block at a time: a whole slab's
-    # raised sample-n3's peak RSS by 0.6 MB more
+    # of write blocks, so rows fall into the same blocks as in one batch
     write = byte_writer(sys.stdout)
     write(head.encode())
     for chunk, _ in chunks:
-        for start in range(0, len(chunk), sampling._SLAB):
-            params = chunk[start:start + sampling._SLAB]
-            cells = density_batch(n, params[:, :k], params[:, k:]).reshape(len(params), -1)
-            for block in range(0, len(params), _WRITE_ROWS):
-                rows = slice(block, block + _WRITE_ROWS)
-                table = np.concatenate([params[rows], cells[rows].view(np.float64)], axis=1)
-                write(writer.view(table)[skip:])
-                skip = 0
+        for start in range(0, len(chunk), _WRITE_ROWS):
+            params = chunk[start:start + _WRITE_ROWS]
+            mats = density_batch(n, params[:, :k], params[:, k:])
+            table = np.concatenate([params, mats.view(np.float64).reshape(len(params), -1)],
+                                   axis=1)
+            write(writer.view(table)[skip:])
+            skip = 0
     write(tail.encode())
     return 0
 

@@ -19,33 +19,31 @@ out of the magnitude range, non-finite values, and values whose unrounded y
 missed [1e16, 1e17) because log10 put E one off.  A y that rounds up to 1e17
 prints as 1e16 at E + 1.  Zeros are written directly.
 
-Each value's text is formed in six aligned little-endian uint32 words: an
-unused byte, the sign ("-" or NUL), the lead digit and the point; the other
-16 digits, four to a word from a 10 000-entry table; "e" and the signed
+Each value's text is formed in six aligned little-endian uint32 words: a
+NUL, the sign ("-" or NUL), the lead digit and the point; the other 16
+digits, four to a word from a 10 000-entry table; "e" and the signed
 2-digit exponent.  Its bytes 1 to 23 are the text with a sign byte, bytes 2
 to 23 the text without.  A writer lays the template's text into a row buffer
-with a field for each ``%.16e``: 22 bytes where no value of the block prints
-a "-" (a ``sample`` row's angles and diagonal), 23 bytes, the sign byte
-first, elsewhere.  It keeps that layout while the blocks' signs allow it, and
-a block copies each field's text into its column as one 22- or 23-byte
-element per row.  The NULs left are the sign bytes of the non-negative
-values in 23-byte fields, and the padding of a ``%`` text shorter than its
-field; they are dropped 64 rows at a time, by ``bytes.replace``, into an
-output buffer the writer owns.  The work arrays are allocated once per
-writer.
-
-A value the vector path does not take gets ``%``'s text in its field.  A
-``%`` text wider than its field (a 3-digit exponent in a 22-byte field, or
-a negative value with one, as -5e-324, in a 23-byte field) cannot lie in
-the row buffer, so that block's whole text comes from ``%``; a ``sample``
-value would need a magnitude below 1e-99.
+with a field for each ``%.16e``, as wide as the widest text the block prints
+there: 22 bytes where no value prints a "-" (a ``sample`` row's angles and
+diagonal), 23 bytes, the sign byte first, where one does (or a ``%`` text
+is that wide, as 1e-300's), and 24 bytes, a NUL and the sign byte first,
+where a ``%`` text is that wide (a negative value with a 3-digit exponent,
+as -5e-324).  It keeps that layout while the
+blocks' widths allow it, and a block copies each field's text into its
+column as one element per row.  A value the vector path does not take then
+gets ``%``'s text in its field, NUL-padded.  The NULs left are the sign
+bytes of the non-negative values in 23- and 24-byte fields, the leading NUL
+of a 24-byte field and the padding of a ``%`` text shorter than its field;
+they are dropped 64 rows at a time, by ``bytes.replace``, into an output
+buffer the writer owns.  The work arrays are allocated once per writer.
 
 The cells of a ``sample`` row's matrix are Hermitian, so a writer given that
 layout formats only the distinct floats: 17 of the 26 fields of an n=3 row
 (the 8 angles, the 3 diagonal re parts, re and im of the 3 upper cells) and
 7 of the 11 for n=2.  The diagonal im parts, always +0.0, are template text;
 a lower cell takes its upper cell's text, the im part's sign byte flipped
-between "-" and NUL in a 23-byte field and dropped in a 22-byte one (its
+between "-" and NUL in a 23- or 24-byte field and dropped in a 22-byte one (its
 column is then all negative), and a mirrored field that ``%`` fills is
 ``%``'s text of the negated value.  The digit tables are built on first use.
 """
@@ -61,7 +59,8 @@ FIELD = "%.16e"
 _E_MIN, _E_MAX = -30, 2     # decimal exponents of the vector path
 _TIE = 1e-6                 # distance from 1/2 within which a fraction may be a tie
 _SPLIT = 134217729.0        # 2**27 + 1: Veltkamp's splitting constant
-_PADDED = "%-24.16e"        # FIELD left-justified in 24 bytes, the widest text
+_WIDEST = 24                # "-1.2345678901234567e-300"
+_PADDED = "%-24.16e"        # FIELD left-justified in the widest text
 _PIECE = 64                 # rows per NUL strip: a sample piece is under 64 KiB
 
 
@@ -216,8 +215,10 @@ class _Digits:
 
 
 def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each |x| as 17 digits D and exponent index k, and the mask of the
-    values for ``%`` (see ``_Digits.decimal``)."""
+    """Each |x| as 17 digits D and the index k = E - _E_MIN of its exponent
+    E, and the mask of the values for ``%``, in work arrays of its own (the
+    writer's are ``_Digits.decimal``'s); a masked value's D and k mean
+    nothing."""
     x = np.asarray(x, dtype=np.float64)
     return _Digits(x.size).decimal(x)
 
@@ -226,7 +227,7 @@ def _percent(values: np.ndarray) -> np.ndarray:
     """``%``'s text of each value in 24 bytes, left-justified and NUL-padded."""
     values = values.tolist()
     text = ((_PADDED * len(values)) % tuple(values)).encode().replace(b" ", b"\0")
-    return np.frombuffer(text, np.uint8).reshape(-1, 24)
+    return np.frombuffer(text, np.uint8).reshape(-1, _WIDEST)
 
 
 class RowWriter:
@@ -274,43 +275,39 @@ class RowWriter:
             else:
                 self._slots.append((position[src[0]], src[1]))
                 text.append(piece)
-        self._template = FIELD.join(text)           # for a block with a too wide text
         self._text = [t.encode("ascii") for t in text]
         self._slot_columns = [k for k, _ in self._slots]
         self._negated = np.array([negate for _, negate in self._slots], bool)
         self._rows = rows
         self._x = np.empty((rows, len(self._columns)))
         self._digits = _Digits(self._x.size)
-        # the row buffer at its widest, and the output: a field's text is <= 24 bytes
-        fixed = sum(map(len, self._text))
-        self._memory = bytearray(rows * (fixed + 23 * len(self._slots)))
-        self._out = bytearray(rows * (fixed + 24 * len(self._slots)))
-        self._signed = None                         # the layout's 23-byte fields
+        # the row buffer at its widest, and the output as large
+        size = rows * (sum(map(len, self._text)) + _WIDEST * len(self._slots))
+        self._memory, self._out = bytearray(size), bytearray(size)
+        self._widths = None                         # the layout's field widths
 
-    def _lay_out(self, signed: tuple[bool, ...]) -> None:
-        """Lay the template's text into the row buffer, with a 23-byte field
-        for each slot that prints a negative value and a 22-byte one for
-        each other slot."""
+    def _lay_out(self, widths: tuple[int, ...]) -> None:
+        """Lay the template's text into the row buffer, with a field of each
+        slot's width."""
         line, starts = b"", []
-        for piece, sign in zip(self._text, signed):
+        for piece, width in zip(self._text, widths):
             line += piece
             starts.append(len(line))
-            line += bytes(22 + sign)
+            line += bytes(width)
         line += self._text[-1]
         width = len(line)
         buf = np.frombuffer(self._memory, np.uint8, self._rows * width)
         self._buf = buf.reshape(self._rows, width)
         self._buf[:] = np.frombuffer(line, np.uint8)
-        # each field as a column of 22- or 23-byte elements, and the text of
-        # its table column in the words, without or with the sign byte
+        # each field as a column of elements of its width, and the text of
+        # its table column as the last bytes of the words
         stride = 24 * len(self._columns)
         self._fields = [
-            (np.ndarray((self._rows,), f"V{22 + sign}", self._buf, start, (width,)),
-             np.ndarray((self._rows,), f"V{22 + sign}", self._digits.words,
-                        2 - sign + 24 * k, (stride,)),
-             start, 22 + sign, k, negate)
-            for start, sign, (k, negate) in zip(starts, signed, self._slots)]
-        self._signed = signed
+            (np.ndarray((self._rows,), f"V{w}", self._buf, start, (width,)),
+             np.ndarray((self._rows,), f"V{w}", self._digits.words, 24 - w + 24 * k, (stride,)),
+             start, w, negate)
+            for start, w, (k, negate) in zip(starts, widths, self._slots)]
+        self._widths = widths
 
     def format(self, table: np.ndarray) -> bytes:
         """The rows' text as ASCII bytes."""
@@ -330,43 +327,34 @@ class RowWriter:
         x = np.take(table, self._columns, axis=1, out=self._x[:rows], mode="clip")
         back, negative = self._digits.text(x.ravel())
         back = back.reshape(x.shape)
-        # a slot prints a negative value where its column holds one, or, if
+        # a slot prints a "-" where its column holds a negative value, or, if
         # it prints the negation, where its column is not all negative
         count = negative.reshape(x.shape).sum(axis=0)[self._slot_columns]
-        signed = tuple(np.where(self._negated, count < rows, count > 0).tolist())
-        if signed != self._signed:
-            self._lay_out(signed)
+        widths = 22 + np.where(self._negated, count < rows, count > 0)
+        percent = []
+        for slot in np.flatnonzero(back.any(axis=0)[self._slot_columns]).tolist():
+            k, negate = self._slots[slot]
+            at = np.flatnonzero(back[:, k])
+            text = _percent(-x[at, k] if negate else x[at, k])
+            widths[slot] = max(widths[slot], 22 + text[:, 22:].any(axis=0).sum())
+            percent.append((slot, at, text))
+        widths = tuple(widths.tolist())
+        if widths != self._widths:
+            self._lay_out(widths)
         buf = self._buf[:rows]
-        for field, text, start, width, _, negate in self._fields:
+        for field, text, start, width, negate in self._fields:
             field[:rows] = text[:rows]
-            if negate and width == 23:
-                buf[:, start] ^= ord("-")           # the sign byte: "-" <-> NUL
-        if back.any() and self._percent_fields(x, back):
-            # a text wider than its field: the block's text comes from %
-            values = x[:, self._slot_columns]
-            np.negative(values, out=values, where=self._negated)
-            text = ((self._template * rows) % tuple(values.ravel().tolist())).encode()
-            self._out[:len(text)] = text
-            return memoryview(self._out)[:len(text)]
+            if negate and width > 22:
+                buf[:, start + width - 23] ^= ord("-")  # the sign byte: "-" <-> NUL
+        for slot, at, text in percent:
+            _, _, start, width, _ = self._fields[slot]
+            buf[at, start:start + width] = text[:, :width]
         out, end = self._out, 0
         for start in range(0, rows, _PIECE):
             piece = buf[start:start + _PIECE].tobytes().replace(b"\0", b"")
             out[end:end + len(piece)] = piece
             end += len(piece)
         return memoryview(out)[:end]
-
-    def _percent_fields(self, x: np.ndarray, back: np.ndarray) -> bool:
-        """Write ``%``'s text of the values masked by back into their fields,
-        the negation's in a mirrored field; True, with the fields left half
-        written, at the first text wider than its field."""
-        for _, _, start, width, k, negate in self._fields:
-            rows = np.flatnonzero(back[:, k])
-            if rows.size:
-                text = _percent(-x[rows, k] if negate else x[rows, k])
-                if text[:, width].any():
-                    return True
-                self._buf[rows, start:start + width] = text[:, :width]
-        return False
 
 
 def format_rows(template: str, table: np.ndarray) -> str:

@@ -190,20 +190,21 @@ def _set_cell(table: np.ndarray, rows, i: int, j: int, re, im) -> None:
 
 @pytest.mark.parametrize("sep", ["", ", "])
 def test_texts_wider_than_their_field(sep):
-    # a field is 23 bytes where a value of the block printed there is
-    # negative and 22 where none is, and a block holding a text wider than
-    # its field is printed by %.  One writer takes, in turn: a block with no
-    # "-" in its angles, re parts and lower im parts (the upper im parts are
-    # all negative); one with negative angles and positive upper im parts,
-    # none for %; the first with 23-byte positives in 22-byte fields; ties,
-    # -0.0 and negatives everywhere; the same with 24-byte negatives in a
-    # plain column and in upper cells a lower cell mirrors; the first again
+    # a field is as wide as the widest text the block prints there: 22
+    # bytes where no value prints a "-", 23 where one does or a % text is
+    # 23 bytes, 24 where a % text is.  One writer takes, in turn: a block
+    # with no "-" in its angles, re parts and lower im parts (the upper im
+    # parts are all negative); one with negative angles and positive upper
+    # im parts, none for %; the first with 23-byte positives where no value
+    # prints a "-"; ties, -0.0, -5e-324 and negatives everywhere; the same
+    # with more 24-byte negatives in a plain column and in upper cells a
+    # lower cell mirrors; the first again
     rng = np.random.default_rng(28)
     template = sep + "[" + ",".join([floatfmt.FIELD] * 26) + "]\n"
     writer = floatfmt.RowWriter(template, 1024, hermitian=(8, 3))
     cells = [(i, j, 8 + 2 * (3 * i + j)) for i, j in [(0, 1), (0, 2), (1, 2)]]
     plain = np.abs(_hermitian_table(3, 1024, rng))
-    plain[plain == 5e-324] = 1.0                    # its text is 23 bytes
+    plain[plain == 5e-324] = 1.0                    # 23 bytes, where no "-" is
     for i, j, at in cells:
         _set_cell(plain, slice(None), i, j, plain[:, at], -np.maximum(plain[:, at + 1], 1e-3))
     flipped = np.zeros((1024, 26))                 # no value for %
@@ -217,7 +218,6 @@ def test_texts_wider_than_their_field(sep):
     plain_wide[rows[1, :3], 8 + 2 * 2] = -_WIDE     # the re part of cell (0, 2)
     plain_wide[rows[1, :3], 8 + 2 * 6] = -_WIDE     # and of its mirror
     mixed = _hermitian_table(3, 1024, rng)
-    mixed[np.abs(mixed) == 5e-324] = 1.0            # -5e-324's text is 24 bytes
     for i, j, at in cells:
         _set_cell(mixed, slice(None), i, j, mixed[:, at], mixed[:, at + 1])
     edges = np.concatenate([_ties(rng, 6), [-0.0, 0.0, -1e-30, 1e-31, -1e-31]])
@@ -232,6 +232,34 @@ def test_texts_wider_than_their_field(sep):
         want = _as_percent(template, table).splitlines()
         bad = [(g, w) for g, w in zip(got, want) if g != w]
         assert len(got) == len(want) == len(table) and not bad, bad[:2]
+
+
+@pytest.mark.parametrize("at", [0, 8 + 2 * 1 + 1])  # an angle; im of cell (0, 1)
+def test_wide_text_leaves_the_block_to_the_vector_path(monkeypatch, at):
+    # -5e-324's text is 24 bytes; its field widens, and every other value of
+    # the block still takes the vector path, whose exponents are made to
+    # print "E" here.  Planted in an upper cell, its mirror is 5e-324
+    seen = []
+    percent, (four, exp_text) = floatfmt._percent, floatfmt._text()
+    monkeypatch.setattr(floatfmt, "_percent", lambda v: seen.extend(v.tolist()) or percent(v))
+    upper = np.frombuffer(exp_text.tobytes().replace(b"e", b"E"), "<u4")
+    monkeypatch.setattr(floatfmt, "_text", lambda: (four, upper))
+    rng = np.random.default_rng(29)
+    table = rng.normal(size=(1024, 26))
+    for i in range(3):
+        table[:, 8 + 8 * i + 1] = 0.0                  # the diagonal's im parts
+        for j in range(i + 1, 3):
+            cell = 8 + 2 * (3 * i + j)
+            _set_cell(table, slice(None), i, j, table[:, cell], table[:, cell + 1])
+    table[500, at] = -5e-324
+    if at > 8:
+        table[500, 8 + 2 * 3 + 1] = 5e-324            # the mirror, im of cell (1, 0)
+    template = ",".join([floatfmt.FIELD] * 26) + "\n"
+    out = floatfmt.RowWriter(template, 1024, hermitian=(8, 3)).format(table)
+    assert out.replace(b"E", b"e") == _as_percent(template, table).encode()
+    assert sorted(seen) == ([-5e-324] if at == 0 else [-5e-324, 5e-324])
+    # the diagonal's im parts are template text, which keeps its "e"
+    assert out.count(b"e") == 3 * 1024 + len(seen)
 
 
 def test_format_returns_bytes_of_its_own():
