@@ -21,30 +21,30 @@ prints as 1e16 at E + 1.  Zeros are written directly.
 
 Each value's text is formed in six aligned little-endian uint32 words: a
 NUL, the sign ("-" or NUL), the lead digit and the point; the other 16
-digits, four to a word from a 10 000-entry table; "e" and the signed
-2-digit exponent.  Its bytes 1 to 23 are the text with a sign byte, bytes 2
-to 23 the text without.  A writer lays the template's text into a row buffer
-with a field for each ``%.16e``, as wide as the widest text the block prints
+digits, four to a word from a 10 000-entry table; "e" and the signed 2-digit
+exponent.  Its bytes 1 to 23 are the text with a sign byte, bytes 2 to 23
+the text without.  A writer lays the template's text into a row buffer with
+a field for each ``%.16e``, as wide as the widest text the block prints
 there: 22 bytes where no value prints a "-" (a ``sample`` row's angles and
-diagonal), 23 bytes, the sign byte first, where one does (or a ``%`` text
-is that wide, as 1e-300's), and 24 bytes, a NUL and the sign byte first,
-where a ``%`` text is that wide (a negative value with a 3-digit exponent,
-as -5e-324).  It keeps that layout while the
-blocks' widths allow it, and a block copies each field's text into its
-column as one element per row.  A value the vector path does not take then
-gets ``%``'s text in its field, NUL-padded.  The NULs left are the sign
-bytes of the non-negative values in 23- and 24-byte fields, the leading NUL
-of a 24-byte field and the padding of a ``%`` text shorter than its field;
-they are dropped 64 rows at a time, by ``bytes.replace``, into an output
-buffer the writer owns.  The work arrays are allocated once per writer.
+diagonal), 23 bytes, the sign byte first, where one does (or a ``%`` text is
+that wide, as 1e-300's), and 24 bytes, a NUL and the sign byte first, where
+a ``%`` text is that wide (a negative value with a 3-digit exponent, as
+-5e-324).  It keeps that layout while the blocks' widths allow it, and a
+block copies each field's text into its column as one element per row.  A
+value the vector path does not take then gets ``%``'s text in its field,
+NUL-padded.  The NULs left are the sign bytes of the non-negative values in
+23- and 24-byte fields, the leading NUL of a 24-byte field and the padding
+of a ``%`` text shorter than its field; they are dropped 64 rows at a time,
+by ``bytes.replace``, into an output buffer the writer owns.  The work
+arrays are allocated once per writer.
 
 The cells of a ``sample`` row's matrix are Hermitian, so a writer given that
 layout formats only the distinct floats: 17 of the 26 fields of an n=3 row
 (the 8 angles, the 3 diagonal re parts, re and im of the 3 upper cells) and
 7 of the 11 for n=2.  The diagonal im parts, always +0.0, are template text;
 a lower cell takes its upper cell's text, the im part's sign byte flipped
-between "-" and NUL in a 23- or 24-byte field and dropped in a 22-byte one (its
-column is then all negative), and a mirrored field that ``%`` fills is
+between "-" and NUL in a 23- or 24-byte field and dropped in a 22-byte one
+(its column is then all negative), and a mirrored field that ``%`` fills is
 ``%``'s text of the negated value.  The digit tables are built on first use.
 """
 

@@ -173,7 +173,7 @@ class TestMonteCarlo:
     def test_json_minor_faults_do_not_grow_per_block(self):
         # each 1024-row write block is formed in the row writer's own work
         # arrays and buffers, allocated once, and written from there.  From
-        # 1e4 to 1e5 rows that took 1.5 k to 2.7 k more minor faults over
+        # 1e4 to 1e5 rows that took 0.9 k to 1.1 k more minor faults over
         # environments padded by 0 to 7680 bytes; a fresh 0.76 MB bytes
         # object per block took up to 18.7 k, by the environment's size
         # alone, and one freed before the next block was formed over 30 k
