@@ -17,7 +17,7 @@ JSON record (or a CSV stream for ``sample --format csv``) with schema_version
 "1"; every float is printed with 17 significant digits so serialized output
 round-trips byte-for-byte.  Angles are radians only.  ``sample`` prints the
 draws of ``sampling.sample_chunks`` (the ``sampling`` docstring gives the
-contract of sampler stream version 4), each row its angles, then re and im
+contract of sampler stream version 5), each row its angles, then re and im
 of each matrix cell, the matrix from the closed-form kernel
 ``kernels.density_batch``.  Both
 formats print rows through one ``%.16e`` row template (for JSON, the JSON
@@ -25,10 +25,12 @@ writer's own output with its floats made fields) and one
 ``floatfmt.RowWriter`` per command, which forms each 1024-row write in
 buffers of its own, byte-identical to ``%`` (see ``floatfmt``), and the
 command writes it from there.  Both formats write each of the sampler's
-16384-index chunks as it is drawn, so memory does not grow with ``--count``;
-JSON, whose record gives ``total_proposals`` before the samples, draws
-chunk 0 and keeps it while it counts the later chunks' proposals from their
-attempts alone (``sampling.counted_chunks``).  The blocks are written from
+16384-index chunks as it is drawn, and lets go of it before the next is
+drawn, so memory does not grow with ``--count``; JSON, whose record gives
+``total_proposals`` before the samples, draws n=3 chunk 0 and keeps it while
+it counts the later chunks' proposals from their attempts alone
+(``sampling.counted_chunks``; an n=2 chunk's proposals are its size).  The
+blocks are written from
 the main thread to stdout's file (``floatfmt.byte_writer``), which, if it is
 a pipe, is grown to 1 MiB, so that it holds a whole block and the reader
 drains it while the next is formed.  ``density`` prints rho from the
@@ -245,9 +247,9 @@ def cmd_sample(args) -> int:
         row = ",".join([_FLOAT] * (len(names) + len(cells))) + "\n"
         sep, tail = "", ""
     else:
-        # the record gives total_proposals before the samples: chunk 0 is
-        # drawn and kept, and the later chunks' proposals are counted from
-        # their attempts alone before their rows stream
+        # the record gives total_proposals before the samples: for n=3,
+        # chunk 0 is drawn and kept, and the later chunks' proposals are
+        # counted from their attempts alone before their rows stream
         total_proposals, chunks = sampling.counted_chunks(n, args.count, args.seed)
         head = dumps_record({
             "schema_version": SCHEMA_VERSION,
@@ -279,6 +281,9 @@ def cmd_sample(args) -> int:
                                    axis=1)
             write(writer.view(table)[skip:])
             skip = 0
+        # let go of the chunk (params is a view of it) before the next one
+        # is drawn, so that two chunks are never held at once
+        del chunk, params
     write(tail.encode())
     return 0
 
@@ -392,20 +397,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sample", help="draw density matrices from the normalized Bures density",
         description="Draw density matrices from the normalized Bures density on "
-                    "the angle box: coset angles exactly by inverse CDF, "
-                    "eigenvalue angles by rejection against the exact sup of "
-                    "the eigenvalue factor (reported as 'envelope'). Sampler "
-                    "stream version 4: each 16384-index chunk reads one Philox "
-                    "stream of attempts, keyed by (seed, 0), and one of coset "
-                    "uniforms, keyed by (seed, 1), in order, so every count "
-                    "prefix of a seed's output is the same. 'batch_size' is the "
-                    "attempts drawn per pending sample in one round, up to "
-                    "4096 attempts a round (a cost choice that leaves the "
-                    "samples as they are); "
+                    "the angle box: coset angles exactly by inverse CDF; the "
+                    "n=2 eigenvalue angle exactly too, as "
+                    "asin(sqrt(u1) cos(pi u2 / 2)) / 2 from a uniform pair; "
+                    "the n=3 eigenvalue angles by rejection against the exact "
+                    "sup of the eigenvalue factor (reported as 'envelope', for "
+                    "n=2 too). Sampler stream version 5: each 16384-index "
+                    "chunk reads one Philox stream of attempts, keyed by "
+                    "(seed, 0), and one of coset uniforms, keyed by (seed, 1), "
+                    "in order, so every count prefix of a seed's output is the "
+                    "same. 'batch_size' is the n=3 attempts drawn per pending "
+                    "sample in one round, up to 4096 attempts a round (a cost "
+                    "choice that leaves the samples as they are; n=2 has no "
+                    "rounds, and its record reads the same value); "
                     "'total_proposals' counts the attempts examined up to and "
-                    "including the last accepted one. Rows are written as "
+                    "including the last accepted one (for n=2, every attempt "
+                    "is a sample, so it is the count). Rows are written as "
                     "each chunk is drawn, so memory does not grow with "
-                    "--count; the JSON record, which gives total_proposals "
+                    "--count; the n=3 JSON record, which gives total_proposals "
                     "first, keeps chunk 0 while it counts the later chunks' "
                     "attempts, so up to 16384 rows run the sampler once. "
                     "For n=3 the paper's box "

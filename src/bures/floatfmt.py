@@ -214,15 +214,6 @@ class _Digits:
         return back, negative
 
 
-def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each |x| as 17 digits D and the index k = E - _E_MIN of its exponent
-    E, and the mask of the values for ``%``, in work arrays of its own (the
-    writer's are ``_Digits.decimal``'s); a masked value's D and k mean
-    nothing."""
-    x = np.asarray(x, dtype=np.float64)
-    return _Digits(x.size).decimal(x)
-
-
 def _percent(values: np.ndarray) -> np.ndarray:
     """``%``'s text of each value in 24 bytes, left-justified and NUL-padded."""
     values = values.tolist()

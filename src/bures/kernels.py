@@ -3,7 +3,8 @@
 This module holds the fast form of every quantity the hot paths evaluate on
 stacked angle rows: the eigenvalue map, U's entries and rho = U diag(lam) U^dag
 (``density_batch``), the eigenvalue factor of the Bures density and its exact
-sup, the coset factor and its inverse CDFs, and the normalization constant
+sup, the n=2 eigenvalue angle's exact draw, the coset factor and its
+inverse CDFs, and the normalization constant
 (the cached eigenvalue-box quadrature at ``points`` Gauss-Legendre points per
 axis, an int, times the exact coset integral).  ``eigen_box_integral`` is
 the one quadrature of the package: Z and every spectral mean run it, at
@@ -189,7 +190,8 @@ def _eigen_sup_3() -> float:
 
 
 # exact sup of ``eigen_measure_factor`` over the eigenvalue box: 8 at t = 0
-# for n=2, 6.6037001945013625 for n=3; the sampler's rejection bound M
+# for n=2, 6.6037001945013625 for n=3; the n=3 sampler's rejection bound M
+# (n=2 draws its angle exactly, and the ``sample`` record reports 8 all the same)
 EIGEN_FACTOR_SUP = {2: 8.0, 3: _eigen_sup_3()}
 
 
@@ -207,6 +209,21 @@ def coset_measure_factor(n: int, angles: np.ndarray) -> np.ndarray:
         th = angles[:, 3]
         dens *= np.abs(np.sin(2 * angles[:, 5]) * np.sin(th) ** 3 * np.cos(th))
     return dens
+
+
+def eigen_angle_from_uniforms(u: np.ndarray) -> np.ndarray:
+    """Map uniform pairs on [0, 1) to the n=2 eigenvalue angle, whose density
+    is proportional to ``eigen_measure_factor(2, .)``; ``u`` has shape (..., 2).
+
+    Under s = sin 2t the factor 8 cos^2(2t) dt on [0, pi/4] is
+    4 sqrt(1 - s^2) ds on [0, 1], the quarter-circle law: s is the abscissa
+    of a point uniform in the unit quarter disk, at radius sqrt(u1) and
+    polar angle pi u2 / 2 (Devroye, *Non-Uniform Random Variate Generation*,
+    1986, ch. V).  So t = asin(sqrt(u1) cos(pi u2 / 2)) / 2, exactly, with
+    no rejection.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    return 0.5 * np.arcsin(np.sqrt(u[..., 0]) * np.cos(_HALF_PI * u[..., 1]))
 
 
 def coset_angles_from_uniforms(n: int, u: np.ndarray) -> np.ndarray:

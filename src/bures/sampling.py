@@ -2,32 +2,39 @@
 
 The density is an eigenvalue-angle factor times the coset factor, and the
 coset factor is a product of one-angle closed forms, so the coset angles are
-drawn exactly by inverse CDF and rejection runs on the 1-D (n=2) or 2-D
-(n=3) eigenvalue box alone, against the exact sup M of the eigenvalue factor.
+drawn exactly by inverse CDF.  So is the n=2 eigenvalue angle, whose factor
+8 cos^2(2t) becomes the quarter-circle law under s = sin 2t
+(``kernels.eigen_angle_from_uniforms``).  Rejection runs for n=3 alone, on
+its 2-D eigenvalue box, against the exact sup M of the eigenvalue factor.
 
 Index chunk c (16384 indices each) reads two Philox streams, both with
-counter ``[0, c, 0, 0]``.  The attempt stream, keyed by ``(seed, 0)``, is a
-sequence of attempts of n uniforms each: n-1 map linearly onto the
-eigenvalue box, and the attempt is accepted iff u * M < eigenvalue factor for
-its last uniform u.  Sample j of the chunk takes the eigenvalue angles of the
-j-th accepted attempt, and its n^2-n coset angles from row j of the coset
-stream, keyed by ``(seed, 1)``, through the coset inverse CDFs.  Rejection
-runs in rounds of ``_BLOCK`` (2, the ``sample`` record's ``batch_size``)
-attempts per index still pending, and a round draws at most one slab (4096
-rows) of attempts, as the coset uniforms are drawn one slab at a time, so no
-kernel call sees more than a slab.  Both
-streams carry on across rounds and slabs and are read in order, so the bytes
-depend neither on the round or slab size nor on ``count``: every count prefix
-gives the same bytes.  ``sample_chunks`` yields the chunks one at a time, in
-index order, each with its count of the attempts examined, up to and
-including its last accepted one (summed, the record's ``total_proposals``),
-for callers that reduce or write them as they come; ``sample`` concatenates
-the rows.  A chunk is drawn in two halves, rejection on the attempt stream
-and then the coset uniforms, so ``counted_chunks``, for a caller that needs
-the total before the rows, counts the later chunks' proposals from the
-rejection half alone and draws each chunk's rows once.
+counter ``[0, c, 0, 0]``.  The attempt stream is keyed by ``(seed, 0)``.
+For n=2, sample j of the chunk takes the j-th pair (u1, u2) of it, and its
+angle t = asin(sqrt(u1) cos(pi u2 / 2)) / 2: every attempt is a sample.  For
+n=3 it is a sequence of attempts of 3 uniforms each: 2 map linearly onto the
+eigenvalue box, and the attempt is accepted iff u * M < eigenvalue factor
+for its last uniform u; sample j takes the eigenvalue angles of the j-th
+accepted attempt.  Either way, sample j takes its n^2-n coset angles from
+row j of the coset stream, keyed by ``(seed, 1)``, through the coset inverse
+CDFs.  n=3 rejection runs in rounds of ``_BLOCK`` (2, the ``sample``
+record's ``batch_size``) attempts per index still pending, and a round draws
+at most one slab (4096 rows) of attempts, as the n=2 attempts and the coset
+uniforms are drawn one slab at a time, so no kernel call sees more than a
+slab.  Both streams carry on across rounds and slabs and are read in order,
+so the bytes depend neither on the round or slab size nor on ``count``:
+every count prefix gives the same bytes.  ``sample_chunks`` yields the
+chunks one at a time, in index order, each with its count of the attempts
+examined, up to and including its last accepted one (summed, the record's
+``total_proposals``; for n=2, the chunk's size), for callers that reduce or
+write them as they come; ``sample`` concatenates the rows.  A chunk is drawn
+in two halves, the eigenvalue angles from the attempt stream and then the
+coset uniforms, so ``counted_chunks``, for a caller that needs the total
+before the rows, counts the later n=3 chunks' proposals from the rejection
+half alone and draws each chunk's rows once.
 
-This is sampler stream version 4.  Version 3 keyed one stream per round,
+This is sampler stream version 5.  Version 4 drew the n=2 eigenvalue angle
+by rejection too, from attempts of 2 uniforms against M = 8, and its n=3
+bytes are version 5's; version 3 keyed one stream per round,
 ``(seed, round)``, and drew all n^2 uniforms of four attempts per pending
 index, so its bytes depended on that block size; version 2 gave each sample
 index its own stream keyed by ``(seed, index)``; version 1 proposed uniformly
@@ -43,10 +50,11 @@ from typing import Iterator
 import numpy as np
 
 from .kernels import (EIGEN_FACTOR_SUP, EIGEN_RANGES, check_n,
-                      coset_angles_from_uniforms, eigen_measure_factor)
+                      coset_angles_from_uniforms, eigen_angle_from_uniforms,
+                      eigen_measure_factor)
 
 _INDEX_CHUNK = 16384          # sample indices per chunk (bounds memory)
-_BLOCK = 2                    # attempts per round per pending sample
+_BLOCK = 2                    # n=3 attempts per round per pending sample
 _SLAB = 4096                  # rows per kernel call (bounds the work arrays)
 
 
@@ -62,8 +70,21 @@ def _stream(seed: int, stream: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=[0, chunk, 0, 0]))
 
 
+def _exact(seed: int, chunk: int, out: np.ndarray) -> int:
+    """Fill ``out[:, 0]`` with the n=2 eigenvalue angles of index chunk ``chunk``.
+
+    Sample j takes the j-th uniform pair of the attempt stream, one slab at
+    a time; every attempt is a sample, so it returns ``len(out)``.
+    """
+    attempts = _stream(seed, 0, chunk)
+    for a in range(0, len(out), _SLAB):
+        b = min(a + _SLAB, len(out))
+        out[a:b, 0] = eigen_angle_from_uniforms(attempts.random((b - a, 2)))
+    return len(out)
+
+
 def _rejection(n: int, env: float, seed: int, chunk: int, out: np.ndarray) -> int:
-    """Fill ``out[:, :n-1]`` with the eigenvalue angles of index chunk ``chunk``.
+    """Fill ``out[:, :n-1]`` with the n=3 eigenvalue angles of index chunk ``chunk``.
 
     The rejection half of a chunk: it reads the attempt stream alone, and
     returns the count of attempts examined, up to and including the last
@@ -94,13 +115,16 @@ def _rejection(n: int, env: float, seed: int, chunk: int, out: np.ndarray) -> in
     return proposals
 
 
-def _rejection_chunk(n: int, env: float, seed: int, chunk: int,
-                     count: int) -> tuple[np.ndarray, int]:
-    """Draw the ``count`` sample indices of index chunk ``chunk``: rejection,
-    then the coset half from the coset stream."""
+def _chunk(n: int, env: float, seed: int, chunk: int, count: int) -> tuple[np.ndarray, int]:
+    """Draw the ``count`` sample indices of index chunk ``chunk``: the
+    eigenvalue half from the attempt stream, then the coset half from the
+    coset stream."""
     k = n - 1
     out = np.empty((count, n * n - 1))
-    proposals = _rejection(n, env, seed, chunk, out)
+    if n == 2:
+        proposals = _exact(seed, chunk, out)
+    else:
+        proposals = _rejection(n, env, seed, chunk, out)
     coset = _stream(seed, 1, chunk)
     for a in range(0, count, _SLAB):
         b = min(a + _SLAB, count)
@@ -132,7 +156,7 @@ def sample_chunks(n: int, count: int, seed: int) -> Iterator[tuple[np.ndarray, i
     if count < 0:
         raise ValueError("count must be >= 0")
     env = EIGEN_FACTOR_SUP[n]
-    return (_rejection_chunk(n, env, seed, c, size) for c, size in _chunk_sizes(count))
+    return (_chunk(n, env, seed, c, size) for c, size in _chunk_sizes(count))
 
 
 def counted_chunks(n: int, count: int,
@@ -140,13 +164,16 @@ def counted_chunks(n: int, count: int,
     """The summed proposals of ``sample_chunks(n, count, seed)``, and its chunks.
 
     For a caller that needs the total before the rows, as the ``sample``
-    record does.  Chunk 0 is drawn from ``sample_chunks`` and kept (at most
-    16384 rows), and the generator then goes on with chunks 1, 2, ...; those
-    chunks' proposals are counted from their attempt streams alone, before
-    any of them is drawn, so no coset uniform is drawn twice and a count of
-    up to 16384 runs the sampler once.
+    record does.  For n=2 the total is ``count``, and nothing is drawn
+    before the chunks.  For n=3, chunk 0 is drawn from ``sample_chunks`` and
+    kept (at most 16384 rows), and the generator then goes on with chunks 1,
+    2, ...; those chunks' proposals are counted from their attempt streams
+    alone, before any of them is drawn, so no coset uniform is drawn twice
+    and a count of up to 16384 runs the sampler once.
     """
     chunks = sample_chunks(n, count, seed)
+    if n == 2:
+        return count, chunks
     first = next(chunks, None)
     if first is None:
         return 0, chunks

@@ -46,7 +46,8 @@ def record_of(out: str) -> dict:
     return rec
 
 
-# the sample commands behind the golden digests of sampler stream version 4
+# the sample commands behind the golden digests of sampler stream version 5
+# (its n=3 bytes are version 4's, whose name the golden tests keep)
 _STREAM_V4_ARGV = [
     ("--n", "2", "--count", "20", "--seed", "99"),
     ("--n", "3", "--count", "5", "--seed", "7", "--format", "csv"),
@@ -83,7 +84,7 @@ _SCALAR_GOLDENS = {
     # mc-n2, the benchmark's Monte Carlo command
     "integrate-mc-n2": (("integrate", "--n", "2", "--functional", "entropy", "--method",
                          "mc", "--samples", "200000", "--seed", "1"),
-                        "accea0a6e5807d2b5285ae8563ccda118161b96ff0110501dcbaf196008cae12"),
+                        "40db2a3c8d76a2adfb93495f21f1701c051492e6a34530d26c88f36d9103c521"),
     "integrate-mc-n3-purity": (("integrate", "--n", "3", "--functional", "purity",
                                 "--method", "mc", "--samples", "50000", "--seed", "4"),
                                "b684024399ea0b92101acb75ae88cf9cf0b5ed0a24b7626698040448148223b9"),
@@ -269,6 +270,23 @@ class TestSampleCommand:
         assert code == 0
         assert seen == draws
         assert out.count('"params"') == count
+
+    def test_two_state_json_draws_each_chunk_once(self, capsys, monkeypatch):
+        # an n=2 chunk's proposals are its size, so the record's
+        # total_proposals needs no count pass: each stream is opened once
+        seen = collections.Counter()
+        stream = sampling._stream
+
+        def spy(seed, kind, chunk):
+            seen[kind, chunk] += 1
+            return stream(seed, kind, chunk)
+
+        monkeypatch.setattr(sampling, "_stream", spy)
+        code, out, _ = run_cli(capsys, "sample", "--n", "2", "--count", "40000",
+                               "--seed", "2")
+        assert code == 0
+        assert seen == {(kind, chunk): 1 for kind in (0, 1) for chunk in (0, 1, 2)}
+        assert record_of(out)["total_proposals"] == 40000
 
     def test_negative_count_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "sample", "--n", "2", "--count", "-2", "--seed", "1")
@@ -566,26 +584,27 @@ class TestOutputContract:
         assert out == want
 
     @pytest.mark.parametrize("argv,digest", zip(_STREAM_V4_ARGV, [
-        "400f35890ee29fa17ab7af779f76f07caaa2cb79eb4817e6982772aaa1c87e5c",
+        "8d7e5500229b06d526f7625106fcb5a1358b9ada892b12b69ed362c1fe9d4d0f",
         "4b1849d8a6197ccc8cbffc031e1644827ecc212c8410a493196c26e94b28dd09",
         "1d2279042ce42138f371f84474cedc494525f9ba6347f0bfedf571758eff8007",
-        "4ac128e88d8f9abd3abe173dfab10130bcf9d895658410447ce6095558c31022",
+        "c98ba05a67682d271553196fe128f31e1013f257f139ab9681035e839eba3640",
     ]), ids=_STREAM_V4_IDS)
     def test_sampler_stream_version_4(self, capsys, argv, digest):
         # golden SHA-256 of the output: a change to the seed-to-sample
         # mapping must show here and carry a new stream version.  Captured
-        # with the n=3 matrix written entry by entry in ``euler.density_batch``
+        # with the n=3 matrix written entry by entry in ``euler.density_batch``;
+        # the n=2 digests are stream version 5's exact eigenvalue draw
         _, out, _ = run_cli(capsys, "sample", *argv)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("argv,digest", zip(_STREAM_V4_ARGV, [
-        "8a5055259dd83445679730ee08af992bb370ef4bcb52e0b97019d602df53d959",
+        "f40cb39f042e5cef70dd0d46fb4e5beb2c7d511c7686ed3265244e5d1b708819",
         "882dc2e83b4779b7476f9a5892b6cbf619ad834a8190a98222aed2fab3966f37",
         "5a9d19aaa7d23744c775bda9c26b0d99ecc641ae7fcb66a70e8ab05590cb2673",
-        "cc8f1a683a56637b47cbb117e51cf8de8527b474acda45a40d734f58c7506dba",
+        "0defe6d29966e03faf60bb885e3ebca5a4fff025f400163e3f026cd87d5f41b9",
     ]), ids=_STREAM_V4_IDS)
     def test_sample_angle_columns_pinned(self, capsys, argv, digest):
-        # golden SHA-256 of the printed angles alone, of stream version 4:
+        # golden SHA-256 of the printed angles alone, of stream version 5:
         # they come from the sampler, so a change to the matrix kernel must
         # leave them as they are
         _, out, _ = run_cli(capsys, "sample", *argv)
@@ -924,8 +943,8 @@ class TestSubprocessEntry:
 
     def test_envelope_violation_after_rows_writes_them_first(self, capsys, monkeypatch):
         # a violation in sampler chunk 1 ends the command with status 1 once
-        # the rows of chunk 0 are all written
-        argv = ("sample", "--n", "2", "--seed", "1", "--format", "csv")
+        # the rows of chunk 0 are all written (n=3: n=2 runs no rejection)
+        argv = ("sample", "--n", "3", "--seed", "1", "--format", "csv")
         _, chunk_0, _ = run_cli(capsys, *argv, "--count", "16384")
         rejection = sampling._rejection
 
@@ -941,6 +960,28 @@ class TestSubprocessEntry:
         assert code == 1
         assert out == chunk_0
         assert err == "envelope violation: in chunk 1\n"
+
+    def test_two_state_runs_no_rejection(self, capsys, monkeypatch):
+        # the n=2 eigenvalue angle is drawn exactly, so sample --n 2 in
+        # both formats and n=2 Monte Carlo run with the rejection replaced
+        # by a failure, and print what they print without it; n=3 still
+        # rejects, and fails
+        commands = [("sample", "--n", "2", "--count", "20000", "--seed", "1"),
+                    ("sample", "--n", "2", "--count", "20000", "--seed", "1",
+                     "--format", "csv"),
+                    ("integrate", "--n", "2", "--functional", "entropy", "--method", "mc",
+                     "--samples", "20000", "--seed", "1")]
+        want = [run_cli(capsys, *argv)[1] for argv in commands]
+
+        def failing(n, env, seed, chunk, out):
+            raise sampling.EnvelopeViolationError("rejection ran")
+
+        monkeypatch.setattr(sampling, "_rejection", failing)
+        for argv, out in zip(commands, want):
+            assert run_cli(capsys, *argv) == (0, out, "")
+        assert record_of(want[0])["total_proposals"] == 20000
+        code, out, err = run_cli(capsys, "sample", "--n", "3", "--count", "10", "--seed", "1")
+        assert (code, out, err) == (1, "", "envelope violation: rejection ran\n")
 
     def test_usage_error_exit_code(self):
         r = subprocess.run([sys.executable, "-m", "bures", "density", "--n", "2",

@@ -106,14 +106,15 @@ def test_digit_table_is_percent_04d():
 
 
 def test_ties_and_out_of_range_take_the_fallback():
-    rng = np.random.default_rng(5)
-    _, _, back = floatfmt._decimal(_ties(rng, 10_000))
+    ties = _ties(np.random.default_rng(5), 10_000)
+    _, _, back = floatfmt._Digits(ties.size).decimal(ties)
     assert back.all()
     out_of_range = np.array([1e3, -1e3, 1e300, 9.99e-31, -1e-31, 5e-324,
                              np.inf, -np.inf, np.nan])
-    _, _, back = floatfmt._decimal(out_of_range)
+    _, _, back = floatfmt._Digits(out_of_range.size).decimal(out_of_range)
     assert back.all()
-    _, _, back = floatfmt._decimal(np.array([0.0, -0.0, 1.0, 999.9, 1e-30]))
+    in_range = np.array([0.0, -0.0, 1.0, 999.9, 1e-30])
+    _, _, back = floatfmt._Digits(in_range.size).decimal(in_range)
     assert not back.any()
 
 
@@ -123,7 +124,7 @@ def test_sample_table_mostly_vectorized(n):
     mats = density_batch(n, params[:, :n - 1], params[:, n - 1:])
     table = np.concatenate([params, mats.view(np.float64).reshape(len(params), -1)],
                            axis=1)
-    _, _, back = floatfmt._decimal(table.ravel())
+    _, _, back = floatfmt._Digits(table.size).decimal(table.ravel())
     assert back.sum() <= 4
     template = ",".join([floatfmt.FIELD] * table.shape[1]) + "\n"
     assert floatfmt.format_rows(template, table) == _as_percent(template, table)
@@ -169,7 +170,7 @@ def test_hermitian_rows_match_percent(n, sep):
     writer = floatfmt.RowWriter(template, 1024, hermitian=(n * n - 1, n))
     for rows in (1024, 1, 1023, 1024):
         table = _hermitian_table(n, rows, rng)
-        _, _, back = floatfmt._decimal(table.ravel())
+        _, _, back = floatfmt._Digits(table.size).decimal(table.ravel())
         assert back.sum() >= max(4, rows // 10)     # the fallback is exercised
         got = writer.format(table).decode("ascii").splitlines()
         want = _as_percent(template, table).splitlines()

@@ -6,7 +6,8 @@ import pytest
 from bures import kernels, sampling
 from bures.kernels import (COSET_RANGES, EIGEN_FACTOR_SUP, EIGEN_NAMES, EIGEN_RANGES,
                            THETA2_MAX, coset_angles_from_uniforms, coset_unitary_batch,
-                           density_batch, eigen_measure_factor, normalization_constant)
+                           density_batch, eigen_angle_from_uniforms, eigen_measure_factor,
+                           normalization_constant)
 from bures.sampling import EnvelopeViolationError, sample, sample_chunks
 from bures.checks import ks_statistic
 from bures.euler import EigenvalueAngles
@@ -68,10 +69,11 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_row_by_row_reference(self, n, monkeypatch):
-        # stream version 4 read literally: one draw per attempt from the
-        # attempt stream, one per index from the coset stream; small index
-        # chunks put several chunks into a short run, and a smaller slab puts
-        # slab edges inside each chunk
+        # stream version 5 read literally: one draw per attempt from the
+        # attempt stream (for n=2 a uniform pair, every one a sample; for n=3
+        # three uniforms, until one is accepted), one per index from the
+        # coset stream; small index chunks put several chunks into a short
+        # run, and a smaller slab puts slab edges inside each chunk
         monkeypatch.setattr(sampling, "_INDEX_CHUNK", 16)
         monkeypatch.setattr(sampling, "_SLAB", 5)
         count, seed = 50, 2 ** 64 - 5
@@ -83,12 +85,16 @@ class TestDeterminism:
                 key=np.array([seed, s], dtype=np.uint64), counter=[0, c, 0, 0]))
                 for s in (0, 1))
             for _ in range(start, min(start + 16, count)):
-                while True:
+                while n == 3:
                     u = attempts.random(n)
                     proposals += 1
                     eig = lower + u[:n - 1] * span
                     if u[-1] * EIGEN_FACTOR_SUP[n] < eigen_measure_factor(n, eig[None])[0]:
                         break
+                if n == 2:
+                    u1, u2 = attempts.random(2)
+                    proposals += 1
+                    eig = [0.5 * np.arcsin(np.sqrt(u1) * np.cos(np.pi / 2 * u2))]
                 want.append(np.concatenate(
                     [eig, coset_angles_from_uniforms(n, coset.random(n * n - n))]))
         assert sample(n, count, seed=seed).tobytes() == np.array(want).tobytes()
@@ -169,18 +175,38 @@ class TestEnvelope:
         assert maxima[0] <= maxima[1] <= EIGEN_FACTOR_SUP[3]
 
     def test_violation_aborts(self, monkeypatch):
-        monkeypatch.setitem(kernels.EIGEN_FACTOR_SUP, 2, 4.0)
+        # only n=3 rejects: a bound its eigenvalue factor exceeds ends the draw
+        monkeypatch.setitem(kernels.EIGEN_FACTOR_SUP, 3, 1.0)
         with pytest.raises(EnvelopeViolationError):
-            sample(2, 100, seed=1)
+            sample(3, 100, seed=1)
 
     def test_envelope_dominates_proposals(self):
-        rows = sample(2, 5000, seed=2)
+        rows = sample(3, 5000, seed=2)
         # completing without EnvelopeViolationError is the contract; spot-check too
-        assert eigen_measure_factor(2, rows[:, :1]).max() <= EIGEN_FACTOR_SUP[2]
+        assert eigen_measure_factor(3, rows[:, :2]).max() <= EIGEN_FACTOR_SUP[3]
 
 
 class TestCosetMap:
-    # inverse-CDF coset draws against the marginals of the closed-form factor
+    # inverse-CDF coset draws, and the exact n=2 eigenvalue draw, against the
+    # marginals of the closed-form factors
+    def test_two_state_eigen_angle_marginal(self):
+        # theta-marginal density (8/pi) cos^2(2t): cdf = (4t + sin 4t)/pi
+        u = np.random.default_rng(60).random((200_000, 2))
+        theta = eigen_angle_from_uniforms(u)
+        d = ks_statistic(theta, lambda t: (4 * t + np.sin(4 * t)) / math.pi)
+        assert d <= KS_CRIT_1PCT / math.sqrt(theta.size)
+
+    def test_two_state_eigen_angle_is_the_disk_abscissa(self):
+        # sin 2t is the abscissa of the point at radius sqrt(u1) and polar
+        # angle pi u2 / 2, from its ends to the middle of [0, 1)
+        edge = [0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53]
+        u = np.concatenate([np.random.default_rng(59).random((1000, 2)),
+                            np.array([[a, b] for a in edge for b in edge])])
+        theta = eigen_angle_from_uniforms(u)
+        assert np.all((theta >= 0.0) & (theta < math.pi / 4))
+        want = np.sqrt(u[:, 0]) * np.cos(math.pi / 2 * u[:, 1])
+        assert np.abs(np.sin(2 * theta) - want).max() <= 4e-16
+
     def test_beta_marginal(self):
         u = np.random.default_rng(61).random((30_000, 2))
         beta = coset_angles_from_uniforms(2, u)[:, 1]
@@ -195,14 +221,16 @@ class TestCosetMap:
 
 
 class TestStatistics:
-    # per attempt, P(accept) = (integral of the eigenvalue factor over the
-    # box) / (M * box area), within 4 binomial SE over the attempts examined
     def test_acceptance_rate_two_state(self):
-        proposals = _proposals(2, 20_000, 21)
-        se = math.sqrt(0.25 / proposals)
-        assert abs(20_000 / proposals - 0.5) <= 4 * se
+        # the n=2 angle is drawn exactly: every attempt is a sample, in each
+        # chunk and in the total counted before the rows
+        assert _proposals(2, 20_000, 21) == 20_000
+        assert [q for _, q in sample_chunks(2, 20_000, 21)] == [16384, 20_000 - 16384]
+        assert sampling.counted_chunks(2, 20_000, 21)[0] == 20_000
 
     def test_acceptance_rate_three_state(self):
+        # per attempt, P(accept) = (integral of the eigenvalue factor over the
+        # box) / (M * box area), within 4 binomial SE over the attempts examined
         # the eigenvalue integral is Z3 over the exact coset integral pi^3/4,
         # so this also ties the sampler to the quadrature constant
         want = (normalization_constant(3) / (math.pi ** 3 / 4)
