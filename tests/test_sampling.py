@@ -85,16 +85,17 @@ class TestDeterminism:
                 key=np.array([seed, s], dtype=np.uint64), counter=[0, c, 0, 0]))
                 for s in (0, 1))
             for _ in range(start, min(start + 16, count)):
-                while n == 3:
-                    u = attempts.random(n)
-                    proposals += 1
-                    eig = lower + u[:n - 1] * span
-                    if u[-1] * EIGEN_FACTOR_SUP[n] < eigen_measure_factor(n, eig[None])[0]:
-                        break
                 if n == 2:
                     u1, u2 = attempts.random(2)
                     proposals += 1
                     eig = [0.5 * np.arcsin(np.sqrt(u1) * np.cos(np.pi / 2 * u2))]
+                else:
+                    while True:
+                        u = attempts.random(n)
+                        proposals += 1
+                        eig = lower + u[:n - 1] * span
+                        if u[-1] * EIGEN_FACTOR_SUP[n] < eigen_measure_factor(n, eig[None])[0]:
+                            break
                 want.append(np.concatenate(
                     [eig, coset_angles_from_uniforms(n, coset.random(n * n - n))]))
         assert sample(n, count, seed=seed).tobytes() == np.array(want).tobytes()
@@ -187,18 +188,11 @@ class TestEnvelope:
 
 
 class TestCosetMap:
-    # inverse-CDF coset draws, and the exact n=2 eigenvalue draw, against the
-    # marginals of the closed-form factors
-    def test_two_state_eigen_angle_marginal(self):
-        # theta-marginal density (8/pi) cos^2(2t): cdf = (4t + sin 4t)/pi
-        u = np.random.default_rng(60).random((200_000, 2))
-        theta = eigen_angle_from_uniforms(u)
-        d = ks_statistic(theta, lambda t: (4 * t + np.sin(4 * t)) / math.pi)
-        assert d <= KS_CRIT_1PCT / math.sqrt(theta.size)
-
+    # inverse-CDF coset draws against the marginals of the closed-form
+    # factor; the exact n=2 eigenvalue draw's marginal is test_theta_marginal
     def test_two_state_eigen_angle_is_the_disk_abscissa(self):
         # sin 2t is the abscissa of the point at radius sqrt(u1) and polar
-        # angle pi u2 / 2, from its ends to the middle of [0, 1)
+        # angle pi u2 / 2, and t stays in [0, pi/4) at the ends of [0, 1)
         edge = [0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53]
         u = np.concatenate([np.random.default_rng(59).random((1000, 2)),
                             np.array([[a, b] for a in edge for b in edge])])
