@@ -19,9 +19,11 @@ the invariance is testable, ``coset_unitary`` pins them to zero.
 This module holds the typed scalar API: range-checked coordinates, the maps
 that multiply generator exponentials, and the checks and inverse map on
 density matrices.  The fast batch forms (``diag_eigenvalues_batch``,
-``coset_unitary_batch``, ``density_batch``), which write U's entries in
-closed form (Byrd, J. Math. Phys. 39 (1998) 6125) and rho's directly, live in
-``kernels``; the scalar maps are the independent check on them.
+``coset_unitary_batch``, ``density_batch``) live in ``kernels``.  They write
+each entry of U in closed form (Byrd, J. Math. Phys. 39 (1998) 6125), as
+real amplitudes times the cos and sin of angle sums, and form rho's cells
+from those in real arithmetic.  The scalar maps here, which multiply
+complex generator exponentials, are the independent check on them.
 """
 
 from __future__ import annotations

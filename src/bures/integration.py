@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import FunctionalId, from_eigenvalues, from_matrices
-from .kernels import (QUADRATURE_POINTS, check_n, density_batch, eigen_box_integral,
-                      estimated)
+from .kernels import (QUADRATURE_POINTS, _eigen_integral, check_n, density_batch,
+                      eigen_box_integral, estimated)
 
 
 @dataclass(frozen=True)
@@ -34,16 +34,17 @@ def integrate(n: int, functional: FunctionalId,
     ``functional`` is a FunctionalId (anything else is a TypeError).  Its f
     is spectral, so it does not depend on the coset angles: the exact coset
     integral cancels and E[f] = Q[f e] / Q[e], with e the eigenvalue factor
-    and Q ``kernels.eigen_box_integral``.  Q has ``points`` points per axis
-    (default ``QUADRATURE_POINTS``; a float is a TypeError), and the error
-    estimate is ``kernels.estimated``'s: the gap to a rerun at half of them,
-    with an ulp floor.
+    and Q ``kernels.eigen_box_integral``; Q[e] is the cached integral that
+    Z reads.  Q has ``points`` points per axis (default
+    ``QUADRATURE_POINTS``; a float is a TypeError), and the error estimate
+    is ``kernels.estimated``'s: the gap to a rerun at half of them, with an
+    ulp floor.
     """
     if not isinstance(functional, FunctionalId):
         raise TypeError("quadrature needs a FunctionalId")
     g = functools.partial(from_eigenvalues, functional)
     value, error = estimated(
-        lambda pts: eigen_box_integral(n, pts, g) / eigen_box_integral(n, pts),
+        lambda pts: eigen_box_integral(n, pts, g) / _eigen_integral(n, pts),
         QUADRATURE_POINTS if points is None else points)
     return IntegrationResult(value=value, error_estimate=error)
 

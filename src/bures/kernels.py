@@ -14,6 +14,13 @@ coordinate, and ``tensorgrid`` loads only when a quadrature runs, so
 ``sample``, ``volume`` and both ``integrate`` methods run no module of the
 scalar API.  ``euler`` and ``measure`` re-export these names next to
 that API and the independent check forms.
+
+U's entries are (re, im) pairs of real arrays: each entry is a real
+amplitude times e^{i phi}, or a sum of two such terms, written with the cos
+and sin of phi.  The n=3 rho is formed from those pairs cell by cell, and
+the n=2 rho has a shorter form of its own.  Only ``cos``, ``sin`` and real
+``+``, ``-`` and ``*`` enter U and the n=3 rho.  So a row's bits depend
+neither on the other rows nor on numpy's CPU dispatch.
 """
 
 from __future__ import annotations
@@ -65,42 +72,52 @@ def diag_eigenvalues_batch(n: int, angles: np.ndarray) -> np.ndarray:
     return np.stack(_eigenvalues(check_n(n), angles), axis=-1)
 
 
-def _coset_entries(n: int, angles: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
-    """The rows of ``euler.coset_unitary`` entry by entry, each entry an (N,) array."""
+def _coset_entries(n: int, angles: np.ndarray) -> tuple[tuple[tuple, ...], ...]:
+    """The rows of ``euler.coset_unitary``, each entry a (re, im) pair of (N,)
+    arrays (u22's im is the float 0.0).
+
+    The diagonal factors are phases and the others real rotations, so each
+    entry is a real amplitude times e^{i phi}, or a sum of two, with phi one
+    of p = alpha + gamma + a, q = alpha - gamma - a, alpha + gamma,
+    alpha - gamma and a (alpha for n=2): ``cos``, ``sin``, ``+``, ``-`` and
+    ``*`` of reals alone.
+    """
     al, be, *rest = np.atleast_2d(np.asarray(angles, dtype=np.float64)).T
-    if n == 2:
-        ea, cb, sb = np.exp(1j * al), np.cos(be), np.sin(be)
-        return (ea * cb, ea * sb), (-ea.conj() * sb, ea.conj() * cb)
-    ga, th, a, b = rest
-    eal, ega, ea = np.exp(1j * al), np.exp(1j * ga), np.exp(1j * a)
     cbe, sbe = np.cos(be), np.sin(be)
-    ct, st = np.cos(th), np.sin(th)
-    cb, sb = np.cos(b), np.sin(b)
-    # The conjugates are named so that every complex product keeps the
-    # operand order it is written in: from 16384 rows up numpy reuses a
-    # temporary right operand in place, which swaps the operands, and the
-    # SIMD complex multiply is not bitwise commutative.
-    ealc, egac, eac = eal.conj(), ega.conj(), ea.conj()
-    # L = P(alpha) R01(beta) P(gamma) acts on rows and columns 0, 1 only
-    l00, l01 = eal * cbe * ega, eal * sbe * egac
-    l10, l11 = -ealc * sbe * ega, ealc * cbe * egac
-    # M = L R02(theta) P(a); R01(b) then mixes M's columns 0 and 1
-    m00, m01, m10, m11 = l00 * ct * ea, l01 * eac, l10 * ct * ea, l11 * eac
-    m20 = -st * ea
-    return ((m00 * cb - m01 * sb, m00 * sb + m01 * cb, l00 * st),
-            (m10 * cb - m11 * sb, m10 * sb + m11 * cb, l10 * st),
-            (m20 * cb, m20 * sb, ct))
+    if n == 2:
+        ca, sa = np.cos(al), np.sin(al)
+        return (((ca * cbe, sa * cbe), (ca * sbe, sa * sbe)),
+                ((-ca * sbe, sa * sbe), (ca * cbe, -sa * cbe)))
+    ga, th, a, b = rest
+    # cos and sin of theta_big, b, s = alpha + gamma, d = alpha - gamma and a;
+    # e^{ip} = e^{is} e^{ia} and e^{iq} = e^{id} e^{-ia} by the addition
+    # theorem, four trig calls fewer than cos and sin of p and q
+    ct, st, cb, sb, cs, ss, cd, sd, ca, sa = (
+        f(x) for x in (th, b, al + ga, al - ga, a) for f in (np.cos, np.sin))
+    cp, sp = cs * ca - ss * sa, ss * ca + cs * sa
+    cq, sq = cd * ca + sd * sa, sd * ca - cd * sa
+
+    def mix(x, y):
+        """x e^{ip} + y e^{iq}"""
+        return x * cp + y * cq, x * sp + y * sq
+
+    cc, sc, nst = cbe * ct, sbe * ct, -st
+    u02, u12, u20, u21 = cbe * st, sbe * st, nst * cb, nst * sb
+    # row 1 conjugates such sums: u10 = -conj(mix(..)), u11 = conj(mix(..))
+    u10, u11 = mix(cbe * sb, sc * cb), mix(cbe * cb, -sc * sb)
+    return ((mix(cc * cb, -sbe * sb), mix(cc * sb, sbe * cb), (u02 * cs, u02 * ss)),
+            ((-u10[0], u10[1]), (u11[0], -u11[1]), (-u12 * cd, u12 * sd)),
+            ((u20 * ca, u20 * sa), (u21 * ca, u21 * sa), (ct, 0.0)))
 
 
 def coset_unitary_batch(n: int, angles: np.ndarray) -> np.ndarray:
     """Vectorized ``euler.coset_unitary``, entry by entry; ``angles`` has
     shape (N, 2) or (N, 6)."""
-    check_n(n)
-    rows = _coset_entries(n, angles)
-    u = np.empty((len(rows[0][0]), n, n), dtype=np.complex128)
+    rows = _coset_entries(check_n(n), angles)
+    u = np.empty((len(rows[0][0][0]), n, n), dtype=np.complex128)
     for i, row in enumerate(rows):
-        for j, entry in enumerate(row):
-            u[:, i, j] = entry
+        for j, (x, y) in enumerate(row):
+            u.real[:, i, j], u.imag[:, i, j] = x, y
     return u
 
 
@@ -113,25 +130,23 @@ def density_batch(n: int, eigen_angles: np.ndarray, coset_angles: np.ndarray) ->
     eigen_angles = np.asarray(eigen_angles, dtype=np.float64)
     coset_angles = np.atleast_2d(np.asarray(coset_angles, dtype=np.float64))
     if check_n(n) == 3:
-        # rho_ij = sum_k lam_k U_ik conj(U_jk), in real arithmetic
+        # rho_ij = sum_k lam_k U_ik conj(U_jk), from U's (re, im) pairs
         lam = _eigenvalues(3, eigen_angles)
         rows = _coset_entries(3, coset_angles)
-        re_u = [[np.real(x) for x in row] for row in rows]
-        im_u = [[np.imag(x) for x in row] for row in rows]
         rho = np.empty((len(eigen_angles), 3, 3), dtype=np.complex128)
         re, im = rho.real, rho.imag
-        for i in range(3):
-            a = [lam[k] * re_u[i][k] for k in range(3)]
-            b = [lam[k] * im_u[i][k] for k in range(3)]
+        for i, row in enumerate(rows):
+            a = [lk * x for lk, (x, _) in zip(lam, row)]
+            b = [lk * y for lk, (_, y) in zip(lam, row)]
+            im[:, i, i] = 0.0
             for j in range(i, 3):
-                t = [a[k] * re_u[j][k] + b[k] * im_u[j][k] for k in range(3)]
-                re[:, i, j] = re[:, j, i] = t[0] + t[1] + t[2]
-                if i == j:
-                    im[:, i, i] = 0.0
-                else:
-                    t = [b[k] * re_u[j][k] - a[k] * im_u[j][k] for k in range(3)]
-                    im[:, i, j] = t[0] + t[1] + t[2]
-                    im[:, j, i] = -im[:, i, j]
+                t = [ak * x + bk * y for ak, bk, (x, y) in zip(a, b, rows[j])]
+                np.add(t[0] + t[1], t[2], out=re[:, i, j])
+                if j > i:
+                    t = [bk * x - ak * y for ak, bk, (x, y) in zip(a, b, rows[j])]
+                    np.add(t[0] + t[1], t[2], out=im[:, i, j])
+                    re[:, j, i] = re[:, i, j]
+                    np.negative(im[:, i, j], out=im[:, j, i])
         return rho
     l1, l2 = _eigenvalues(2, eigen_angles)
     cb, sb = np.cos(coset_angles[:, 1]), np.sin(coset_angles[:, 1])

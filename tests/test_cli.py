@@ -47,15 +47,14 @@ def record_of(out: str) -> dict:
 
 
 # the sample commands behind the golden digests of sampler stream version 5
-# (its n=3 bytes are version 4's, whose name the golden tests keep)
-_STREAM_V4_ARGV = [
+_STREAM_V5_ARGV = [
     ("--n", "2", "--count", "20", "--seed", "99"),
     ("--n", "3", "--count", "5", "--seed", "7", "--format", "csv"),
     # more rows than one write block of the CLI (1024), ending mid-block
     ("--n", "3", "--count", "2500", "--seed", "3"),
     ("--n", "2", "--count", "2049", "--seed", "8", "--format", "csv"),
 ]
-_STREAM_V4_IDS = ["n2-json", "n3-csv", "n3-json-blocks", "n2-csv-blocks"]
+_STREAM_V5_IDS = ["n2-json", "n3-csv", "n3-json-blocks", "n2-csv-blocks"]
 
 _DENSITY_N3 = ("theta1=0.3,theta2=0.5,alpha=1,beta=0.2,gamma=0.4,theta_big=0.6,"
                "a=1.1,b=0.3")
@@ -77,7 +76,7 @@ _SCALAR_GOLDENS = {
                      "21a5d9080ce8fe0816b54ba36bcde273ca51e23e6d963344e3e18ee8706202da"),
     "density-n3-normalized": (
         ("density", "--n", "3", "--params", _DENSITY_N3, "--mode", "normalized"),
-        "d2ff9f07b03cfeeef98b6a6f6f7a6d2bae9fffa258bcb66e068c01fec2ac94fa"),
+        "460e578523cdf838c4bb26ee36adb7d73640136be53d17467e4b65bc36a94c87"),
     "density-n2-raw": (
         ("density", "--n", "2", "--params", "theta=0.5,alpha=1.0,beta=0.7", "--mode", "raw"),
         "0d18fcd08d6d6d25a22b6f188e8296275e41beedfacc01b0f459ffff08a3f2dd"),
@@ -90,11 +89,13 @@ _SCALAR_GOLDENS = {
                                "b684024399ea0b92101acb75ae88cf9cf0b5ed0a24b7626698040448148223b9"),
 }
 # the quadrature goldens and the one whose value divides by Z, then the
-# digest of the n=3 eigenvalue factor on a 256 x 256 grid of its box, since
-# the quadrature sums can absorb a last-bit change at a few nodes
+# digests of the n=3 eigenvalue factor on a 256 x 256 grid of its box and of
+# density_batch(3, .) and coset_unitary_batch(3, .) on 4096 seeded rows of
+# the angle box, since a record can absorb a last-bit change in a few cells
 _DISPATCH_GOLDENS = [name for name in _SCALAR_GOLDENS
                      if not name.startswith(("integrate-mc", "density-n2"))]
-_DISPATCH_CASES = _DISPATCH_GOLDENS + ["eigen-factor-grid"]
+_KERNEL_DIGESTS = ["eigen-factor-grid", "density-batch-n3", "coset-unitary-n3"]
+_DISPATCH_CASES = _DISPATCH_GOLDENS + _KERNEL_DIGESTS
 # the entropy records at every point count up to 64, since numpy's log in
 # functionals._xlogx rounds some node values differently without AVX-512
 _ENTROPY_SWEEP = {f"entropy-n{n}-p{p}": ("integrate", "--n", str(n), "--functional",
@@ -110,8 +111,12 @@ for argv in json.loads(sys.argv[1]):
         assert cli.main(argv) == 0
     outs.append(out.getvalue())
 t = np.meshgrid(np.linspace(0, np.pi / 4, 256), np.linspace(0, kernels.THETA2_MAX, 256))
-e = kernels.eigen_measure_factor(3, np.stack([x.ravel() for x in t], -1))
-outs.append(hashlib.sha256(e.tobytes()).hexdigest())
+lo, hi = np.array(kernels.EIGEN_RANGES[3] + kernels.COSET_RANGES[3]).T
+rows = lo + (hi - lo) * np.random.default_rng(32).random((4096, 8))
+for a in (kernels.eigen_measure_factor(3, np.stack([x.ravel() for x in t], -1)),
+          kernels.density_batch(3, rows[:, :2], rows[:, 2:]),
+          kernels.coset_unitary_batch(3, rows[:, 2:])):
+    outs.append(hashlib.sha256(a.tobytes()).hexdigest())
 print(json.dumps(outs))
 """
 
@@ -128,9 +133,8 @@ def _dispatch_outputs(disabled: str) -> dict:
     r = subprocess.run([sys.executable, "-c", _DISPATCH_RUN, argv],
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
-    outs = json.loads(r.stdout)
-    return dict(zip(_DISPATCH_GOLDENS + list(_ENTROPY_SWEEP), outs[:-1]),
-                **{"eigen-factor-grid": outs[-1]})
+    return dict(zip(_DISPATCH_GOLDENS + list(_ENTROPY_SWEEP) + _KERNEL_DIGESTS,
+                    json.loads(r.stdout), strict=True))
 
 
 def _targets_from(level: str) -> str:
@@ -583,26 +587,26 @@ class TestOutputContract:
                             "--seed", "21", "--format", fmt)
         assert out == want
 
-    @pytest.mark.parametrize("argv,digest", zip(_STREAM_V4_ARGV, [
+    @pytest.mark.parametrize("argv,digest", zip(_STREAM_V5_ARGV, [
         "8d7e5500229b06d526f7625106fcb5a1358b9ada892b12b69ed362c1fe9d4d0f",
-        "4b1849d8a6197ccc8cbffc031e1644827ecc212c8410a493196c26e94b28dd09",
-        "1d2279042ce42138f371f84474cedc494525f9ba6347f0bfedf571758eff8007",
+        "121788f3ace676d056fdf93f922d55b1164e116910a255a6fc39433be0908488",
+        "70bea46fbcbc5df8a7d012529d89b2dfa0857d2c8d9e83df6747f106d5e1d92a",
         "c98ba05a67682d271553196fe128f31e1013f257f139ab9681035e839eba3640",
-    ]), ids=_STREAM_V4_IDS)
-    def test_sampler_stream_version_4(self, capsys, argv, digest):
+    ]), ids=_STREAM_V5_IDS)
+    def test_sampler_stream_version_5(self, capsys, argv, digest):
         # golden SHA-256 of the output: a change to the seed-to-sample
-        # mapping must show here and carry a new stream version.  Captured
-        # with the n=3 matrix written entry by entry in ``euler.density_batch``;
-        # the n=2 digests are stream version 5's exact eigenvalue draw
+        # mapping must show here and carry a new stream version.  The n=3
+        # matrices come from ``kernels.density_batch``'s real-arithmetic
+        # coset entries; the n=2 digests are the exact eigenvalue draw's
         _, out, _ = run_cli(capsys, "sample", *argv)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("argv,digest", zip(_STREAM_V4_ARGV, [
+    @pytest.mark.parametrize("argv,digest", zip(_STREAM_V5_ARGV, [
         "f40cb39f042e5cef70dd0d46fb4e5beb2c7d511c7686ed3265244e5d1b708819",
         "882dc2e83b4779b7476f9a5892b6cbf619ad834a8190a98222aed2fab3966f37",
         "5a9d19aaa7d23744c775bda9c26b0d99ecc641ae7fcb66a70e8ab05590cb2673",
         "0defe6d29966e03faf60bb885e3ebca5a4fff025f400163e3f026cd87d5f41b9",
-    ]), ids=_STREAM_V4_IDS)
+    ]), ids=_STREAM_V5_IDS)
     def test_sample_angle_columns_pinned(self, capsys, argv, digest):
         # golden SHA-256 of the printed angles alone, of stream version 5:
         # they come from the sampler, so a change to the matrix kernel must
@@ -723,16 +727,15 @@ class TestSubprocessEntry:
         assert len(outs) == 1, outs
 
     @pytest.mark.parametrize("level,name", [
-        pytest.param(level, name, marks=pytest.mark.xfail(
-            reason="rho's complex products round differently without X86_V3's FMA",
-            strict=False) if (level, name) == ("X86_V3", "density-n3-normalized") else ())
-        for level in ("X86_V4", "X86_V3") for name in _DISPATCH_CASES])
+        (level, name) for level in ("X86_V4", "X86_V3") for name in _DISPATCH_CASES])
     def test_quadrature_bytes_do_not_depend_on_cpu_dispatch(self, level, name):
-        # the quadrature and density --mode normalized goldens with numpy's
-        # dispatched targets off from ``level`` up (V4 and up, then V3 too).
-        # The eigenvalue factor uses no ``power`` but squares, so its bits
-        # hold; numpy's ``log`` rounds some nodes' values differently
-        # without AVX-512, which the entropy goldens' sums have absorbed
+        # the quadrature and density --mode normalized goldens and the kernel
+        # digests with numpy's dispatched targets off from ``level`` up (V4
+        # and up, then V3 too).  The eigenvalue factor uses no ``power`` but
+        # squares, and the coset entries only cos, sin and real arithmetic,
+        # so their bits hold; numpy's ``log`` rounds some nodes' values
+        # differently without AVX-512, which the entropy goldens' sums have
+        # absorbed
         assert _dispatch_outputs(_targets_from(level))[name] == _dispatch_outputs("")[name]
 
     @pytest.mark.parametrize("level", ["X86_V4", "X86_V3"])

@@ -206,9 +206,10 @@ class TestClosedFormKernel:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_rows_do_not_depend_on_row_count(self, rng, n):
-        # from 16384 rows up numpy reuses a temporary operand in place, which
-        # can swap the operands of a complex product; the SIMD product is not
-        # bitwise commutative, so a swap would change the last bits of a row
+        # each cell is formed elementwise, so a row's bits must not depend on
+        # the rows that come with it; from 16384 rows up numpy reuses
+        # temporaries in place, which can swap a product's operands, so the
+        # kernel's products must be bitwise commutative (real ones are)
         pts = random_box_points(n, 65536, rng)
         k = n - 1
         for total in (16384, 16385, 65536):
